@@ -376,15 +376,21 @@ def demo_pipeline(
     )
     gt_range = resample_to_range(grid, rng, current.pose)
 
+    # every set is anchored at the current camera and a frame's blocks and
+    # channels do not depend on the other frames, so the smaller sets are
+    # frame slices of the full one
+    fused_all, bv_all = fuse_pipeline(
+        past_current + [future_frame], rng, k, theta_d, extract_features, past
+    )
     sets = (
-        ("current", [current], 0),
-        ("past_current", past_current, past),
-        ("past_current_future", past_current + [future_frame], past),
+        ("current", past, past + 1),
+        ("past_current", 0, past + 1),
+        ("past_current_future", 0, past + 2),
     )
     summary = []
     outputs = {}
-    for name, frame_set, cur_idx in sets:
-        fused, bv = fuse_pipeline(frame_set, rng, k, theta_d, extract_features, cur_idx)
+    for name, start, stop in sets:
+        fused, bv = fused_all.frames(start, stop), bv_all.frames(start, stop)
         cov = coverage(bv)
         completed = majority_complete(bv, gt_range)
         cm = confusion(completed, gt_range, spec.num_classes)

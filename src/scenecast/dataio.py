@@ -67,6 +67,13 @@ def _need(buf: bytes, offset: int, count: int, what: str) -> None:
         )
 
 
+def _check_end(buf: bytes, end: int) -> None:
+    if len(buf) != end:
+        raise FormatError(
+            f"trailing bytes at offset {end}: expected {end} total, got {len(buf)}"
+        )
+
+
 def _check_magic(buf: bytes, magic: bytes) -> None:
     _need(buf, 0, 4, "magic")
     if buf[:4] != magic:
@@ -99,10 +106,7 @@ def read_grid(path) -> SceneGrid:
         raise FormatError(f"invalid voxel_size {vs} at offset 16")
     count = nx * ny * nz
     _need(buf, 32, count, "label payload")
-    if len(buf) != 32 + count:
-        raise FormatError(
-            f"trailing bytes: expected {32 + count} total, got {len(buf)}"
-        )
+    _check_end(buf, 32 + count)
     labels = np.frombuffer(buf, dtype=np.uint8, count=count, offset=32).reshape(
         nx, ny, nz
     )
@@ -131,10 +135,7 @@ def read_depth(path) -> np.ndarray:
     h, w = struct.unpack_from("<II", buf, 4)
     count = h * w
     _need(buf, 12, 4 * count, "depth payload")
-    if len(buf) != 12 + 4 * count:
-        raise FormatError(
-            f"trailing bytes: expected {12 + 4 * count} total, got {len(buf)}"
-        )
+    _check_end(buf, 12 + 4 * count)
     d = np.frombuffer(buf, dtype="<f4", count=count, offset=12).reshape(h, w)
     if not np.all(np.isfinite(d)):
         bad = int(np.flatnonzero(~np.isfinite(d.ravel()))[0])
@@ -199,6 +200,7 @@ def read_image(path) -> np.ndarray:
         raise FormatError(f"unsupported maxval {maxval} (only 255)")
     count = w * h * 3
     _need(buf, start, count, "pixel payload")
+    _check_end(buf, start + count)
     pix = np.frombuffer(buf, dtype=np.uint8, count=count, offset=start)
     return pix.reshape(h, w, 3).astype(np.float64) / 255.0
 
@@ -260,8 +262,14 @@ def read_fused(path, channels_per_frame: int = 0) -> FusedVolume:
     _check_magic(buf, MAGIC_FUSED)
     _need(buf, 4, 16, "fused header")
     bx, by, bz, c = struct.unpack_from("<IIII", buf, 4)
+    if channels_per_frame and c % channels_per_frame:
+        raise FormatError(
+            f"channel count {c} at offset 16 is not a multiple of "
+            f"{channels_per_frame} channels per frame"
+        )
     count = bx * by * bz * c
     _need(buf, 20, 4 * count, "feature payload")
+    _check_end(buf, 20 + 4 * count)
     feats = np.frombuffer(buf, dtype="<f4", count=count, offset=20)
     return FusedVolume(
         (bx, by, bz),
@@ -296,6 +304,7 @@ def read_blockvis(path) -> BlockVisibility:
     vis = np.frombuffer(buf, dtype=np.uint8, count=nvis, offset=off)
     off += nvis
     _need(buf, off, 4 * nvis * 3, "projection payload")
+    _check_end(buf, off + 4 * nvis * 3)
     proj = np.frombuffer(buf, dtype="<f4", count=nvis * 3, offset=off)
     return BlockVisibility(
         (bx, by, bz),

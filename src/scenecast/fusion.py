@@ -11,6 +11,14 @@ Voxels are grouped into 4x4x4 blocks (visible if any member voxel is, with
 projection coordinates averaged over the visible members); per-frame 2D
 features are then sampled at the averaged coordinates and concatenated
 frame-major, zero-padded wherever a frame contributed nothing.
+
+Fusion streams over the frames: each frame's voxel arrays are reduced to
+its block slice right after its visibility pass and dropped before the next
+frame, and the reduction sums only the visible voxels. Peak memory is one
+frame's voxel arrays plus the block-level stacks. A frame's blocks and
+feature channels depend only on that frame and the anchoring current pose,
+so the result for a subset of frames is a frame-axis slice of the result
+for the whole set (`BlockVisibility.frames`, `FusedVolume.frames`).
 """
 from __future__ import annotations
 
@@ -119,6 +127,17 @@ class BlockVisibility:
     def num_frames(self) -> int:
         return self.visible.shape[0]
 
+    def frames(self, start: int, stop: int) -> "BlockVisibility":
+        """The frames start..stop-1 of this set, as fusing them alone gives."""
+        return BlockVisibility(
+            self.block_dims,
+            self.visible[start:stop],
+            self.proj_uv_d[start:stop],
+            self.frame_indices[start:stop],
+            self.image_width,
+            self.image_height,
+        )
+
 
 @dataclass
 class FusedVolume:
@@ -128,18 +147,29 @@ class FusedVolume:
     features: np.ndarray      # (BX, BY, BZ, F * C)
     channels_per_frame: int
 
+    def frames(self, start: int, stop: int) -> "FusedVolume":
+        """The channels of frames start..stop-1, as fusing them alone gives."""
+        c = self.channels_per_frame
+        return FusedVolume(self.block_dims, self.features[..., start * c:stop * c], c)
 
-def voxel_centers(rng: SceneRange) -> np.ndarray:
-    """(X, Y, Z, 3) scene-frame centers: origin + (i+0.5, j+0.5, k+0.5)*voxel."""
+
+def _center_axes(rng: SceneRange):
+    """Scene-frame center coordinates along x, y, z, shaped to broadcast to (X, Y, Z)."""
     nx, ny, nz = rng.dims
     vs = rng.voxel_size
     cx = rng.origin[0] + (np.arange(nx) + 0.5) * vs
     cy = rng.origin[1] + (np.arange(ny) + 0.5) * vs
     cz = rng.origin[2] + (np.arange(nz) + 0.5) * vs
-    out = np.empty((nx, ny, nz, 3))
-    out[..., 0] = cx[:, None, None]
-    out[..., 1] = cy[None, :, None]
-    out[..., 2] = cz[None, None, :]
+    return cx[:, None, None], cy[None, :, None], cz[None, None, :]
+
+
+def voxel_centers(rng: SceneRange) -> np.ndarray:
+    """(X, Y, Z, 3) scene-frame centers: origin + (i+0.5, j+0.5, k+0.5)*voxel."""
+    sx, sy, sz = _center_axes(rng)
+    out = np.empty(rng.dims + (3,))
+    out[..., 0] = sx
+    out[..., 1] = sy
+    out[..., 2] = sz
     return out
 
 
@@ -179,24 +209,33 @@ def visibility(
     if (w, h) != (k.width, k.height):
         raise ValueError(f"frame is {w}x{h} but intrinsics expect {k.width}x{k.height}")
     r, t = scene_to_frame_transform(current_pose, frame.pose)
-    c = voxel_centers(rng)
-    sx, sy, sz = c[..., 0], c[..., 1], c[..., 2]
+    # broadcasting the 1-D center axes keeps voxel_centers' values and the
+    # elementwise operation order without building the (X, Y, Z, 3) array
+    sx, sy, sz = _center_axes(rng)
     x = r[0, 0] * sx + r[0, 1] * sy + r[0, 2] * sz + t[0]
     y = r[1, 0] * sx + r[1, 1] * sy + r[1, 2] * sz + t[1]
     z = r[2, 0] * sx + r[2, 1] * sy + r[2, 2] * sz + t[2]
     front = z > Z_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * x / z + k.cx
-        v = k.fy * y / z + k.cy
+        u = (k.fx * x / z + k.cx).ravel()
+        v = (k.fy * y / z + k.cy).ravel()
+    del x, y
+    z = z.ravel()
     ui = np.floor(u + 0.5)
     vi = np.floor(v + 0.5)
-    inb = front & (ui >= 0) & (ui <= w - 1) & (vi >= 0) & (vi <= h - 1)
-    uq = np.where(inb, ui, 0).astype(np.int64)
-    vq = np.where(inb, vi, 0).astype(np.int64)
-    d_map = frame.depth[vq, uq]
-    vis = inb & (d_map > 0.0) & (np.abs(z - d_map) <= theta_d)
-    proj = np.stack([u, v, z], axis=-1)
-    proj[~vis] = 0.0
+    inb = front.ravel() & (ui >= 0) & (ui <= w - 1) & (vi >= 0) & (vi <= h - 1)
+    # the depth test and the outputs only touch the in-image voxels
+    cand = np.flatnonzero(inb)
+    d_map = frame.depth[vi[cand].astype(np.int64), ui[cand].astype(np.int64)]
+    del ui, vi
+    sel = cand[(d_map > 0.0) & (np.abs(z[cand] - d_map) <= theta_d)]
+    vis = np.zeros(rng.dims, dtype=bool)
+    vis.reshape(-1)[sel] = True
+    proj = np.zeros(rng.dims + (3,))
+    flat = proj.reshape(-1, 3)
+    flat[sel, 0] = u[sel]
+    flat[sel, 1] = v[sel]
+    flat[sel, 2] = z[sel]
     return vis, proj
 
 
@@ -209,8 +248,11 @@ def downsample_blocks(
 ) -> BlockVisibility:
     """Group 4x4x4 voxels into blocks: OR visibility, mean projection.
 
-    The projection average runs over the visible member voxels only; blocks
-    with no visible member carry zeros and are flagged invisible.
+    Only the visible voxels are read: their projections are summed per
+    block in voxel C order and divided by the block's visible count, so
+    values at invisible voxels (zeros, NaN or anything else) never reach a
+    block. Blocks with no visible member carry zeros and are flagged
+    invisible. Frames are reduced one at a time.
     """
     visible = np.asarray(visible, dtype=bool)
     proj = np.asarray(proj, dtype=np.float64)
@@ -222,13 +264,22 @@ def downsample_blocks(
     if nx % e or ny % e or nz % e:
         raise ValueError(f"voxel dims {(nx, ny, nz)} not divisible by {e}")
     bx, by, bz = nx // e, ny // e, nz // e
-    vis_r = visible.reshape(f, bx, e, by, e, bz, e)
-    proj_r = proj.reshape(f, bx, e, by, e, bz, e, 3)
-    block_vis = vis_r.any(axis=(2, 4, 6))
-    counts = vis_r.sum(axis=(2, 4, 6), dtype=np.float64)
-    sums = (proj_r * vis_r[..., None]).sum(axis=(2, 4, 6))
-    with np.errstate(invalid="ignore"):
-        mean = np.where(counts[..., None] > 0, sums / np.maximum(counts, 1.0)[..., None], 0.0)
+    nb = bx * by * bz
+    counts = np.zeros((f, nb), dtype=np.int64)
+    sums = np.zeros((f, nb, 3))
+    for fi in range(f):
+        idx = np.flatnonzero(visible[fi])
+        i, j, kk = np.unravel_index(idx, (nx, ny, nz))
+        block = ((i // e) * by + j // e) * bz + kk // e
+        counts[fi] = np.bincount(block, minlength=nb)
+        members = proj[fi].reshape(-1, 3)[idx]
+        for a in range(3):
+            sums[fi, :, a] = np.bincount(block, weights=members[:, a], minlength=nb)
+    block_vis = counts > 0
+    mean = np.zeros_like(sums)
+    mean[block_vis] = sums[block_vis] / counts[block_vis][:, None]
+    block_vis = block_vis.reshape(f, bx, by, bz)
+    mean = mean.reshape(f, bx, by, bz, 3)
     return BlockVisibility(
         (bx, by, bz),
         block_vis,
@@ -292,6 +343,8 @@ def fuse_pipeline(
 
     `frames` must be ordered by ascending frame index (pseudo-future last);
     `current_index` designates the frame whose camera anchors the range.
+    Each frame is reduced to its block slice right after its visibility
+    pass, so peak memory is one frame's voxel arrays plus the block stacks.
     """
     frames = list(frames)
     if not frames:
@@ -302,16 +355,17 @@ def fuse_pipeline(
     if not (-len(frames) <= current_index < len(frames)):
         raise ValueError(f"current_index {current_index} out of range")
     current_pose = frames[current_index].pose
-    vis_stack, proj_stack, fmaps = [], [], []
+    slices, fmaps = [], []
     for frame in frames:
         vis, proj = visibility(rng, frame, current_pose, k, theta_d)
-        vis_stack.append(vis)
-        proj_stack.append(proj)
+        slices.append(downsample_blocks(vis, proj, [frame.frame_index], k.width, k.height))
+        del vis, proj
         fmaps.append(feature_extractor(frame.image))
-    bv = downsample_blocks(
-        np.stack(vis_stack),
-        np.stack(proj_stack),
-        [f.frame_index for f in frames],
+    bv = BlockVisibility(
+        slices[0].block_dims,
+        np.concatenate([b.visible for b in slices]),
+        np.concatenate([b.proj_uv_d for b in slices]),
+        tuple(i for b in slices for i in b.frame_indices),
         k.width,
         k.height,
     )

@@ -58,6 +58,39 @@ def visibility_bruteforce(
     return vis, proj
 
 
+def downsample_bruteforce(visible, proj, edge: int = 4):
+    """Scalar block reduction: OR of member visibility, projection mean over
+    the visible members, each block's members summed in voxel C order."""
+    visible = np.asarray(visible, dtype=bool)
+    proj = np.asarray(proj, dtype=np.float64)
+    if visible.ndim == 3:
+        visible = visible[None]
+        proj = proj[None]
+    nf, nx, ny, nz = visible.shape
+    vis_l = visible.tolist()
+    proj_l = proj.tolist()
+    bx, by, bz = nx // edge, ny // edge, nz // edge
+    block_vis = np.zeros((nf, bx, by, bz), dtype=bool)
+    block_proj = np.zeros((nf, bx, by, bz, 3))
+    for f in range(nf):
+        for bi in range(bx):
+            for bj in range(by):
+                for bk in range(bz):
+                    n = 0
+                    s = [0.0, 0.0, 0.0]
+                    for i in range(bi * edge, (bi + 1) * edge):
+                        for j in range(bj * edge, (bj + 1) * edge):
+                            for kk in range(bk * edge, (bk + 1) * edge):
+                                if vis_l[f][i][j][kk]:
+                                    n += 1
+                                    p = proj_l[f][i][j][kk]
+                                    s = [s[0] + p[0], s[1] + p[1], s[2] + p[2]]
+                    if n:
+                        block_vis[f, bi, bj, bk] = True
+                        block_proj[f, bi, bj, bk] = (s[0] / n, s[1] / n, s[2] / n)
+    return block_vis, block_proj
+
+
 def scal_bruteforce(probs, labels, clamp: float = 1e-8) -> float:
     """Scalar transcription of the class-wise log precision/recall/specificity loss."""
     probs = [list(map(float, row)) for row in probs]

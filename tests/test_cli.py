@@ -3,8 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scenecast import dataio
-from scenecast.cli import main
+from scenecast import dataio, defaults
+from scenecast.cli import demo_pipeline, main
+from scenecast.fusion import fuse_pipeline
+from scenecast.synth import desk_intrinsics, extract_features
 
 
 def run(capsys, *argv):
@@ -214,3 +216,23 @@ class TestDemo:
         for name in ("scene.vxg", "gt_range.vxg", "pseudo_future.ppm",
                      "predicted_pose.txt", "pose_error.csv"):
             assert (out / name).exists(), name
+
+    def test_sets_are_slices_of_separate_fusions(self):
+        past = defaults.PAST_FRAMES
+        theta_d = defaults.THETA_D
+        result = demo_pipeline(
+            seed=0, layout="corridor", past=past, interval=defaults.FRAME_INTERVAL,
+            speed=defaults.DEMO_SPEED, theta_d=theta_d, box_count=defaults.DEMO_BOX_COUNT,
+            refiner_name="fill", future_mode="pseudo",
+        )
+        bundles, rng, k = result["bundles"], result["range"], desk_intrinsics()
+        separate = {
+            "current": fuse_pipeline([bundles[past]], rng, k, theta_d, extract_features, 0),
+            "past_current": fuse_pipeline(bundles[: past + 1], rng, k, theta_d, extract_features, past),
+        }
+        for name, (fused_ref, bv_ref) in separate.items():
+            fused, bv = result["sets"][name][:2]
+            assert np.array_equal(bv.visible, bv_ref.visible), name
+            assert np.array_equal(bv.proj_uv_d, bv_ref.proj_uv_d), name
+            assert bv.frame_indices == bv_ref.frame_indices, name
+            assert np.array_equal(fused.features, fused_ref.features), name

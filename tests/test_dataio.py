@@ -115,6 +115,12 @@ class TestImageFile:
         img = dataio.read_image(path)
         assert img.shape == (1, 2, 3)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "i.ppm"
+        path.write_bytes(b"P6\n2 1\n255\n" + bytes(6) + b"\n")
+        with pytest.raises(FormatError, match="offset 17"):
+            dataio.read_image(path)
+
     def test_pgm_mask(self, tmp_path):
         path = tmp_path / "m.pgm"
         dataio.write_pgm(path, np.array([[True, False]]))
@@ -169,6 +175,29 @@ class TestFusedAndBlockVis:
         back = dataio.read_fused(path, 8)
         assert np.array_equal(back.features, feats)
         assert back.block_dims == (3, 4, 2)
+
+    def test_fused_channels_per_frame_must_divide(self, tmp_path):
+        path = tmp_path / "f.fvx"
+        dataio.write_fused(path, FusedVolume((1, 1, 1), np.zeros((1, 1, 1, 4)), 4))
+        with pytest.raises(FormatError, match="offset 16"):
+            dataio.read_fused(path, 3)
+
+    def test_fused_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "f.fvx"
+        dataio.write_fused(path, FusedVolume((1, 2, 1), np.zeros((1, 2, 1, 4)), 4))
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(FormatError, match="offset 52"):
+            dataio.read_fused(path, 4)
+
+    def test_blockvis_trailing_bytes_rejected(self, tmp_path):
+        bv = BlockVisibility((1, 1, 1), np.ones((2, 1, 1, 1), dtype=bool),
+                             np.ones((2, 1, 1, 1, 3)), (0, 5), 8, 8)
+        path = tmp_path / "b.bvx"
+        dataio.write_blockvis(path, bv)
+        path.write_bytes(path.read_bytes() + b"\0")
+        # 28 header + 16 frame indices + 2 visibility + 24 projection bytes
+        with pytest.raises(FormatError, match="offset 70"):
+            dataio.read_blockvis(path)
 
     def test_blockvis_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)

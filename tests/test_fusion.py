@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import visibility_bruteforce
+from oracles import downsample_bruteforce, visibility_bruteforce
 from scenecast.fusion import (
     SceneGrid,
     SceneRange,
@@ -136,8 +136,22 @@ class TestDownsampleBlocks:
         vis[0, 0, 1] = True
         proj[0, 0, 1] = (12.0, 6.0, 4.0)
         proj[1, 1, 1] = (99.0, 99.0, 99.0)  # invisible: must not contribute
+        proj[1, 1, 2] = (np.nan, np.inf, -np.inf)  # nor may non-finite values
         bv = downsample_blocks(vis, proj, [0], 40, 30)
-        assert np.allclose(bv.proj_uv_d[0, 0, 0, 0], (11.0, 5.0, 3.0))
+        assert np.array_equal(bv.proj_uv_d[0, 0, 0, 0], (11.0, 5.0, 3.0))
+
+    @pytest.mark.parametrize("frac", [0.01, 0.3])
+    def test_matches_bruteforce_oracle(self, frac):
+        rng = np.random.default_rng(15)
+        for _ in range(4):
+            dims = tuple(int(4 * n) for n in rng.integers(1, 5, size=3))
+            vis = rng.random((3,) + dims) < frac
+            # magnitudes over six decades make the summation order visible
+            proj = rng.normal(size=(3,) + dims + (3,)) * 10.0 ** rng.uniform(-3, 3, size=(3,) + dims + (3,))
+            bv = downsample_blocks(vis, proj, [0, 5, 10], 40, 30)
+            vis_ref, proj_ref = downsample_bruteforce(vis, proj)
+            assert np.array_equal(bv.visible, vis_ref)
+            assert np.array_equal(bv.proj_uv_d, proj_ref)
 
     def test_or_semantics_exhaustive_on_toy_block(self):
         rng = np.random.default_rng(14)
@@ -216,8 +230,22 @@ class TestFusePipeline:
         current = frames[-1]
         fused, bv = fuse_pipeline([current], rng, k, 0.5, extract_features, 0)
         vis_ref, proj_ref = visibility_bruteforce(rng, current, current.pose, k, 0.5)
-        ref = downsample_blocks(vis_ref, proj_ref, [current.frame_index], k.width, k.height)
-        assert np.array_equal(bv.visible, ref.visible)
+        vis_blocks, proj_blocks = downsample_bruteforce(vis_ref, proj_ref)
+        assert np.array_equal(bv.visible, vis_blocks)
+        assert np.array_equal(bv.proj_uv_d, proj_blocks)
+
+    def test_three_frames_match_oracle_blocks(self):
+        _, k, frames, rng = self._scene()
+        frame_set = frames[1:]
+        current = frame_set[1]
+        _, bv = fuse_pipeline(frame_set, rng, k, 0.5, extract_features, 1)
+        refs = [visibility_bruteforce(rng, f, current.pose, k, 0.5) for f in frame_set]
+        vis_blocks, proj_blocks = downsample_bruteforce(
+            np.stack([v for v, _ in refs]), np.stack([p for _, p in refs])
+        )
+        assert bv.frame_indices == tuple(f.frame_index for f in frame_set)
+        assert np.array_equal(bv.visible, vis_blocks)
+        assert np.array_equal(bv.proj_uv_d, proj_blocks)
 
     def test_coverage_monotone_in_frames(self):
         _, k, frames, rng = self._scene(1)
