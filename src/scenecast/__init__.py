@@ -7,14 +7,9 @@ against a built-in synthetic scene simulator with exact ground truth.
 
 from .geom import (
     CameraIntrinsics,
-    PixelDepth,
-    Point3,
     Se3Pose,
-    backproject,
-    bilinear_sample,
     compose,
     inverse,
-    project,
     relative_pose,
     se3_exp,
     se3_log,

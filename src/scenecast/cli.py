@@ -3,8 +3,9 @@
 Every subcommand validates its inputs, writes output files atomically, and
 exits 0 on success or 1 with a single machine-parsable `error: ...` line on
 stderr. Given identical flags and seeds, output files are byte-identical
-across runs. An optional `--config key=value` file supplies defaults; flags
-always win.
+across runs. An optional `--config` file of `key=value` lines supplies
+defaults: each key is one of the subcommand's long option names and its
+value passes that option's own type and choice checks. Flags always win.
 """
 from __future__ import annotations
 
@@ -31,40 +32,72 @@ from .synth import (
     make_trajectory,
     render_frame,
 )
-from .warp import compose_pseudo_future, fill_refiner, forward_splat, identity_refiner
+from .warp import (
+    compose_pseudo_future,
+    fill_refiner,
+    flow_targets,
+    identity_refiner,
+    reprojection_flow,
+)
 
 REFINERS = {"identity": identity_refiner, "fill": fill_refiner}
 
 
-def _load_config(path: str) -> dict:
-    cfg = {}
+def _number_list(cast):
+    """Parser type for a comma-separated list of `cast` values, as a tuple."""
+
+    def parse(text: str):
+        try:
+            return tuple(cast(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {cast.__name__} values, got {text!r}"
+            ) from None
+
+    return parse
+
+
+def _config_value(action: argparse.Action, text: str, where: str):
+    """One config value, converted and checked as the option's flag would be."""
+    try:
+        value = action.type(text) if action.type else text
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    except ValueError:
+        raise ValueError(f"{where}: invalid {action.type.__name__} value {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise ValueError(f"{where}: invalid choice {text!r} (choose from {choices})")
+    return value
+
+
+def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
+    """Option defaults by dest from a key=value file, checked against the parser.
+
+    The keys are the parser's valued long options; switches such as
+    `forecast --gt` are flags only. Unknown keys and bad values raise with
+    the file, line and key named.
+    """
+    # argparse has no public accessor for a parser's options
+    options = {
+        a.option_strings[-1][2:]: a
+        for a in parser._actions
+        if a.option_strings and a.nargs != 0 and a.dest != "config"
+    }
+    values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         s = line.strip()
         if not s or s.startswith("#"):
             continue
         if "=" not in s:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {s!r}")
-        key, val = s.split("=", 1)
-        cfg[key.strip()] = val.strip()
-    return cfg
-
-
-class Settings:
-    """Flag > config-file > built-in default resolution."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, default, cast=None):
-        val = self._args.get(key.replace("-", "_"))
-        if val is None and key in self._cfg:
-            val = self._cfg[key]
-        if val is None:
-            return default
-        if isinstance(val, str) and cast is not None and cast is not str:
-            return cast(val)
-        return val
+        key, text = (part.strip() for part in s.split("=", 1))
+        if key not in options:
+            raise ValueError(
+                f"{path}:{lineno}: unknown key {key!r} (valid keys: {', '.join(sorted(options))})"
+            )
+        values[options[key].dest] = _config_value(options[key], text, f"{path}:{lineno}: {key}")
+    return values
 
 
 def _write_csv(path, header, rows) -> None:
@@ -76,39 +109,89 @@ def _write_csv(path, header, rows) -> None:
     dataio.atomic_write_text(path, buf.getvalue())
 
 
-def _scene_spec(s: Settings) -> SceneSpec:
-    dims = s.get("dims", list(defaults.DESK_SCENE_DIMS), lambda v: [int(x) for x in v.split(",")])
-    origin = s.get("origin", None, lambda v: [float(x) for x in v.split(",")])
-    return SceneSpec(
-        seed=s.get("seed", 0, int),
-        layout=s.get("layout", "corridor", str),
-        num_classes=s.get("num-classes", 8, int),
-        dims=tuple(dims),
-        voxel_size=s.get("voxel-size", defaults.DESK_VOXEL_SIZE, float),
-        origin=tuple(origin) if origin is not None else None,
-        box_count=s.get("box-count", 20, int),
-    )
+def _load_frames(frames_dir, interval: int):
+    """A frame tree and the desk camera for its image size."""
+    frames = dataio.load_frame_sequence(frames_dir, interval)
+    h, w = frames[0].shape
+    return frames, desk_intrinsics(w, h)
 
 
-def _trajectory_spec(s: Settings, frames: int, start_y: float) -> TrajectorySpec:
-    return TrajectorySpec(
-        kind=s.get("kind", "straight", str),
-        speed=s.get("speed", 1.0, float),
-        turn_rate=s.get("turn-rate", 0.0, float),
-        frames=frames,
-        frame_interval=s.get("interval", defaults.FRAME_INTERVAL, int),
-        start=canonical_camera_pose((0.0, start_y, 0.0)),
-    )
+def _pseudo_future(frames, k, refiner, window, interval, pose=None):
+    """Splat `frames` to `pose`, forecast from them when not given.
+
+    Returns (pose, pseudo-future frame).
+    """
+    if pose is None:
+        seq = PoseSequence(
+            tuple(f.pose for f in frames), tuple(f.frame_index for f in frames), interval
+        )
+        pose = forecast_next(seq, window)
+    return pose, compose_pseudo_future(frames, pose, k, refiner=refiner, frame_interval=interval)
+
+
+def _frame_set(frames, past, future, k, refiner, window, interval, forecast=False):
+    """The fusion frame set: up to `past` frames, the current frame, the future frame.
+
+    The last of `frames` is current, except with future 'gt', where it is
+    the ground-truth future and the one before it is current; 'pseudo'
+    appends the pseudo-future frame and 'none' adds no future. Returns
+    (frame set, position of current, forecast); the forecast is (pose,
+    pseudo-future frame) when 'pseudo' or `forecast` asks for it, else None.
+    """
+    n = len(frames)
+    if future == "gt":
+        if n < 2:
+            raise ValueError("future=gt needs the future frame in the sequence")
+        n -= 1
+    selected = list(frames[max(0, n - 1 - past): n])
+    current = len(selected) - 1
+    prediction = None
+    if future == "pseudo" or forecast:
+        prediction = _pseudo_future(selected, k, refiner, window, interval)
+    if future == "gt":
+        selected.append(frames[n])
+    elif future == "pseudo":
+        selected.append(prediction[1])
+    return selected, current, prediction
+
+
+def _coverage_rows(sources, pose, k):
+    """Pixels hit when splatting the first m sources to `pose`, for m = 1..N.
+
+    A pixel is hit exactly when some source maps into it, whatever the
+    z-order, so the hits are the running union of each source's valid
+    reprojection targets.
+    """
+    covered = np.zeros(k.width * k.height, dtype=bool)
+    rows = []
+    for m, src in enumerate(sources, start=1):
+        covered[flow_targets(*reprojection_flow(src, pose, k), k.width)] = True
+        hits = int(covered.sum())
+        rows.append((m, hits, covered.size, hits / covered.size))
+    return rows
 
 
 # ----------------------------------------------------------------- subcommands
 
 def cmd_synth(args) -> int:
-    s = Settings(args)
     out_dir = Path(args.out_dir)
-    spec = _scene_spec(s)
-    frames_n = s.get("frames", defaults.PAST_FRAMES + 2, int)
-    traj = _trajectory_spec(s, frames_n, s.get("start-y", 0.0, float))
+    spec = SceneSpec(
+        seed=args.seed,
+        layout=args.layout,
+        num_classes=args.num_classes,
+        dims=args.dims,
+        voxel_size=args.voxel_size,
+        origin=args.origin,
+        box_count=args.box_count,
+    )
+    traj = TrajectorySpec(
+        kind=args.kind,
+        speed=args.speed,
+        turn_rate=args.turn_rate,
+        frames=args.frames,
+        frame_interval=args.interval,
+        start=canonical_camera_pose((0.0, args.start_y, 0.0)),
+    )
     grid = build_scene(spec)
     k = desk_intrinsics()
     seq = make_trajectory(traj)
@@ -123,9 +206,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    s = Settings(args)
-    interval = s.get("interval", defaults.FRAME_INTERVAL, int)
-    window = s.get("window", None, int)
+    interval = args.interval
     # pose files carry one line per raw frame; the forecaster consumes every
     # interval-th line
     poses = dataio.read_poses(args.poses)[::interval]
@@ -140,7 +221,7 @@ def cmd_forecast(args) -> int:
     seq = PoseSequence(
         tuple(poses), tuple(i * interval for i in range(len(poses))), interval
     )
-    predicted = forecast_next(seq, window)
+    predicted = forecast_next(seq, args.window)
     print(dataio.format_pose_line(predicted))
     if gt is not None:
         print(f"pose_mse,{pose_mse(predicted, gt)!r}")
@@ -149,30 +230,10 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _splat_coverage_rows(sources, dst_pose, k, dst_index):
-    rows = []
-    total = k.width * k.height
-    for m in range(1, len(sources) + 1):
-        result = forward_splat(sources[:m], dst_pose, k, dst_frame_index=dst_index)
-        hits = int(result.hit_mask.sum())
-        rows.append((m, hits, total, hits / total))
-    return rows
-
-
 def cmd_warp(args) -> int:
-    s = Settings(args)
     out_dir = Path(args.out_dir)
-    interval = s.get("interval", defaults.FRAME_INTERVAL, int)
-    frames = dataio.load_frame_sequence(args.frames_dir, interval)
-    k = desk_intrinsics()
-    h, w = frames[0].shape
-    if (w, h) != (k.width, k.height):
-        from .geom import CameraIntrinsics
-
-        k = CameraIntrinsics(
-            defaults.DESK_FOCAL, defaults.DESK_FOCAL, (w - 1) / 2.0, (h - 1) / 2.0, w, h
-        )
-    refiner = REFINERS[s.get("refiner", "identity", str)]
+    frames, k = _load_frames(args.frames_dir, args.interval)
+    sources, target_pose = frames, None
     if args.target_index is not None:
         poses = dataio.read_poses(Path(args.frames_dir) / "poses.txt")
         if args.target_index >= len(poses):
@@ -180,21 +241,17 @@ def cmd_warp(args) -> int:
                 f"target index {args.target_index} outside pose file ({len(poses)} lines)"
             )
         target_pose = poses[args.target_index]
-        target_index = args.target_index
-        sources = [f for f in frames if f.frame_index != target_index]
-    else:
-        seq = PoseSequence(
-            tuple(f.pose for f in frames),
-            tuple(f.frame_index for f in frames),
-            interval,
-        )
-        target_pose = forecast_next(seq, s.get("window", None, int))
-        target_index = frames[-1].frame_index + interval
-        sources = frames
-    pseudo = compose_pseudo_future(
-        sources, target_pose, k, refiner=refiner, frame_interval=interval
+        sources = [f for f in frames if f.frame_index != args.target_index]
+    splats = []
+
+    def refiner(result):
+        splats.append(result)
+        return REFINERS[args.refiner](result)
+
+    target_pose, pseudo = _pseudo_future(
+        sources, k, refiner, args.window, args.interval, target_pose
     )
-    result = forward_splat(sources, target_pose, k, dst_frame_index=target_index)
+    result = splats[0]
     dataio.write_image(out_dir / "warped.ppm", pseudo.image)
     dataio.write_depth(out_dir / "warped.dpt", pseudo.depth)
     dataio.write_pgm(out_dir / "hit_mask.pgm", result.hit_mask)
@@ -204,70 +261,32 @@ def cmd_warp(args) -> int:
     _write_csv(
         out_dir / "coverage.csv",
         ("num_sources", "hit_pixels", "total_pixels", "coverage"),
-        _splat_coverage_rows(sources, target_pose, k, target_index),
+        _coverage_rows(sources, target_pose, k),
     )
     print(f"wrote warp outputs to {out_dir}")
     return 0
 
 
-def _fusion_range(s: Settings, voxel: float) -> SceneRange:
-    dims = s.get("range-dims", None, lambda v: [int(x) for x in v.split(",")])
+def _fusion_range(args) -> SceneRange:
+    voxel = args.range_voxel_size
+    dims = args.range_dims
     if dims is None:
-        dims = list(defaults.DESK_SCENE_DIMS) if voxel != defaults.VOXEL_SIZE else [256, 256, 32]
+        dims = defaults.DESK_SCENE_DIMS if voxel != defaults.VOXEL_SIZE else (256, 256, 32)
     extents = tuple(d * voxel for d in dims)
-    origin = s.get("range-origin", None, lambda v: [float(x) for x in v.split(",")])
+    origin = args.range_origin
     if origin is None:
         origin = (-extents[0] / 2.0, 0.0, -defaults.GROUND_CLEARANCE)
-    return SceneRange(tuple(origin), extents, voxel)
-
-
-def _select_frames(frames, past: int, future_mode: str, k, refiner, window, interval):
-    """Pick past+current (+future) from a loaded sequence per the future mode."""
-    if future_mode == "gt":
-        if len(frames) < 2:
-            raise ValueError("future=gt needs the future frame in the sequence")
-        current_pos = len(frames) - 2
-    else:
-        current_pos = len(frames) - 1
-    first = max(0, current_pos - past)
-    selected = list(frames[first: current_pos + 1])
-    current_index = len(selected) - 1
-    if future_mode == "gt":
-        selected.append(frames[current_pos + 1])
-    elif future_mode == "pseudo":
-        seq = PoseSequence(
-            tuple(f.pose for f in selected),
-            tuple(f.frame_index for f in selected),
-            interval,
-        )
-        predicted = forecast_next(seq, window)
-        selected.append(
-            compose_pseudo_future(selected, predicted, k, refiner=refiner,
-                                  frame_interval=interval)
-        )
-    return selected, current_index
+    return SceneRange(origin, extents, voxel)
 
 
 def cmd_fuse(args) -> int:
-    s = Settings(args)
     out_dir = Path(args.out_dir)
-    interval = s.get("interval", defaults.FRAME_INTERVAL, int)
-    frames = dataio.load_frame_sequence(args.frames_dir, interval)
-    k = desk_intrinsics()
-    theta_d = s.get("theta-d", defaults.THETA_D, float)
-    voxel = s.get("range-voxel-size", defaults.DESK_VOXEL_SIZE, float)
-    rng = _fusion_range(s, voxel)
-    refiner = REFINERS[s.get("refiner", "identity", str)]
-    selected, current_index = _select_frames(
-        frames,
-        s.get("past", defaults.PAST_FRAMES, int),
-        s.get("future", "none", str),
-        k,
-        refiner,
-        s.get("window", None, int),
-        interval,
+    frames, k = _load_frames(args.frames_dir, args.interval)
+    rng = _fusion_range(args)
+    selected, current, _ = _frame_set(
+        frames, args.past, args.future, k, REFINERS[args.refiner], args.window, args.interval
     )
-    fused, bv = fuse_pipeline(selected, rng, k, theta_d, extract_features, current_index)
+    fused, bv = fuse_pipeline(selected, rng, k, args.theta_d, extract_features, current)
     dataio.write_fused(out_dir / "fused.fvx", fused)
     dataio.write_blockvis(out_dir / "blockvis.bvx", bv)
     cov = coverage(bv)
@@ -296,10 +315,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    s = Settings(args)
-    results = run_gradient_checks(
-        num_volumes=s.get("volumes", 50, int), seed=s.get("seed", 0, int)
-    )
+    results = run_gradient_checks(num_volumes=args.volumes, seed=args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("loss", "max_relative_error"))
     ok = True
@@ -354,38 +370,28 @@ def demo_pipeline(
         render_frame(grid, pose, k, idx)
         for pose, idx in zip(traj.poses, traj.frame_indices)
     ]
-    past_current = bundles[: past + 1]
-    gt_future = bundles[past + 1]
-    current = past_current[-1]
-
-    history = PoseSequence(
-        traj.poses[: past + 1], traj.frame_indices[: past + 1], interval
+    # the last rendered frame is the ground-truth future, fused only with future 'gt'
+    seen = bundles if future_mode == "gt" else bundles[:-1]
+    frames, current, (predicted_pose, pseudo) = _frame_set(
+        seen, past, future_mode, k, REFINERS[refiner_name], window, interval, forecast=True
     )
-    predicted_pose = forecast_next(history, window)
-    mse = pose_mse(predicted_pose, traj.poses[past + 1])
-    pseudo = compose_pseudo_future(
-        past_current, predicted_pose, k, refiner=REFINERS[refiner_name],
-        frame_interval=interval,
-    )
-    future_frame = pseudo if future_mode == "pseudo" else gt_future
+    mse = pose_mse(predicted_pose, bundles[-1].pose)
 
     rng = SceneRange(
         (-half_x, 0.0, -defaults.GROUND_CLEARANCE),
         tuple(d * voxel for d in defaults.DESK_SCENE_DIMS),
         voxel,
     )
-    gt_range = resample_to_range(grid, rng, current.pose)
+    gt_range = resample_to_range(grid, rng, frames[current].pose)
 
     # every set is anchored at the current camera and a frame's blocks and
     # channels do not depend on the other frames, so the smaller sets are
     # frame slices of the full one
-    fused_all, bv_all = fuse_pipeline(
-        past_current + [future_frame], rng, k, theta_d, extract_features, past
-    )
+    fused_all, bv_all = fuse_pipeline(frames, rng, k, theta_d, extract_features, current)
     sets = (
-        ("current", past, past + 1),
-        ("past_current", 0, past + 1),
-        ("past_current_future", 0, past + 2),
+        ("current", current, current + 1),
+        ("past_current", 0, current + 1),
+        ("past_current_future", 0, len(frames)),
     )
     summary = []
     outputs = {}
@@ -418,19 +424,18 @@ def demo_pipeline(
 
 
 def cmd_demo(args) -> int:
-    s = Settings(args)
     out_dir = Path(args.out_dir)
     result = demo_pipeline(
-        seed=s.get("seed", 0, int),
-        layout=s.get("layout", "corridor", str),
-        past=s.get("past", defaults.PAST_FRAMES, int),
-        interval=s.get("interval", defaults.FRAME_INTERVAL, int),
-        speed=s.get("speed", defaults.DEMO_SPEED, float),
-        theta_d=s.get("theta-d", defaults.THETA_D, float),
-        box_count=s.get("box-count", defaults.DEMO_BOX_COUNT, int),
-        refiner_name=s.get("refiner", "fill", str),
-        future_mode=s.get("future", "pseudo", str),
-        window=s.get("window", None, int),
+        seed=args.seed,
+        layout=args.layout,
+        past=args.past,
+        interval=args.interval,
+        speed=args.speed,
+        theta_d=args.theta_d,
+        box_count=args.box_count,
+        refiner_name=args.refiner,
+        future_mode=args.future,
+        window=args.window,
     )
     dataio.write_grid(out_dir / "scene.vxg", result["grid"])
     dataio.write_grid(out_dir / "gt_range.vxg", result["gt_range"])
@@ -467,95 +472,95 @@ def build_parser() -> argparse.ArgumentParser:
         description="Geometric spatiotemporal scene-completion toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ints, floats = _number_list(int), _number_list(float)
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file; flags win")
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key=value file of option defaults; flags win")
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic scene and frames")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--layout", choices=("corridor", "intersection", "random_boxes", "empty"))
-    p.add_argument("--num-classes", type=int)
-    p.add_argument("--dims", help="scene dims in voxels: X,Y,Z")
-    p.add_argument("--voxel-size", type=float)
-    p.add_argument("--box-count", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--interval", type=int)
-    p.add_argument("--kind", choices=("straight", "constant_turn", "piecewise"))
-    p.add_argument("--speed", type=float)
-    p.add_argument("--turn-rate", type=float)
-    p.add_argument("--start-y", type=float)
+    p = command("synth", cmd_synth, "generate a synthetic scene and frames")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--layout", choices=("corridor", "intersection", "random_boxes", "empty"),
+                   default="corridor")
+    p.add_argument("--num-classes", type=int, default=8)
+    p.add_argument("--dims", type=ints, default=defaults.DESK_SCENE_DIMS,
+                   help="scene dims in voxels: X,Y,Z")
+    p.add_argument("--voxel-size", type=float, default=defaults.DESK_VOXEL_SIZE)
+    p.add_argument("--origin", type=floats,
+                   help="scene origin: x,y,z; default: centred in x, floor 2 m below the camera")
+    p.add_argument("--box-count", type=int, default=20)
+    p.add_argument("--frames", type=int, default=defaults.PAST_FRAMES + 2)
+    p.add_argument("--interval", type=int, default=defaults.FRAME_INTERVAL)
+    p.add_argument("--kind", choices=("straight", "constant_turn", "piecewise"), default="straight")
+    p.add_argument("--speed", type=float, default=1.0)
+    p.add_argument("--turn-rate", type=float, default=0.0)
+    p.add_argument("--start-y", type=float, default=0.0)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("forecast", help="extrapolate the next pose from a pose file")
-    common(p)
+    p = command("forecast", cmd_forecast, "extrapolate the next pose from a pose file")
     p.add_argument("--poses", required=True)
-    p.add_argument("--interval", type=int)
+    p.add_argument("--interval", type=int, default=defaults.FRAME_INTERVAL)
     p.add_argument("--window", type=int)
     p.add_argument("--gt", action="store_true", help="treat the last line as ground truth")
     p.add_argument("--out", help="write the predicted pose to this file")
-    p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("warp", help="splat frames to a target pose")
-    common(p)
+    p = command("warp", cmd_warp, "splat frames to a target pose")
     p.add_argument("--frames-dir", required=True)
-    p.add_argument("--interval", type=int)
-    p.add_argument("--refiner", choices=tuple(REFINERS))
+    p.add_argument("--interval", type=int, default=defaults.FRAME_INTERVAL)
+    p.add_argument("--refiner", choices=tuple(REFINERS), default="identity")
     p.add_argument("--target-index", type=int, help="warp to this frame's pose; default: forecast")
     p.add_argument("--window", type=int)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_warp)
 
-    p = sub.add_parser("fuse", help="visibility fusion over a frame sequence")
-    common(p)
+    p = command("fuse", cmd_fuse, "visibility fusion over a frame sequence")
     p.add_argument("--frames-dir", required=True)
-    p.add_argument("--interval", type=int)
-    p.add_argument("--theta-d", type=float)
-    p.add_argument("--past", type=int)
-    p.add_argument("--future", choices=("none", "pseudo", "gt"))
-    p.add_argument("--refiner", choices=tuple(REFINERS))
+    p.add_argument("--interval", type=int, default=defaults.FRAME_INTERVAL)
+    p.add_argument("--theta-d", type=float, default=defaults.THETA_D)
+    p.add_argument("--past", type=int, default=defaults.PAST_FRAMES)
+    p.add_argument("--future", choices=("none", "pseudo", "gt"), default="none")
+    p.add_argument("--refiner", choices=tuple(REFINERS), default="identity")
     p.add_argument("--window", type=int)
-    p.add_argument("--range-voxel-size", type=float)
-    p.add_argument("--range-dims", help="fusion range dims in voxels: X,Y,Z")
-    p.add_argument("--range-origin", help="fusion range origin: x,y,z")
+    p.add_argument("--range-voxel-size", type=float, default=defaults.DESK_VOXEL_SIZE)
+    p.add_argument("--range-dims", type=ints, help="fusion range dims in voxels: X,Y,Z")
+    p.add_argument("--range-origin", type=floats, help="fusion range origin: x,y,z")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("eval", help="IoU / mIoU between two grid files")
-    common(p)
+    p = command("eval", cmd_eval, "IoU / mIoU between two grid files")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--num-classes", type=int)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("grad-check", help="finite-difference gradient report")
-    common(p)
-    p.add_argument("--volumes", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_grad_check)
+    p = command("grad-check", cmd_grad_check, "finite-difference gradient report")
+    p.add_argument("--volumes", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("demo", help="full pipeline with the ablation-style coverage table")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--layout", choices=("corridor", "intersection", "random_boxes"))
-    p.add_argument("--past", type=int)
-    p.add_argument("--interval", type=int)
-    p.add_argument("--speed", type=float)
-    p.add_argument("--theta-d", type=float)
-    p.add_argument("--box-count", type=int)
-    p.add_argument("--refiner", choices=tuple(REFINERS))
-    p.add_argument("--future", choices=("pseudo", "gt"))
+    p = command("demo", cmd_demo, "full pipeline with the ablation-style coverage table")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--layout", choices=("corridor", "intersection", "random_boxes"),
+                   default="corridor")
+    p.add_argument("--past", type=int, default=defaults.PAST_FRAMES)
+    p.add_argument("--interval", type=int, default=defaults.FRAME_INTERVAL)
+    p.add_argument("--speed", type=float, default=defaults.DEMO_SPEED)
+    p.add_argument("--theta-d", type=float, default=defaults.THETA_D)
+    p.add_argument("--box-count", type=int, default=defaults.DEMO_BOX_COUNT)
+    p.add_argument("--refiner", choices=tuple(REFINERS), default="fill")
+    p.add_argument("--future", choices=("pseudo", "gt"), default="pseudo")
     p.add_argument("--window", type=int)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_demo)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            # config values become the subcommand's defaults, so flags still win
+            args.parser.set_defaults(**_read_config(args.parser, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:  # one-line machine-parsable failure
         print(f"error: {exc}", file=sys.stderr)

@@ -31,8 +31,8 @@ from . import defaults
 from .geom import (
     CameraIntrinsics,
     Se3Pose,
-    Z_EPS,
     bilinear_sample_many,
+    project_pixels,
     relative_pose,
 )
 from .warp import FrameBundle
@@ -211,19 +211,8 @@ def visibility(
     r, t = scene_to_frame_transform(current_pose, frame.pose)
     # broadcasting the 1-D center axes keeps voxel_centers' values and the
     # elementwise operation order without building the (X, Y, Z, 3) array
-    sx, sy, sz = _center_axes(rng)
-    x = r[0, 0] * sx + r[0, 1] * sy + r[0, 2] * sz + t[0]
-    y = r[1, 0] * sx + r[1, 1] * sy + r[1, 2] * sz + t[1]
-    z = r[2, 0] * sx + r[2, 1] * sy + r[2, 2] * sz + t[2]
-    front = z > Z_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = (k.fx * x / z + k.cx).ravel()
-        v = (k.fy * y / z + k.cy).ravel()
-    del x, y
-    z = z.ravel()
-    ui = np.floor(u + 0.5)
-    vi = np.floor(v + 0.5)
-    inb = front.ravel() & (ui >= 0) & (ui <= w - 1) & (vi >= 0) & (vi <= h - 1)
+    u, v, z, ui, vi, inb = project_pixels(r, t, *_center_axes(rng), k)
+    u, v, z, ui, vi, inb = (a.ravel() for a in (u, v, z, ui, vi, inb))
     # the depth test and the outputs only touch the in-image voxels
     cand = np.flatnonzero(inb)
     d_map = frame.depth[vi[cand].astype(np.int64), ui[cand].astype(np.int64)]

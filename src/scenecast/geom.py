@@ -208,81 +208,28 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A point in meters, in whichever frame the caller states."""
+def project_pixels(r: np.ndarray, t: np.ndarray, x, y, z, k: CameraIntrinsics):
+    """Move points by (r, t), project them and round to the nearest pixel.
 
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
-            raise ValueError("point coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
-class PixelDepth:
-    """Continuous pixel coordinates plus depth along the camera z-axis."""
-
-    u: float
-    v: float
-    d: float
-
-    @property
-    def valid(self) -> bool:
-        return self.d > Z_EPS
-
-
-def project(point_cam, k: CameraIntrinsics) -> PixelDepth:
-    """Project a camera-frame point; behind-camera yields an invalid value."""
-    if isinstance(point_cam, Point3):
-        x, y, z = point_cam.x, point_cam.y, point_cam.z
-    else:
-        x, y, z = (float(c) for c in np.asarray(point_cam).reshape(3))
-    if z <= Z_EPS:
-        return PixelDepth(math.nan, math.nan, z)
-    return PixelDepth(k.fx * x / z + k.cx, k.fy * y / z + k.cy, z)
-
-
-def backproject(u: float, v: float, d: float, k: CameraIntrinsics) -> Point3:
-    """Lift a pixel with depth d (meters, > 0) back into the camera frame."""
-    if d <= 0:
-        raise ValueError(f"depth must be positive, got {d}")
-    return Point3((u - k.cx) * d / k.fx, (v - k.cy) * d / k.fy, d)
-
-
-def project_points(points, k: CameraIntrinsics):
-    """Vectorized projection of (..., 3) camera-frame points.
-
-    Returns (uvd, valid): uvd is (..., 3) with entries zeroed where invalid,
-    valid is the boolean behind-camera mask (in-image bounds are not checked
-    here; callers own their own bounds rule).
+    x, y, z are broadcast-compatible arrays of point coordinates. The rigid
+    transform runs elementwise in a fixed order, so an identity transform
+    returns z bit for bit. Returns (u, v, z', ui, vi, inside) in the
+    broadcast shape: the continuous pixel, the depth along the camera axis,
+    the nearest pixel (as floats) and the mask of points in front of the
+    camera (z' > Z_EPS) whose nearest pixel lies inside the image.
     """
-    p = np.asarray(points, dtype=np.float64)
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    valid = z > Z_EPS
+    xp = r[0, 0] * x + r[0, 1] * y + r[0, 2] * z + t[0]
+    yp = r[1, 0] * x + r[1, 1] * y + r[1, 2] * z + t[1]
+    zp = r[2, 0] * x + r[2, 1] * y + r[2, 2] * z + t[2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * x / z + k.cx
-        v = k.fy * y / z + k.cy
-    uvd = np.stack([u, v, z], axis=-1)
-    uvd[~valid] = 0.0
-    return uvd, valid
-
-
-def bilinear_sample(field: np.ndarray, u: float, v: float):
-    """Bilinear sample of an (H, W) or (H, W, C) field at a continuous pixel.
-
-    Returns the sampled channel vector, or None as the out-of-bounds marker
-    when the sample location falls outside the convex hull of pixel centers.
-    """
-    vals, ok = bilinear_sample_many(field, np.array([[u, v]]))
-    if not ok[0]:
-        return None
-    return vals[0]
+        u = k.fx * xp / zp + k.cx
+        v = k.fy * yp / zp + k.cy
+    # free the camera-frame x and y before rounding to bound peak memory
+    del xp, yp
+    ui = np.floor(u + 0.5)
+    vi = np.floor(v + 0.5)
+    inside = (zp > Z_EPS) & (ui >= 0) & (ui <= k.width - 1) & (vi >= 0) & (vi <= k.height - 1)
+    return u, v, zp, ui, vi, inside
 
 
 def bilinear_sample_many(field: np.ndarray, uv: np.ndarray):

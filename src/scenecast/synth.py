@@ -65,11 +65,15 @@ def canonical_camera_pose(position=(0.0, 0.0, 0.0)) -> Se3Pose:
     return Se3Pose(CANONICAL_ROTATION, np.asarray(position, dtype=np.float64))
 
 
-def desk_intrinsics() -> CameraIntrinsics:
-    """Default desk-scale camera: 128x96 pixels, 90-degree horizontal FOV."""
-    w, h = defaults.DESK_IMAGE_WIDTH, defaults.DESK_IMAGE_HEIGHT
+def desk_intrinsics(
+    width: int = defaults.DESK_IMAGE_WIDTH, height: int = defaults.DESK_IMAGE_HEIGHT
+) -> CameraIntrinsics:
+    """Desk-scale camera: DESK_FOCAL pixels, principal point at the image center.
+
+    The default 128x96 image has a 90-degree horizontal FOV.
+    """
     f = defaults.DESK_FOCAL
-    return CameraIntrinsics(f, f, (w - 1) / 2.0, (h - 1) / 2.0, w, h)
+    return CameraIntrinsics(f, f, (width - 1) / 2.0, (height - 1) / 2.0, width, height)
 
 
 @dataclass(frozen=True)

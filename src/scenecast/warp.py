@@ -15,7 +15,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 from scipy import ndimage
 
-from .geom import CameraIntrinsics, Se3Pose, Z_EPS, relative_pose
+from .geom import CameraIntrinsics, Se3Pose, project_pixels, relative_pose
 
 # depth ties are resolved within buckets of this size (meters)
 DEPTH_TIE_QUANTUM = 1e-9
@@ -99,26 +99,23 @@ def reprojection_flow(
             f"frame is {w}x{h} but intrinsics expect {k.width}x{k.height}"
         )
     rel = relative_pose(src.pose, dst_pose)
-    r, t = rel.rotation, rel.translation
     d = src.depth
     u = np.arange(w, dtype=np.float64)[None, :]
     v = np.arange(h, dtype=np.float64)[:, None]
     x = (u - k.cx) * d / k.fx
     y = (v - k.cy) * d / k.fy
-    # elementwise transform keeps the identity case bit-exact in depth
-    xp = r[0, 0] * x + r[0, 1] * y + r[0, 2] * d + t[0]
-    yp = r[1, 0] * x + r[1, 1] * y + r[1, 2] * d + t[1]
-    zp = r[2, 0] * x + r[2, 1] * y + r[2, 2] * d + t[2]
-    valid = (d > 0.0) & (zp > Z_EPS)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = k.fx * xp / zp + k.cx
-        vp = k.fy * yp / zp + k.cy
-    ui = np.floor(up + 0.5)
-    vi = np.floor(vp + 0.5)
-    valid &= (ui >= 0) & (ui <= w - 1) & (vi >= 0) & (vi <= h - 1)
+    up, vp, zp, _, _, inside = project_pixels(rel.rotation, rel.translation, x, y, d, k)
+    valid = (d > 0.0) & inside
     flow = np.stack([up, vp, zp], axis=-1)
     flow[~valid] = 0.0
     return flow, valid
+
+
+def flow_targets(flow: np.ndarray, valid: np.ndarray, width: int) -> np.ndarray:
+    """Row-major index of the nearest destination pixel of each valid flow entry."""
+    ui = np.floor(flow[..., 0][valid] + 0.5).astype(np.int64)
+    vi = np.floor(flow[..., 1][valid] + 0.5).astype(np.int64)
+    return vi * width + ui
 
 
 def forward_splat(
@@ -150,19 +147,17 @@ def forward_splat(
         flow, valid = reprojection_flow(src, dst_pose, k)
         if not valid.any():
             continue
-        up, vp, zp = flow[..., 0][valid], flow[..., 1][valid], flow[..., 2][valid]
-        ui = np.floor(up + 0.5).astype(np.int64)
-        vi = np.floor(vp + 0.5).astype(np.int64)
-        tgt_parts.append(vi * w + ui)
+        zp = flow[..., 2][valid]
+        tgt_parts.append(flow_targets(flow, valid, w))
         dq_parts.append(np.round(zp / DEPTH_TIE_QUANTUM).astype(np.int64))
         if dst_frame_index is None:
             prox = -src.frame_index
         else:
             prox = abs(src.frame_index - dst_frame_index)
-        prox_parts.append(np.full(ui.shape, prox, dtype=np.int64))
+        prox_parts.append(np.full(zp.shape, prox, dtype=np.int64))
         spix = np.flatnonzero(valid.ravel())
         spix_parts.append(spix)
-        slot_parts.append(np.full(ui.shape, slot, dtype=np.int64))
+        slot_parts.append(np.full(zp.shape, slot, dtype=np.int64))
         depth_parts.append(zp)
         color_parts.append(src.image[valid])
 

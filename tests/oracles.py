@@ -91,6 +91,31 @@ def downsample_bruteforce(visible, proj, edge: int = 4):
     return block_vis, block_proj
 
 
+def bilinear_bruteforce(field, u: float, v: float):
+    """Scalar bilinear sample as a tent-filter sum over every pixel.
+
+    Pixel (i, j) weighs max(0, 1 - |u - j|) * max(0, 1 - |v - i|), which is
+    bilinear interpolation between the pixel centers around (u, v). Returns
+    the channel values as a list (one entry for a 2-D field), or None when
+    (u, v) lies outside the hull of pixel centers.
+    """
+    rows = np.asarray(field, dtype=np.float64).tolist()
+    h, w = len(rows), len(rows[0])
+    u, v = float(u), float(v)
+    if not (0.0 <= u <= w - 1 and 0.0 <= v <= h - 1):
+        return None
+    out = None
+    for i in range(h):
+        wv = max(0.0, 1.0 - abs(v - i))
+        for j in range(w):
+            weight = wv * max(0.0, 1.0 - abs(u - j))
+            px = rows[i][j] if isinstance(rows[i][j], list) else [rows[i][j]]
+            if out is None:
+                out = [0.0] * len(px)
+            out = [o + weight * p for o, p in zip(out, px)]
+    return out
+
+
 def scal_bruteforce(probs, labels, clamp: float = 1e-8) -> float:
     """Scalar transcription of the class-wise log precision/recall/specificity loss."""
     probs = [list(map(float, row)) for row in probs]

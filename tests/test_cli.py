@@ -5,8 +5,20 @@ import pytest
 
 from scenecast import dataio, defaults
 from scenecast.cli import demo_pipeline, main
-from scenecast.fusion import fuse_pipeline
-from scenecast.synth import desk_intrinsics, extract_features
+from scenecast.fusion import SceneRange, fuse_pipeline
+from scenecast.geom import CameraIntrinsics
+from scenecast.synth import (
+    SceneSpec,
+    TrajectorySpec,
+    build_scene,
+    canonical_camera_pose,
+    desk_intrinsics,
+    extract_features,
+    make_trajectory,
+    render_frame,
+)
+from scenecast.warp import compose_pseudo_future, forward_splat
+from test_acceptance import _standard_corridor_run
 
 
 def run(capsys, *argv):
@@ -21,6 +33,10 @@ def tree_bytes(root: Path) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def bv_range():
+    return SceneRange((-12.8, 0.0, -2.0), (25.6, 25.6, 6.4), defaults.DESK_VOXEL_SIZE)
 
 
 @pytest.fixture()
@@ -112,7 +128,58 @@ class TestWarp:
         assert (depth > 0).all()  # fill refiner leaves no holes
 
 
+    def test_outputs_match_single_splats(self, small_frames_dir, tmp_path, capsys):
+        # one splat gives the image, mask and sources; coverage row m is the
+        # hit count of splatting the first m sources alone
+        out = tmp_path / "warp3"
+        code, _, err = run(capsys, "warp", "--frames-dir", str(small_frames_dir),
+                           "--interval", "5", "--target-index", "25", "--out-dir", str(out))
+        assert code == 0, err
+        frames = dataio.load_frame_sequence(small_frames_dir, 5)
+        sources, target = frames[:-1], frames[-1]
+        k = desk_intrinsics()
+        pseudo = compose_pseudo_future(sources, target.pose, k, frame_interval=5)
+        full = forward_splat(sources, target.pose, k, dst_frame_index=25)
+        assert np.array_equal(dataio.read_depth(out / "warped.dpt"),
+                              pseudo.depth.astype(np.float32).astype(np.float64))
+        mask = (out / "hit_mask.pgm").read_bytes()[-full.hit_mask.size:]
+        assert np.array_equal(np.frombuffer(mask, np.uint8).reshape(full.hit_mask.shape) > 0,
+                              full.hit_mask)
+        rows = (out / "coverage.csv").read_text().strip().splitlines()[1:]
+        for m, row in enumerate(rows, start=1):
+            hits = forward_splat(sources[:m], target.pose, k).hit_mask.sum()
+            assert row.split(",")[:3] == [str(m), str(hits), str(k.width * k.height)]
+
+
+def small_size_tree(root: Path, width: int, height: int) -> Path:
+    """A frame tree rendered at a width x height desk camera."""
+    grid = build_scene(SceneSpec(seed=2, dims=(64, 96, 16)))
+    k = CameraIntrinsics(64.0, 64.0, (width - 1) / 2.0, (height - 1) / 2.0, width, height)
+    traj = make_trajectory(TrajectorySpec(frames=4, start=canonical_camera_pose((0.0, 2.0, 0.0))))
+    bundles = [render_frame(grid, p, k, i) for p, i in zip(traj.poses, traj.frame_indices)]
+    dataio.write_frame_sequence(root, bundles)
+    return root
+
+
 class TestFuse:
+    def test_accepts_any_image_size(self, tmp_path, capsys):
+        frames_dir = small_size_tree(tmp_path / "frames", 64, 48)
+        out = tmp_path / "fuse"
+        code, _, err = run(capsys, "fuse", "--frames-dir", str(frames_dir), "--future", "pseudo",
+                           "--range-dims", "64,64,16", "--range-origin=-12.8,0,-2.0",
+                           "--out-dir", str(out))
+        assert code == 0, err
+        bv = dataio.read_blockvis(out / "blockvis.bvx")
+        assert (bv.image_width, bv.image_height, bv.num_frames) == (64, 48, 5)
+        frames = dataio.load_frame_sequence(frames_dir, 5)
+        _, ref = fuse_pipeline(frames, bv_range(), desk_intrinsics(64, 48),
+                               defaults.THETA_D, extract_features, 3)
+        assert np.array_equal(bv.visible[:4], ref.visible)
+        code, _, err = run(capsys, "warp", "--frames-dir", str(frames_dir),
+                           "--out-dir", str(tmp_path / "warp"))
+        assert code == 0, err
+
+
     def test_pseudo_future_outputs(self, small_frames_dir, tmp_path, capsys):
         out = tmp_path / "fuse"
         code, _, err = run(
@@ -199,6 +266,71 @@ class TestConfigFile:
         assert not np.array_equal(a.labels, b.labels)  # flag overrode the seed
 
 
+    @pytest.mark.parametrize(
+        "command, lines, key",
+        [
+            ("synth", "seed=1\nthetad=9\n", "thetad"),
+            ("fuse", "# past and future\npast=2\nfuture=bogus\n", "future"),
+            ("demo", "future=none\n", "future"),
+            ("warp", "refiner=foo\n", "refiner"),
+            ("synth", "seed=x\n", "seed"),
+            ("synth", "dims=64,a,16\n", "dims"),
+            ("forecast", "gt=maybe\n", "gt"),
+        ],
+    )
+    def test_bad_key_or_value_is_one_line_error(self, tmp_path, capsys, command, lines, key):
+        cfg = tmp_path / "conf"
+        cfg.write_text(lines)
+        required = {
+            "synth": ["--out-dir", str(tmp_path / "o")],
+            "demo": ["--out-dir", str(tmp_path / "o")],
+            "fuse": ["--frames-dir", str(tmp_path), "--out-dir", str(tmp_path / "o")],
+            "warp": ["--frames-dir", str(tmp_path), "--out-dir", str(tmp_path / "o")],
+            "forecast": ["--poses", str(tmp_path / "poses.txt")],
+        }[command]
+        code, _, err = run(capsys, command, "--config", str(cfg), *required)
+        line = len(lines.splitlines())
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {cfg}:{line}: ")
+        assert repr(key) in err or f": {key}: " in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_reaches_every_option(self, small_frames_dir, tmp_path, capsys):
+        cfg = tmp_path / "conf"
+        cfg.write_text("interval=5\npast=2\nfuture=gt\nrange-dims=64,64,16\n"
+                       "range-origin=-12.8,0,-2.0\n")
+        code, _, err = run(capsys, "fuse", "--config", str(cfg),
+                           "--frames-dir", str(small_frames_dir), "--out-dir", str(tmp_path / "a"))
+        assert code == 0, err
+        code, _, err = run(capsys, "fuse", "--frames-dir", str(small_frames_dir), "--interval", "5",
+                           "--past", "2", "--future", "gt", "--range-dims", "64,64,16",
+                           "--range-origin=-12.8,0,-2.0", "--out-dir", str(tmp_path / "b"))
+        assert code == 0, err
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    def test_eval_reads_config(self, small_frames_dir, tmp_path, capsys):
+        cfg = tmp_path / "conf"
+        cfg.write_text("num-classes=10\n")
+        grid = str(small_frames_dir / "scene.vxg")
+        code, out, err = run(capsys, "eval", "--config", str(cfg), "--pred", grid, "--gt", grid)
+        assert code == 0, err
+        names = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        assert names == ["iou", "miou"] + [f"iou_class_{c}" for c in range(1, 10)]
+
+    def test_origin_is_a_flag_and_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "conf"
+        cfg.write_text("origin=-6.4,0,-1.2\n")
+        base = ["synth", "--dims", "32,32,8", "--frames", "1"]
+        code, _, err = run(capsys, *base, "--origin=-6.4,0,-1.2", "--out-dir", str(tmp_path / "a"))
+        assert code == 0, err
+        code, _, err = run(capsys, *base, "--config", str(cfg), "--out-dir", str(tmp_path / "b"))
+        assert code == 0, err
+        grid = dataio.read_grid(tmp_path / "a" / "scene.vxg")
+        assert np.allclose(grid.range.origin, (-6.4, 0.0, -1.2))
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+
 class TestDemo:
     def test_summary_and_coverage_ordering(self, tmp_path, capsys):
         out = tmp_path / "demo"
@@ -236,3 +368,14 @@ class TestDemo:
             assert np.array_equal(bv.proj_uv_d, bv_ref.proj_uv_d), name
             assert bv.frame_indices == bv_ref.frame_indices, name
             assert np.array_equal(fused.features, fused_ref.features), name
+
+    def test_matches_independent_corridor_wiring(self):
+        # the acceptance suite wires the same corridor run by hand (criterion 4)
+        result = demo_pipeline(
+            seed=0, layout="corridor", past=defaults.PAST_FRAMES, interval=defaults.FRAME_INTERVAL,
+            speed=defaults.DEMO_SPEED, theta_d=defaults.THETA_D, box_count=defaults.DEMO_BOX_COUNT,
+            refiner_name="fill", future_mode="pseudo",
+        )
+        unions, ious = _standard_corridor_run(0)
+        assert [row["union_blocks"] for row in result["summary"]] == unions
+        assert [row["iou"] for row in result["summary"]] == ious

@@ -3,22 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bilinear_bruteforce
 from scenecast.geom import (
     CameraIntrinsics,
-    PixelDepth,
-    Point3,
     Se3Pose,
-    backproject,
-    bilinear_sample,
     bilinear_sample_many,
     compose,
     inverse,
-    project,
-    project_points,
+    project_pixels,
     relative_pose,
     se3_exp,
     se3_log,
 )
+from scenecast.warp import FrameBundle, reprojection_flow
 
 K = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
 
@@ -151,47 +148,50 @@ class TestSe3LogExp:
             se3_log(p)
 
 
+def project_one(x, y, z, r=np.eye(3), t=np.zeros(3)):
+    """project_pixels on one point, as Python scalars."""
+    out = project_pixels(r, t, np.array([x]), np.array([y]), np.array([z]), K)
+    return tuple(a[0].item() for a in out)
+
+
 class TestProjection:
     def test_optical_axis(self):
-        pd = project(Point3(0.0, 0.0, 5.0), K)
-        assert (pd.u, pd.v, pd.d) == (320.0, 240.0, 5.0)
-        assert pd.valid
+        u, v, d, ui, vi, inside = project_one(0.0, 0.0, 5.0)
+        assert (u, v, d, ui, vi) == (320.0, 240.0, 5.0, 320.0, 240.0)
+        assert inside
 
     def test_fx_scaling(self):
-        pd = project(Point3(1.0, 0.0, 2.0), K)
-        assert pd.u == pytest.approx(370.0, abs=1e-12)
+        u, v, _, ui, _, _ = project_one(1.0, 0.0, 2.0)
+        assert u == pytest.approx(370.0, abs=1e-12)
+        assert v == 240.0 and ui == 370.0
 
     def test_behind_camera_is_invalid_value(self):
-        pd = project(Point3(0.0, 0.0, -1.0), K)
-        assert not pd.valid
+        assert not project_one(0.0, 0.0, -1.0)[5]
+        assert not project_one(0.0, 0.0, 0.0)[5]
 
-    def test_backproject_center(self):
-        p = backproject(K.cx, K.cy, 5.0, K)
-        assert (p.x, p.y, p.z) == (0.0, 0.0, 5.0)
-
-    def test_backproject_unit_offset(self):
-        p = backproject(K.cx + K.fx, K.cy, 1.0, K)
-        assert np.allclose([p.x, p.y, p.z], [1.0, 0.0, 1.0], atol=1e-12)
-
-    def test_backproject_rejects_nonpositive_depth(self):
-        with pytest.raises(ValueError):
-            backproject(10.0, 10.0, 0.0, K)
+    def test_off_image_is_masked(self):
+        # u = 100 x + 320 at z = 1: nearest pixels 639 and 0 are in, 640 and -1 out
+        inside = [project_one(x, 0.0, 1.0)[5] for x in (3.194, 3.196, -3.204, -3.206)]
+        assert inside == [True, False, True, False]
+        assert not project_one(0.0, 2.406, 1.0)[5]  # v = 480.6 rounds to row 481
 
     def test_round_trip_random_pixels(self):
+        # lifting (u, v, d) in A and the flow's (u', v', d') in B reach the same world point
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            u = rng.uniform(0, K.width - 1)
-            v = rng.uniform(0, K.height - 1)
-            d = rng.uniform(0.1, 100.0)
-            p = backproject(u, v, d, K)
-            pd = project(p, K)
-            assert abs(pd.u - u) < 1e-9 and abs(pd.v - v) < 1e-9 and abs(pd.d - d) < 1e-9
+        k = CameraIntrinsics(50.0, 40.0, 15.5, 11.5, 32, 24)
+        depth = rng.uniform(0.1, 100.0, size=(k.height, k.width))
+        a = se3_exp(rng.normal(scale=0.5, size=6))
+        b = compose(a, se3_exp(np.array([0.01, -0.02, 0.01, 0.2, -0.1, 0.5])))
+        flow, valid = reprojection_flow(FrameBundle(np.zeros((24, 32, 3)), depth, a, 0), b, k)
+        assert valid.sum() > 500
 
-    def test_project_points_masks_behind(self):
-        pts = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, -5.0]])
-        uvd, valid = project_points(pts, K)
-        assert valid.tolist() == [True, False]
-        assert np.all(uvd[1] == 0.0)
+        def lift(pose, u, v, d):
+            return pose.apply(np.stack([(u - k.cx) * d / k.fx, (v - k.cy) * d / k.fy, d], axis=-1))
+
+        v, u = np.nonzero(valid)
+        world_a = lift(a, u.astype(float), v.astype(float), depth[valid])
+        world_b = lift(b, flow[..., 0][valid], flow[..., 1][valid], flow[..., 2][valid])
+        assert np.abs(world_a - world_b).max() < 1e-9
 
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
@@ -200,40 +200,47 @@ class TestProjection:
             CameraIntrinsics(1.0, 1.0, 20.0, 0.0, 10, 10)
 
 
+def sample(field, u, v):
+    """bilinear_sample_many at one location: (values, in-bounds flag)."""
+    vals, ok = bilinear_sample_many(field, np.array([[u, v]]))
+    return vals[0], bool(ok[0])
+
+
 class TestBilinearSample:
     def test_exact_at_integers(self):
         field = np.arange(12, dtype=float).reshape(3, 4)
         for v in range(3):
             for u in range(4):
-                assert bilinear_sample(field, float(u), float(v)) == field[v, u]
+                assert sample(field, float(u), float(v)) == (field[v, u], True)
 
     def test_midpoint(self):
         field = np.array([[0.0, 1.0]])
-        assert bilinear_sample(field, 0.5, 0.0) == pytest.approx(0.5)
+        assert sample(field, 0.5, 0.0) == (pytest.approx(0.5), True)
 
     def test_out_of_bounds_marker(self):
         field = np.ones((4, 4))
-        assert bilinear_sample(field, -0.5, 1.0) is None
-        assert bilinear_sample(field, 1.0, 3.5) is None
+        assert sample(field, -0.5, 1.0) == (0.0, False)
+        assert sample(field, 1.0, 3.5) == (0.0, False)
 
     def test_linear_along_axis(self):
         field = np.array([[0.0, 2.0, 4.0]])
         for frac in np.linspace(0.0, 2.0, 9):
-            assert bilinear_sample(field, frac, 0.0) == pytest.approx(2.0 * frac)
+            assert sample(field, frac, 0.0) == (pytest.approx(2.0 * frac), True)
 
     def test_multichannel(self):
         field = np.stack([np.full((2, 2), 3.0), np.full((2, 2), 7.0)], axis=-1)
-        vals = bilinear_sample(field, 0.5, 0.5)
-        assert np.allclose(vals, [3.0, 7.0])
+        vals, ok = sample(field, 0.5, 0.5)
+        assert ok and np.allclose(vals, [3.0, 7.0])
 
     def test_many_matches_scalar(self):
         rng = np.random.default_rng(6)
-        field = rng.random((5, 7))
-        uv = rng.uniform(-1.0, 7.0, size=(50, 2))
-        vals, ok = bilinear_sample_many(field, uv)
-        for i, (u, v) in enumerate(uv):
-            single = bilinear_sample(field, u, v)
-            if single is None:
-                assert not ok[i] and vals[i] == 0.0
-            else:
-                assert ok[i] and vals[i] == pytest.approx(single)
+        for field in (rng.random((5, 7)), rng.random((5, 7, 3))):
+            uv = rng.uniform(-1.0, 7.0, size=(200, 2))
+            uv[:20] = np.round(uv[:20])  # pixel centers, including the last row/column
+            vals, ok = bilinear_sample_many(field, uv)
+            for i, (u, v) in enumerate(uv):
+                ref = bilinear_bruteforce(field, u, v)
+                if ref is None:
+                    assert not ok[i] and np.all(vals[i] == 0.0)
+                else:
+                    assert ok[i] and np.allclose(vals[i], ref, rtol=0.0, atol=1e-12)
