@@ -14,7 +14,7 @@ from .geom import (
     se3_exp,
     se3_log,
 )
-from .forecast import MomentumTwist, PoseSequence, extrapolate, forecast_next, momentum, pose_mse
+from .forecast import PoseSequence, forecast_next, pose_mse
 from .warp import (
     FrameBundle,
     WarpResult,
@@ -64,9 +64,7 @@ from .synth import (
     desk_intrinsics,
     extract_features,
     make_trajectory,
-    render_depth,
     render_frame,
-    render_image,
 )
 
 __version__ = "0.1.0"

@@ -233,7 +233,7 @@ def cmd_forecast(args) -> int:
 def cmd_warp(args) -> int:
     out_dir = Path(args.out_dir)
     frames, k = _load_frames(args.frames_dir, args.interval)
-    sources, target_pose = frames, None
+    sources, target_pose, interval = frames, None, args.interval
     if args.target_index is not None:
         poses = dataio.read_poses(Path(args.frames_dir) / "poses.txt")
         if args.target_index >= len(poses):
@@ -242,15 +242,18 @@ def cmd_warp(args) -> int:
             )
         target_pose = poses[args.target_index]
         sources = [f for f in frames if f.frame_index != args.target_index]
+        if not sources:
+            raise ValueError(f"no source frame besides target index {args.target_index}")
+        # the pseudo-future frame is the target frame, so the splat breaks depth
+        # ties toward it, also when it lies inside the sequence
+        interval = args.target_index - sources[-1].frame_index
     splats = []
 
     def refiner(result):
         splats.append(result)
         return REFINERS[args.refiner](result)
 
-    target_pose, pseudo = _pseudo_future(
-        sources, k, refiner, args.window, args.interval, target_pose
-    )
+    target_pose, pseudo = _pseudo_future(sources, k, refiner, args.window, interval, target_pose)
     result = splats[0]
     dataio.write_image(out_dir / "warped.ppm", pseudo.image)
     dataio.write_depth(out_dir / "warped.dpt", pseudo.depth)
@@ -273,10 +276,9 @@ def _fusion_range(args) -> SceneRange:
     if dims is None:
         dims = defaults.DESK_SCENE_DIMS if voxel != defaults.VOXEL_SIZE else (256, 256, 32)
     extents = tuple(d * voxel for d in dims)
-    origin = args.range_origin
-    if origin is None:
-        origin = (-extents[0] / 2.0, 0.0, -defaults.GROUND_CLEARANCE)
-    return SceneRange(origin, extents, voxel)
+    if args.range_origin is None:
+        return SceneRange.ahead_of_camera(extents, voxel)
+    return SceneRange(args.range_origin, extents, voxel)
 
 
 def cmd_fuse(args) -> int:
@@ -342,7 +344,6 @@ def demo_pipeline(
     """Full synthetic pipeline; returns artifacts and the per-set summary."""
     voxel = defaults.DESK_VOXEL_SIZE
     k = desk_intrinsics()
-    half_x = defaults.DESK_SCENE_DIMS[0] * voxel / 2.0
     step = speed * interval
     start_y = 2.0
     ahead = defaults.DESK_SCENE_DIMS[1] * voxel
@@ -353,7 +354,6 @@ def demo_pipeline(
         layout=layout,
         dims=(defaults.DESK_SCENE_DIMS[0], ny, defaults.DESK_SCENE_DIMS[2]),
         voxel_size=voxel,
-        origin=(-half_x, 0.0, -defaults.GROUND_CLEARANCE),
         box_count=box_count,
     )
     grid = build_scene(spec)
@@ -377,11 +377,7 @@ def demo_pipeline(
     )
     mse = pose_mse(predicted_pose, bundles[-1].pose)
 
-    rng = SceneRange(
-        (-half_x, 0.0, -defaults.GROUND_CLEARANCE),
-        tuple(d * voxel for d in defaults.DESK_SCENE_DIMS),
-        voxel,
-    )
+    rng = SceneRange.ahead_of_camera(tuple(d * voxel for d in defaults.DESK_SCENE_DIMS), voxel)
     gt_range = resample_to_range(grid, rng, frames[current].pose)
 
     # every set is anchored at the current camera and a frame's blocks and

@@ -5,6 +5,9 @@ outdoor SSC benchmark configuration; the desk-scale values are the built-in
 synthetic testbed that keeps full verification runs in seconds.
 """
 
+# voxel label of unknown/invalid ground truth, ignored by losses and metrics
+INVALID_LABEL = 255
+
 # visibility band half-width in meters
 THETA_D = 0.5
 

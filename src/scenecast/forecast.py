@@ -8,7 +8,6 @@ trajectories are extrapolated exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -46,59 +45,25 @@ class PoseSequence:
         return len(self.poses)
 
 
-@dataclass(frozen=True)
-class MomentumTwist:
-    """Mean per-step twist over the recent history."""
+def forecast_next(seq: PoseSequence, window: int | None = None) -> Se3Pose:
+    """Next-frame pose: the last pose advanced by the mean recent step twist.
 
-    xi: np.ndarray
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=np.float64).reshape(6)
-        if not np.all(np.isfinite(xi)):
-            raise ValueError("twist entries must be finite")
-        xi.flags.writeable = False
-        object.__setattr__(self, "xi", xi)
-
-
-def step_twists(seq: PoseSequence) -> list:
-    """Per-step twists log(P_i^-1 P_{i+1}) for every consecutive pair."""
-    return [
-        se3_log(compose(inverse(a), b)) for a, b in zip(seq.poses, seq.poses[1:])
-    ]
-
-
-def momentum(seq: PoseSequence, window: int) -> MomentumTwist:
-    """Average twist over the last `window` consecutive pose pairs.
-
-    Averaging happens in the Lie algebra, so the replayed motion is always a
-    valid pose, and a fixed world re-anchoring of all poses cancels out.
+    The step twists log(P_i^-1 P_{i+1}) of the last `window` consecutive
+    pose pairs (default min(history, 3)) are averaged in the Lie algebra, so
+    the replayed motion is always a valid pose, and a fixed world
+    re-anchoring of all poses cancels out.
     """
+    if window is None:
+        window = min(len(seq) - 1, DEFAULT_WINDOW_CAP)
     if window < 1:
         raise ValueError("window must be >= 1")
     if len(seq) < window + 1:
         raise ValueError(
             f"need at least {window + 1} poses for window {window}, got {len(seq)}"
         )
-    twists = step_twists(
-        PoseSequence(
-            seq.poses[-(window + 1):],
-            seq.frame_indices[-(window + 1):],
-            seq.frame_interval,
-        )
-    )
-    return MomentumTwist(np.mean(twists, axis=0))
-
-
-def extrapolate(seq: PoseSequence, m: MomentumTwist) -> Se3Pose:
-    """Next-frame pose prediction: last pose advanced by the momentum twist."""
-    return compose(seq.poses[-1], se3_exp(m.xi))
-
-
-def forecast_next(seq: PoseSequence, window: int | None = None) -> Se3Pose:
-    """Momentum + extrapolation with the default window min(history, 3)."""
-    if window is None:
-        window = min(len(seq) - 1, DEFAULT_WINDOW_CAP)
-    return extrapolate(seq, momentum(seq, window))
+    poses = seq.poses[-(window + 1):]
+    twists = [se3_log(compose(inverse(a), b)) for a, b in zip(poses, poses[1:])]
+    return compose(poses[-1], se3_exp(np.mean(twists, axis=0)))
 
 
 def pose_mse(pred: Se3Pose, gt: Se3Pose) -> float:

@@ -74,14 +74,14 @@ class SceneRange:
         object.__setattr__(self, "voxel_size", float(self.voxel_size))
 
     @classmethod
+    def ahead_of_camera(cls, extents, voxel_size: float) -> "SceneRange":
+        """Box centred in x, starting at the camera in y, floor GROUND_CLEARANCE below it."""
+        return cls((-extents[0] / 2.0, 0.0, -defaults.GROUND_CLEARANCE), extents, voxel_size)
+
+    @classmethod
     def default(cls) -> "SceneRange":
         """Full-scale box: 51.2 x 51.2 x 6.4 m at 0.2 m -> 256 x 256 x 32."""
-        ex = defaults.SCENE_EXTENTS
-        return cls(
-            (-ex[0] / 2.0, 0.0, -defaults.GROUND_CLEARANCE),
-            ex,
-            defaults.VOXEL_SIZE,
-        )
+        return cls.ahead_of_camera(defaults.SCENE_EXTENTS, defaults.VOXEL_SIZE)
 
     @property
     def dims(self) -> Tuple[int, int, int]:
@@ -228,55 +228,35 @@ def visibility(
     return vis, proj
 
 
-def downsample_blocks(
-    visible: np.ndarray,
-    proj: np.ndarray,
-    frame_indices: Sequence[int],
-    image_width: int,
-    image_height: int,
-) -> BlockVisibility:
-    """Group 4x4x4 voxels into blocks: OR visibility, mean projection.
+def downsample_blocks(visible: np.ndarray, proj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group one frame's 4x4x4 voxels into blocks: OR visibility, mean projection.
 
     Only the visible voxels are read: their projections are summed per
     block in voxel C order and divided by the block's visible count, so
     values at invisible voxels (zeros, NaN or anything else) never reach a
     block. Blocks with no visible member carry zeros and are flagged
-    invisible. Frames are reduced one at a time.
+    invisible. Returns (block_visible (BX,BY,BZ) bool, block_mean (BX,BY,BZ,3)).
     """
     visible = np.asarray(visible, dtype=bool)
     proj = np.asarray(proj, dtype=np.float64)
-    if visible.ndim == 3:
-        visible = visible[None]
-        proj = proj[None]
-    f, nx, ny, nz = visible.shape
+    nx, ny, nz = visible.shape
     e = defaults.BLOCK_EDGE
     if nx % e or ny % e or nz % e:
         raise ValueError(f"voxel dims {(nx, ny, nz)} not divisible by {e}")
     bx, by, bz = nx // e, ny // e, nz // e
     nb = bx * by * bz
-    counts = np.zeros((f, nb), dtype=np.int64)
-    sums = np.zeros((f, nb, 3))
-    for fi in range(f):
-        idx = np.flatnonzero(visible[fi])
-        i, j, kk = np.unravel_index(idx, (nx, ny, nz))
-        block = ((i // e) * by + j // e) * bz + kk // e
-        counts[fi] = np.bincount(block, minlength=nb)
-        members = proj[fi].reshape(-1, 3)[idx]
-        for a in range(3):
-            sums[fi, :, a] = np.bincount(block, weights=members[:, a], minlength=nb)
+    idx = np.flatnonzero(visible)
+    i, j, kk = np.unravel_index(idx, (nx, ny, nz))
+    block = ((i // e) * by + j // e) * bz + kk // e
+    counts = np.bincount(block, minlength=nb)
+    members = proj.reshape(-1, 3)[idx]
+    sums = np.zeros((nb, 3))
+    for a in range(3):
+        sums[:, a] = np.bincount(block, weights=members[:, a], minlength=nb)
     block_vis = counts > 0
     mean = np.zeros_like(sums)
     mean[block_vis] = sums[block_vis] / counts[block_vis][:, None]
-    block_vis = block_vis.reshape(f, bx, by, bz)
-    mean = mean.reshape(f, bx, by, bz, 3)
-    return BlockVisibility(
-        (bx, by, bz),
-        block_vis,
-        mean,
-        tuple(int(i) for i in frame_indices),
-        int(image_width),
-        int(image_height),
-    )
+    return block_vis.reshape(bx, by, bz), mean.reshape(bx, by, bz, 3)
 
 
 def sample_fuse(bv: BlockVisibility, feature_maps: Sequence[np.ndarray]) -> FusedVolume:
@@ -344,17 +324,18 @@ def fuse_pipeline(
     if not (-len(frames) <= current_index < len(frames)):
         raise ValueError(f"current_index {current_index} out of range")
     current_pose = frames[current_index].pose
-    slices, fmaps = [], []
+    blocks, fmaps = [], []
     for frame in frames:
         vis, proj = visibility(rng, frame, current_pose, k, theta_d)
-        slices.append(downsample_blocks(vis, proj, [frame.frame_index], k.width, k.height))
+        blocks.append(downsample_blocks(vis, proj))
         del vis, proj
         fmaps.append(feature_extractor(frame.image))
+    visible = np.stack([b[0] for b in blocks])
     bv = BlockVisibility(
-        slices[0].block_dims,
-        np.concatenate([b.visible for b in slices]),
-        np.concatenate([b.proj_uv_d for b in slices]),
-        tuple(i for b in slices for i in b.frame_indices),
+        visible.shape[1:],
+        visible,
+        np.stack([b[1] for b in blocks]),
+        tuple(f.frame_index for f in frames),
         k.width,
         k.height,
     )

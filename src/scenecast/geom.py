@@ -80,33 +80,16 @@ class Se3Pose:
             raise ValueError("rotation entries must be finite")
         return cls(_closest_rotation(r), translation)
 
-    @classmethod
-    def from_matrix(cls, m) -> "Se3Pose":
-        """Accepts a 3x4 [R|t] or 4x4 homogeneous matrix."""
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape not in ((3, 4), (4, 4)):
-            raise ValueError(f"expected 3x4 or 4x4 matrix, got {m.shape}")
-        return cls(m[:3, :3], m[:3, 3])
-
     def matrix34(self) -> np.ndarray:
         m = np.empty((3, 4))
         m[:, :3] = self.rotation
         m[:, 3] = self.translation
         return m
 
-    def matrix44(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def apply(self, points) -> np.ndarray:
         """Transform one (3,) point or an (..., 3) array of points."""
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
-
-    def __matmul__(self, other: "Se3Pose") -> "Se3Pose":
-        return compose(self, other)
 
 
 def compose(a: Se3Pose, b: Se3Pose) -> Se3Pose:

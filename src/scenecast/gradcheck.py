@@ -10,6 +10,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
+from . import defaults
 from .losses import (
     LabelVolume,
     ProbVolume,
@@ -37,8 +38,8 @@ def random_volume_pair(rng: np.random.Generator, max_dims=(8, 8, 4, 4)):
     probs = e / e.sum(axis=-1, keepdims=True)
     labels = rng.integers(0, c, size=shape)
     invalid = rng.random(size=shape) < 0.1
-    labels[invalid] = 255
-    if (labels == 255).all():
+    labels[invalid] = defaults.INVALID_LABEL
+    if (labels == defaults.INVALID_LABEL).all():
         labels.flat[0] = 0
     return ProbVolume(probs), LabelVolume(labels)
 

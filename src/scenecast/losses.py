@@ -22,7 +22,6 @@ from .forecast import pose_mse
 from .geom import Se3Pose
 
 CLAMP = 1e-8
-INVALID_LABEL = 255
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -71,7 +70,7 @@ class LabelVolume:
 
     @property
     def valid(self) -> np.ndarray:
-        return self.labels != INVALID_LABEL
+        return self.labels != defaults.INVALID_LABEL
 
 
 @dataclass
@@ -96,7 +95,7 @@ def _check_pair(pred: ProbVolume, gt: LabelVolume) -> None:
         raise ValueError(
             f"pred {pred.probs.shape[:3]} and gt {gt.labels.shape} dims differ"
         )
-    bad = gt.labels[(gt.labels != INVALID_LABEL) & (gt.labels >= pred.num_classes)]
+    bad = gt.labels[(gt.labels != defaults.INVALID_LABEL) & (gt.labels >= pred.num_classes)]
     if bad.size:
         raise ValueError(f"gt contains class id {int(bad[0])} >= C={pred.num_classes}")
 

@@ -13,8 +13,6 @@ import numpy as np
 from .fusion import BlockVisibility, SceneGrid
 from . import defaults
 
-INVALID_LABEL = 255
-
 
 @dataclass
 class ConfusionMatrix:
@@ -38,7 +36,7 @@ def confusion(pred: SceneGrid, gt: SceneGrid, num_classes: int | None = None) ->
         raise ValueError(
             f"grid dims differ: {pred.labels.shape} vs {gt.labels.shape}"
         )
-    valid = gt.labels != INVALID_LABEL
+    valid = gt.labels != defaults.INVALID_LABEL
     g = gt.labels[valid].astype(np.int64)
     p = pred.labels[valid].astype(np.int64)
     if num_classes is None:

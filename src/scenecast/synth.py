@@ -98,10 +98,9 @@ class SceneSpec:
 
     def scene_range(self) -> SceneRange:
         ex = tuple(d * self.voxel_size for d in self.dims)
-        origin = self.origin
-        if origin is None:
-            origin = (-ex[0] / 2.0, 0.0, -defaults.GROUND_CLEARANCE)
-        return SceneRange(origin, ex, self.voxel_size)
+        if self.origin is None:
+            return SceneRange.ahead_of_camera(ex, self.voxel_size)
+        return SceneRange(self.origin, ex, self.voxel_size)
 
 
 @dataclass(frozen=True)
@@ -286,25 +285,6 @@ def _raycast(
     return out_t.reshape(h, w), out_c.reshape(h, w)
 
 
-def render_depth(
-    grid: SceneGrid, pose: Se3Pose, k: CameraIntrinsics, d_max: float = defaults.D_MAX
-) -> np.ndarray:
-    depth, _ = _raycast(grid, pose, k, d_max)
-    return depth
-
-
-def _shade_classes(depth: np.ndarray, cls: np.ndarray) -> np.ndarray:
-    shade = np.where(cls > 0, 1.0 / (1.0 + SHADE_FALLOFF * depth), 0.0)
-    return PALETTE[cls] * shade[..., None]
-
-
-def render_image(
-    grid: SceneGrid, pose: Se3Pose, k: CameraIntrinsics, d_max: float = defaults.D_MAX
-) -> np.ndarray:
-    depth, cls = _raycast(grid, pose, k, d_max)
-    return _shade_classes(depth, cls)
-
-
 def render_frame(
     grid: SceneGrid,
     pose: Se3Pose,
@@ -314,7 +294,8 @@ def render_frame(
 ) -> FrameBundle:
     """Render image and depth with a single traversal and bundle them."""
     depth, cls = _raycast(grid, pose, k, d_max)
-    return FrameBundle(_shade_classes(depth, cls), depth, pose, frame_index)
+    shade = np.where(cls > 0, 1.0 / (1.0 + SHADE_FALLOFF * depth), 0.0)
+    return FrameBundle(PALETTE[cls] * shade[..., None], depth, pose, frame_index)
 
 
 def classify_palette(image: np.ndarray) -> np.ndarray:

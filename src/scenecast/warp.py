@@ -122,15 +122,13 @@ def forward_splat(
     sources: Sequence[FrameBundle],
     dst_pose: Se3Pose,
     k: CameraIntrinsics,
-    dst_frame_index: int | None = None,
+    dst_frame_index: int,
 ) -> WarpResult:
     """Splat every source into the destination view with a z-buffer.
 
     Conflicts: smallest destination depth wins; ties within DEPTH_TIE_QUANTUM
     go to the source temporally closest to dst_frame_index, then to the
     smaller source linear pixel index, then to the earlier source slot.
-    dst_frame_index=None treats the destination as later than every source,
-    i.e. the temporally latest source is preferred on ties.
     """
     sources = list(sources)
     if not sources:
@@ -150,10 +148,7 @@ def forward_splat(
         zp = flow[..., 2][valid]
         tgt_parts.append(flow_targets(flow, valid, w))
         dq_parts.append(np.round(zp / DEPTH_TIE_QUANTUM).astype(np.int64))
-        if dst_frame_index is None:
-            prox = -src.frame_index
-        else:
-            prox = abs(src.frame_index - dst_frame_index)
+        prox = abs(src.frame_index - dst_frame_index)
         prox_parts.append(np.full(zp.shape, prox, dtype=np.int64))
         spix = np.flatnonzero(valid.ravel())
         spix_parts.append(spix)
@@ -196,13 +191,14 @@ def compose_pseudo_future(
     future_pose: Se3Pose,
     k: CameraIntrinsics,
     refiner: RefinerHook = identity_refiner,
-    frame_interval: int | None = None,
+    *,
+    frame_interval: int,
 ) -> FrameBundle:
     """Warp all sources to the future pose and apply the refiner hook.
 
-    Sources must be ordered by ascending frame index; the result carries
-    frame_index = current + frame_interval (interval inferred from the last
-    two sources when not given, defaulting to 1 for a single source).
+    Sources must be ordered by ascending frame index. The result carries
+    frame_index = last source + frame_interval, the index the splat breaks
+    depth ties toward; a negative interval names a frame inside the sources.
     """
     frames = list(past_and_current)
     if not frames:
@@ -210,11 +206,6 @@ def compose_pseudo_future(
     for a, b in zip(frames, frames[1:]):
         if b.frame_index <= a.frame_index:
             raise ValueError("sources must be ordered by ascending frame_index")
-    if frame_interval is None:
-        if len(frames) >= 2:
-            frame_interval = frames[-1].frame_index - frames[-2].frame_index
-        else:
-            frame_interval = 1
     future_index = frames[-1].frame_index + frame_interval
     result = forward_splat(frames, future_pose, k, dst_frame_index=future_index)
     image, depth = refiner(result)

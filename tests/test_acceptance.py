@@ -7,7 +7,6 @@ import contextlib
 import time
 
 import numpy as np
-import pytest
 
 from oracles import visibility_bruteforce
 from scenecast import dataio, defaults
@@ -15,16 +14,10 @@ from scenecast.cli import main
 from scenecast.forecast import PoseSequence, forecast_next, pose_mse
 from scenecast.fusion import SceneRange, fuse_pipeline, resample_to_range, visibility
 from scenecast.geom import Se3Pose, compose, se3_exp
-from scenecast.gradcheck import (
-    finite_difference,
-    max_relative_error,
-    random_volume_pair,
-    run_gradient_checks,
-)
+from scenecast.gradcheck import random_volume_pair, run_gradient_checks
 from scenecast.losses import (
     LabelVolume,
     ProbVolume,
-    inverse_frequency_weights,
     scal_geo,
     scal_sem,
     weighted_ce,

@@ -127,6 +127,22 @@ class TestWarp:
         depth = dataio.read_depth(out / "warped.dpt")
         assert (depth > 0).all()  # fill refiner leaves no holes
 
+    def test_target_inside_sequence_breaks_ties_toward_it(self, small_frames_dir, tmp_path, capsys):
+        # sources 0, 5, 15, 20, 25 splat to frame 10: depth ties go to the
+        # source nearest frame 10, in the mask of sources and in the image
+        out = tmp_path / "warp10"
+        code, _, err = run(capsys, "warp", "--frames-dir", str(small_frames_dir),
+                           "--interval", "5", "--target-index", "10", "--out-dir", str(out))
+        assert code == 0, err
+        frames = dataio.load_frame_sequence(small_frames_dir, 5)
+        sources = [f for f in frames if f.frame_index != 10]
+        ref = forward_splat(sources, frames[2].pose, desk_intrinsics(), dst_frame_index=10)
+        src_vis = np.where(ref.source_index < 0, 255, ref.source_index).astype(np.uint8)
+        dataio.write_pgm(tmp_path / "source_index.pgm", src_vis)
+        dataio.write_image(tmp_path / "warped.ppm", ref.image)
+        dataio.write_depth(tmp_path / "warped.dpt", ref.depth)
+        for name in ("source_index.pgm", "warped.ppm", "warped.dpt"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     def test_outputs_match_single_splats(self, small_frames_dir, tmp_path, capsys):
         # one splat gives the image, mask and sources; coverage row m is the
@@ -147,7 +163,7 @@ class TestWarp:
                               full.hit_mask)
         rows = (out / "coverage.csv").read_text().strip().splitlines()[1:]
         for m, row in enumerate(rows, start=1):
-            hits = forward_splat(sources[:m], target.pose, k).hit_mask.sum()
+            hits = forward_splat(sources[:m], target.pose, k, dst_frame_index=25).hit_mask.sum()
             assert row.split(",")[:3] == [str(m), str(hits), str(k.width * k.height)]
 
 

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from scenecast.forecast import (
-    MomentumTwist,
-    PoseSequence,
-    extrapolate,
-    forecast_next,
-    momentum,
-    pose_mse,
-)
-from scenecast.geom import Se3Pose, compose, se3_exp
+from scenecast.forecast import PoseSequence, forecast_next, pose_mse
+from scenecast.geom import Se3Pose, compose, inverse, se3_exp, se3_log
 
 
 def constant_twist_sequence(xi, count, interval=5, start=None):
@@ -19,27 +12,35 @@ def constant_twist_sequence(xi, count, interval=5, start=None):
     return PoseSequence(tuple(poses), tuple(i * interval for i in range(count)), interval)
 
 
+def step(p, q):
+    """The twist that moves pose p to pose q."""
+    return se3_log(compose(inverse(p), q))
+
+
 class TestMomentum:
+    # forecast_next replays the mean step twist, so the step it predicts
+    # from the last pose is that mean
+
     def test_constant_translation(self):
         seq = constant_twist_sequence(np.array([0, 0, 0, 0, 0, 1.0]), 4)
-        m = momentum(seq, 3)
-        assert np.allclose(m.xi, [0, 0, 0, 0, 0, 1.0], atol=1e-12)
+        xi = step(seq.poses[-1], forecast_next(seq, 3))
+        assert np.allclose(xi, [0, 0, 0, 0, 0, 1.0], atol=1e-12)
 
     def test_stationary(self):
         seq = constant_twist_sequence(np.zeros(6), 4)
-        assert np.allclose(momentum(seq, 3).xi, np.zeros(6))
+        assert np.allclose(step(seq.poses[-1], forecast_next(seq, 3)), np.zeros(6))
 
     def test_alternating_steps_cancel(self):
         up = se3_exp([0, 0, 0, 0, 0, 1.0])
         down = se3_exp([0, 0, 0, 0, 0, -1.0])
         poses = (Se3Pose.identity(), up, compose(up, down))
         seq = PoseSequence(poses, (0, 5, 10), 5)
-        assert np.allclose(momentum(seq, 2).xi, np.zeros(6), atol=1e-12)
+        assert np.allclose(step(seq.poses[-1], forecast_next(seq, 2)), np.zeros(6), atol=1e-12)
 
     def test_insufficient_history(self):
         seq = constant_twist_sequence(np.zeros(6), 3)
         with pytest.raises(ValueError):
-            momentum(seq, 3)
+            forecast_next(seq, 3)
 
     def test_left_reanchoring_invariance(self):
         rng = np.random.default_rng(7)
@@ -49,25 +50,27 @@ class TestMomentum:
         moved = PoseSequence(
             tuple(compose(g, p) for p in seq.poses), seq.frame_indices, seq.frame_interval
         )
-        assert np.abs(momentum(seq, 3).xi - momentum(moved, 3).xi).max() < 1e-9
+        a = step(seq.poses[-1], forecast_next(seq, 3))
+        b = step(moved.poses[-1], forecast_next(moved, 3))
+        assert np.abs(a - b).max() < 1e-9
 
 
 class TestExtrapolate:
     def test_constant_velocity_fixed_point(self):
         seq = constant_twist_sequence(np.array([0, 0, 0, 0, 0, 1.0]), 6)
-        pred = extrapolate(seq, momentum(seq, 3))
+        pred = forecast_next(seq, 3)
         assert np.abs(pred.translation - np.array([0, 0, 6.0])).max() < 1e-9
 
     def test_constant_turn_exact(self):
         xi = np.array([0.0, 0.05, 0.0, 0.0, 0.0, 2.0])  # arc: turn + advance
         seq = constant_twist_sequence(xi, 6)
-        pred = extrapolate(seq, momentum(seq, 3))
+        pred = forecast_next(seq, 3)
         gt = compose(seq.poses[-1], se3_exp(xi))
         assert np.abs(pred.matrix34() - gt.matrix34()).max() < 1e-9
 
     def test_stationary_history(self):
         seq = constant_twist_sequence(np.zeros(6), 4)
-        pred = extrapolate(seq, momentum(seq, 3))
+        pred = forecast_next(seq, 3)
         assert np.abs(pred.matrix34() - seq.poses[-1].matrix34()).max() < 1e-12
 
     def test_random_constant_twists_are_exact(self):
@@ -111,10 +114,6 @@ class TestPoseSequence:
     def test_spacing_enforced(self):
         with pytest.raises(ValueError):
             PoseSequence((Se3Pose.identity(), Se3Pose.identity()), (0, 3), 5)
-
-    def test_momentum_twist_validates(self):
-        with pytest.raises(ValueError):
-            MomentumTwist(np.array([np.nan, 0, 0, 0, 0, 0]))
 
     def test_default_window_cap(self):
         # 10-step history still extrapolates a recent turn exactly

@@ -116,17 +116,17 @@ class TestDownsampleBlocks:
         proj = np.zeros((4, 4, 4, 3))
         vis[1, 2, 3] = True
         proj[1, 2, 3] = (10.0, 20.0, 5.0)
-        bv = downsample_blocks(vis, proj, [0], 40, 30)
-        assert bv.visible.shape == (1, 1, 1, 1)
-        assert bv.visible[0, 0, 0, 0]
-        assert np.allclose(bv.proj_uv_d[0, 0, 0, 0], (10.0, 20.0, 5.0))
+        block_vis, block_mean = downsample_blocks(vis, proj)
+        assert block_vis.shape == (1, 1, 1)
+        assert block_vis[0, 0, 0]
+        assert np.allclose(block_mean[0, 0, 0], (10.0, 20.0, 5.0))
 
     def test_empty_block(self):
-        bv = downsample_blocks(
-            np.zeros((4, 4, 4), dtype=bool), np.zeros((4, 4, 4, 3)), [0], 40, 30
+        block_vis, block_mean = downsample_blocks(
+            np.zeros((4, 4, 4), dtype=bool), np.zeros((4, 4, 4, 3))
         )
-        assert not bv.visible.any()
-        assert np.all(bv.proj_uv_d == 0.0)
+        assert not block_vis.any()
+        assert np.all(block_mean == 0.0)
 
     def test_mean_over_visible_only(self):
         vis = np.zeros((4, 4, 4), dtype=bool)
@@ -137,8 +137,8 @@ class TestDownsampleBlocks:
         proj[0, 0, 1] = (12.0, 6.0, 4.0)
         proj[1, 1, 1] = (99.0, 99.0, 99.0)  # invisible: must not contribute
         proj[1, 1, 2] = (np.nan, np.inf, -np.inf)  # nor may non-finite values
-        bv = downsample_blocks(vis, proj, [0], 40, 30)
-        assert np.array_equal(bv.proj_uv_d[0, 0, 0, 0], (11.0, 5.0, 3.0))
+        _, block_mean = downsample_blocks(vis, proj)
+        assert np.array_equal(block_mean[0, 0, 0], (11.0, 5.0, 3.0))
 
     @pytest.mark.parametrize("frac", [0.01, 0.3])
     def test_matches_bruteforce_oracle(self, frac):
@@ -148,22 +148,23 @@ class TestDownsampleBlocks:
             vis = rng.random((3,) + dims) < frac
             # magnitudes over six decades make the summation order visible
             proj = rng.normal(size=(3,) + dims + (3,)) * 10.0 ** rng.uniform(-3, 3, size=(3,) + dims + (3,))
-            bv = downsample_blocks(vis, proj, [0, 5, 10], 40, 30)
             vis_ref, proj_ref = downsample_bruteforce(vis, proj)
-            assert np.array_equal(bv.visible, vis_ref)
-            assert np.array_equal(bv.proj_uv_d, proj_ref)
+            for f in range(3):
+                block_vis, block_mean = downsample_blocks(vis[f], proj[f])
+                assert np.array_equal(block_vis, vis_ref[f])
+                assert np.array_equal(block_mean, proj_ref[f])
 
     def test_or_semantics_exhaustive_on_toy_block(self):
         rng = np.random.default_rng(14)
         vis = rng.random((8, 4, 4)) < 0.3
         proj = rng.random((8, 4, 4, 3))
-        bv = downsample_blocks(vis, proj, [0], 40, 30)
+        block_vis, _ = downsample_blocks(vis, proj)
         expect = vis.reshape(2, 4, 1, 4, 1, 4).any(axis=(1, 3, 5))
-        assert np.array_equal(bv.visible[0], expect)
+        assert np.array_equal(block_vis, expect)
 
     def test_indivisible_dims_rejected(self):
         with pytest.raises(ValueError):
-            downsample_blocks(np.zeros((5, 4, 4), dtype=bool), np.zeros((5, 4, 4, 3)), [0], 40, 30)
+            downsample_blocks(np.zeros((5, 4, 4), dtype=bool), np.zeros((5, 4, 4, 3)))
 
 
 class TestSampleFuse:

@@ -14,9 +14,7 @@ from scenecast.synth import (
     desk_intrinsics,
     extract_features,
     make_trajectory,
-    render_depth,
     render_frame,
-    render_image,
 )
 
 
@@ -91,7 +89,7 @@ class TestRenderDepth:
         labels[:, 25, :] = 2  # wall slab starting at y = 10.0
         grid = SceneGrid(SceneRange((-3.2, 0.0, -1.6), (6.4, 12.8, 3.2), 0.4), labels)
         k = desk_intrinsics()
-        depth = render_depth(grid, canonical_camera_pose(), k)
+        depth = render_frame(grid, canonical_camera_pose(), k).depth
         hit = depth > 0
         wall_px = np.abs(depth[hit] - 10.0) <= 0.4
         assert hit.any()
@@ -99,7 +97,7 @@ class TestRenderDepth:
 
     def test_empty_scene_renders_zero(self):
         grid = build_scene(SceneSpec(seed=0, layout="empty", dims=(16, 16, 8)))
-        depth = render_depth(grid, canonical_camera_pose(), desk_intrinsics())
+        depth = render_frame(grid, canonical_camera_pose(), desk_intrinsics()).depth
         assert not depth.any()
 
     def test_agrees_with_bruteforce_oracle(self):
@@ -120,21 +118,21 @@ class TestRenderDepth:
         labels[:, 7, :] = 1  # surface beyond the cap
         grid = SceneGrid(SceneRange((-1.6, 0.0, -0.8), (3.2, 3.2, 1.6), 0.4), labels)
         k = desk_intrinsics()
-        depth = render_depth(grid, canonical_camera_pose(), k, d_max=1.0)
+        depth = render_frame(grid, canonical_camera_pose(), k, d_max=1.0).depth
         assert not depth.any()
 
 
 class TestRenderImage:
     def test_empty_scene_black(self):
         grid = build_scene(SceneSpec(seed=0, layout="empty", dims=(16, 16, 8)))
-        img = render_image(grid, canonical_camera_pose(), desk_intrinsics())
+        img = render_frame(grid, canonical_camera_pose(), desk_intrinsics()).image
         assert not img.any()
 
     def test_deterministic(self):
         grid = build_scene(SceneSpec(seed=3, layout="corridor", dims=(32, 32, 8)))
         pose = canonical_camera_pose((0.0, 1.0, 0.0))
         k = desk_intrinsics()
-        assert np.array_equal(render_image(grid, pose, k), render_image(grid, pose, k))
+        assert np.array_equal(render_frame(grid, pose, k).image, render_frame(grid, pose, k).image)
 
     def test_palette_and_shading(self):
         labels = np.zeros((16, 32, 8), dtype=np.uint8)

@@ -84,7 +84,7 @@ class TestForwardSplat:
     def test_single_source_identity_is_bit_exact(self):
         _, k, _, frames = corridor_setup(0, past=0)
         src = frames[0]
-        result = forward_splat([src], src.pose, k)
+        result = forward_splat([src], src.pose, k, dst_frame_index=0)
         assert np.array_equal(result.image, src.image)
         assert np.array_equal(result.depth, src.depth)
         assert np.array_equal(result.hit_mask, src.depth > 0)
@@ -93,7 +93,7 @@ class TestForwardSplat:
     def test_z_buffer_prefers_near_surface(self):
         near = flat_frame(3.0, color=0.25, index=0)
         far = flat_frame(5.0, color=0.75, index=1)
-        result = forward_splat([far, near], Se3Pose.identity(), K4)
+        result = forward_splat([far, near], Se3Pose.identity(), K4, dst_frame_index=2)
         assert np.all(result.depth == 3.0)
         assert np.all(result.image == 0.25)
         assert np.all(result.source_index == 1)
@@ -105,9 +105,6 @@ class TestForwardSplat:
         assert np.all(result.image == 0.8)
         result = forward_splat([a, b], Se3Pose.identity(), K4, dst_frame_index=1)
         assert np.all(result.image == 0.2)
-        # destination defaults to "later than all sources"
-        result = forward_splat([a, b], Se3Pose.identity(), K4)
-        assert np.all(result.image == 0.8)
 
     def test_order_independence(self):
         _, k, traj, frames = corridor_setup(1)
@@ -120,7 +117,7 @@ class TestForwardSplat:
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
-            forward_splat([], Se3Pose.identity(), K4)
+            forward_splat([], Se3Pose.identity(), K4, dst_frame_index=0)
 
     def test_miss_pixels_are_zeroed(self):
         _, k, traj, frames = corridor_setup(2)
@@ -178,7 +175,7 @@ class TestComposePseudoFuture:
     def test_identity_motion_reproduces_current(self):
         _, k, _, frames = corridor_setup(5, past=0)
         current = frames[0]
-        pseudo = compose_pseudo_future([current], current.pose, k)
+        pseudo = compose_pseudo_future([current], current.pose, k, frame_interval=1)
         valid = current.depth > 0
         assert np.array_equal(pseudo.image[valid], current.image[valid])
         assert np.array_equal(pseudo.depth, current.depth)
@@ -186,8 +183,9 @@ class TestComposePseudoFuture:
 
     def test_future_index_uses_interval(self):
         _, k, traj, frames = corridor_setup(6)
-        pseudo = compose_pseudo_future(frames[:5], traj.poses[5], k)
-        assert pseudo.frame_index == frames[4].frame_index + 5
+        for interval in (5, 7, -10):
+            pseudo = compose_pseudo_future(frames[:5], traj.poses[5], k, frame_interval=interval)
+            assert pseudo.frame_index == frames[4].frame_index + interval
 
     def test_more_sources_cover_more(self):
         _, k, traj, frames = corridor_setup(7)
@@ -207,7 +205,7 @@ class TestComposePseudoFuture:
     def test_unordered_sources_rejected(self):
         _, k, traj, frames = corridor_setup(9, past=1)
         with pytest.raises(ValueError):
-            compose_pseudo_future([frames[1], frames[0]], traj.poses[-1], k)
+            compose_pseudo_future([frames[1], frames[0]], traj.poses[-1], k, frame_interval=5)
 
     def test_refiner_shape_contract_enforced(self):
         _, k, traj, frames = corridor_setup(10, past=0)
@@ -216,13 +214,14 @@ class TestComposePseudoFuture:
             return result.image[:-1], result.depth
 
         with pytest.raises(ValueError):
-            compose_pseudo_future(frames[:1], traj.poses[-1], k, refiner=bad_refiner)
+            compose_pseudo_future(frames[:1], traj.poses[-1], k, refiner=bad_refiner,
+                                  frame_interval=5)
 
 
 class TestRefiners:
     def test_identity_refiner_passthrough(self):
         _, k, traj, frames = corridor_setup(12, past=0)
-        result = forward_splat(frames[:1], traj.poses[-1], k)
+        result = forward_splat(frames[:1], traj.poses[-1], k, dst_frame_index=5)
         image, depth = identity_refiner(result)
         assert image is result.image and depth is result.depth
 
