@@ -155,6 +155,15 @@ def _frame_set(frames, past, future, k, refiner, window, interval, forecast=Fals
     return selected, current, prediction
 
 
+def _write_fusion(out_dir, suffix, fused, bv, cov) -> None:
+    """fused{suffix}.fvx, blockvis{suffix}.bvx and the per-frame visible-block
+    counts plus their union as coverage{suffix}.csv."""
+    dataio.write_fused(out_dir / f"fused{suffix}.fvx", fused)
+    dataio.write_blockvis(out_dir / f"blockvis{suffix}.bvx", bv)
+    rows = list(zip(cov.frame_indices, cov.per_frame)) + [("union", cov.union)]
+    _write_csv(out_dir / f"coverage{suffix}.csv", ("frame", "visible_blocks"), rows)
+
+
 def _coverage_rows(sources, pose, k):
     """Pixels hit when splatting the first m sources to `pose`, for m = 1..N.
 
@@ -236,7 +245,7 @@ def cmd_warp(args) -> int:
     sources, target_pose, interval = frames, None, args.interval
     if args.target_index is not None:
         poses = dataio.read_poses(Path(args.frames_dir) / "poses.txt")
-        if args.target_index >= len(poses):
+        if not 0 <= args.target_index < len(poses):
             raise ValueError(
                 f"target index {args.target_index} outside pose file ({len(poses)} lines)"
             )
@@ -274,7 +283,8 @@ def _fusion_range(args) -> SceneRange:
     voxel = args.range_voxel_size
     dims = args.range_dims
     if dims is None:
-        dims = defaults.DESK_SCENE_DIMS if voxel != defaults.VOXEL_SIZE else (256, 256, 32)
+        paper = voxel == defaults.VOXEL_SIZE
+        dims = SceneRange.default().dims if paper else defaults.DESK_SCENE_DIMS
     extents = tuple(d * voxel for d in dims)
     if args.range_origin is None:
         return SceneRange.ahead_of_camera(extents, voxel)
@@ -289,13 +299,7 @@ def cmd_fuse(args) -> int:
         frames, args.past, args.future, k, REFINERS[args.refiner], args.window, args.interval
     )
     fused, bv = fuse_pipeline(selected, rng, k, args.theta_d, extract_features, current)
-    dataio.write_fused(out_dir / "fused.fvx", fused)
-    dataio.write_blockvis(out_dir / "blockvis.bvx", bv)
-    cov = coverage(bv)
-    rows = [
-        (idx, n) for idx, n in zip(cov.frame_indices, cov.per_frame)
-    ] + [("union", cov.union)]
-    _write_csv(out_dir / "coverage.csv", ("frame", "visible_blocks"), rows)
+    _write_fusion(out_dir, "", fused, bv, coverage(bv))
     print(f"wrote fused volume ({fused.features.shape}) to {out_dir}")
     return 0
 
@@ -440,12 +444,8 @@ def cmd_demo(args) -> int:
     dataio.write_depth(out_dir / "pseudo_future.dpt", result["pseudo"].depth)
     dataio.write_poses(out_dir / "predicted_pose.txt", [result["predicted_pose"]])
     for name, (fused, bv, completed, cov) in result["sets"].items():
-        dataio.write_fused(out_dir / f"fused_{name}.fvx", fused)
-        dataio.write_blockvis(out_dir / f"blockvis_{name}.bvx", bv)
+        _write_fusion(out_dir, f"_{name}", fused, bv, cov)
         dataio.write_grid(out_dir / f"completed_{name}.vxg", completed)
-        rows = [(i, n) for i, n in zip(cov.frame_indices, cov.per_frame)]
-        rows.append(("union", cov.union))
-        _write_csv(out_dir / f"coverage_{name}.csv", ("frame", "visible_blocks"), rows)
     _write_csv(
         out_dir / "summary.csv",
         ("set", "union_blocks", "iou", "miou"),

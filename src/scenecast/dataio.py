@@ -8,12 +8,14 @@ Binary layouts (all little-endian):
   BVX1  block visibility: magic, u32 F BX BY BZ W H, i64 frame_indices[F],
         F*BX*BY*BZ visibility bytes, then F*BX*BY*BZ*3 f32 projections
 
+`_write_record` writes each as magic, packed header and payload arrays;
+`_Cursor` reads them back, checking each part's length and trailing bytes.
 Images are binary PPM (P6, maxval 255, value = floor(255*v + 0.5)); masks go
-out as PGM (P5). Pose files are KITTI odometry text: one 3x4 row-major [R|t]
-world-from-camera per line; parsed rotations are re-orthonormalized.
+out as PGM (P5). Pose files are UTF-8 KITTI odometry text: one 3x4 row-major
+[R|t] world-from-camera per line, made a pose by `Se3Pose.from_rt`.
 
-All writers go through an atomic temp-file-plus-rename, and every parser
-reports the byte offset or line number of the first problem it finds.
+All writers go through an atomic temp-file-plus-rename. Every reader raises
+only FormatError, naming the file and byte offset, or the line, at fault.
 """
 from __future__ import annotations
 
@@ -59,100 +61,123 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("ascii"))
 
 
-def _need(buf: bytes, offset: int, count: int, what: str) -> None:
-    if len(buf) < offset + count:
-        raise FormatError(
-            f"truncated file: need {count} bytes for {what} at offset {offset}, "
-            f"have {len(buf) - offset}"
-        )
+class _Cursor:
+    """Reads one file front to back: magic, header fields, payload arrays, end."""
+
+    def __init__(self, path, magic: bytes):
+        self.path = path
+        self.buf = Path(path).read_bytes()
+        self.offset = 0
+        self.take(len(magic), "magic")
+        if not self.buf.startswith(magic):
+            raise self.fail(
+                f"bad magic at offset 0: expected {magic!r}, got {self.buf[:len(magic)]!r}"
+            )
+
+    def fail(self, message: str) -> FormatError:
+        return FormatError(f"{self.path}: {message}")
+
+    def take(self, size: int, what: str) -> int:
+        """Advance past `size` bytes holding `what`; returns where they start."""
+        have = len(self.buf) - self.offset
+        if have < size:
+            raise self.fail(
+                f"truncated file: need {size} bytes for {what} at offset {self.offset}, "
+                f"have {have}"
+            )
+        self.offset += size
+        return self.offset - size
+
+    def header(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.buf, self.take(struct.calcsize(fmt), what))
+
+    def array(self, dtype, count: int, what: str) -> np.ndarray:
+        at = self.take(np.dtype(dtype).itemsize * count, what)
+        return np.frombuffer(self.buf, dtype=dtype, count=count, offset=at)
+
+    def end(self) -> None:
+        if len(self.buf) != self.offset:
+            raise self.fail(
+                f"trailing bytes at offset {self.offset}: expected {self.offset} total, "
+                f"got {len(self.buf)}"
+            )
 
 
-def _check_end(buf: bytes, end: int) -> None:
-    if len(buf) != end:
-        raise FormatError(
-            f"trailing bytes at offset {end}: expected {end} total, got {len(buf)}"
-        )
-
-
-def _check_magic(buf: bytes, magic: bytes) -> None:
-    _need(buf, 0, 4, "magic")
-    if buf[:4] != magic:
-        raise FormatError(
-            f"bad magic at offset 0: expected {magic!r}, got {buf[:4]!r}"
-        )
+def _write_record(path, magic: bytes, fmt: str, header, *payload: np.ndarray) -> None:
+    """Write magic, the header fields packed with `fmt`, then each array in C order."""
+    data = [magic, struct.pack(fmt, *header)] + [a.tobytes() for a in payload]
+    atomic_write_bytes(path, b"".join(data))
 
 
 # ---------------------------------------------------------------- voxel grids
 
 def write_grid(path, grid: SceneGrid) -> None:
-    dims = grid.range.dims
-    header = MAGIC_GRID + struct.pack(
-        "<IIIf3f",
-        dims[0],
-        dims[1],
-        dims[2],
-        grid.range.voxel_size,
-        *grid.range.origin,
+    rng = grid.range
+    _write_record(
+        path, MAGIC_GRID, "<IIIf3f", (*rng.dims, rng.voxel_size, *rng.origin),
+        np.asarray(grid.labels, dtype=np.uint8),
     )
-    atomic_write_bytes(path, header + np.ascontiguousarray(grid.labels).tobytes())
 
 
 def read_grid(path) -> SceneGrid:
-    buf = Path(path).read_bytes()
-    _check_magic(buf, MAGIC_GRID)
-    _need(buf, 4, 28, "grid header")
-    nx, ny, nz, vs, ox, oy, oz = struct.unpack_from("<IIIf3f", buf, 4)
+    cur = _Cursor(path, MAGIC_GRID)
+    nx, ny, nz, vs, ox, oy, oz = cur.header("<IIIf3f", "grid header")
+    for i, n in enumerate((nx, ny, nz)):
+        if n == 0:
+            raise cur.fail(f"zero grid dim at offset {4 + 4 * i}")
     if not (vs > 0 and np.isfinite(vs)):
-        raise FormatError(f"invalid voxel_size {vs} at offset 16")
-    count = nx * ny * nz
-    _need(buf, 32, count, "label payload")
-    _check_end(buf, 32 + count)
-    labels = np.frombuffer(buf, dtype=np.uint8, count=count, offset=32).reshape(
-        nx, ny, nz
-    )
+        raise cur.fail(f"invalid voxel_size {vs} at offset 16")
+    for i, o in enumerate((ox, oy, oz)):
+        if not np.isfinite(o):
+            raise cur.fail(f"non-finite origin {o} at offset {20 + 4 * i}")
+    labels = cur.array(np.uint8, nx * ny * nz, "label payload")
+    cur.end()
     vs_f = float(np.float32(vs))
     extents = (nx * vs_f, ny * vs_f, nz * vs_f)
     origin = (float(np.float32(ox)), float(np.float32(oy)), float(np.float32(oz)))
-    return SceneGrid(SceneRange(origin, extents, vs_f), labels.copy())
+    return SceneGrid(SceneRange(origin, extents, vs_f), labels.reshape(nx, ny, nz).copy())
 
 
 # ----------------------------------------------------------------- depth maps
 
 def write_depth(path, depth: np.ndarray) -> None:
-    d = np.asarray(depth, dtype=np.float32)
+    d = np.asarray(depth, dtype="<f4")
     if d.ndim != 2:
         raise ValueError(f"depth must be HxW, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("depth entries must be finite (invalid is exactly 0)")
-    header = MAGIC_DEPTH + struct.pack("<II", d.shape[0], d.shape[1])
-    atomic_write_bytes(path, header + np.ascontiguousarray(d).tobytes())
+    if not (np.all(np.isfinite(d)) and np.all(d >= 0.0)):
+        raise ValueError("depth entries must be finite and >= 0 (invalid is exactly 0)")
+    _write_record(path, MAGIC_DEPTH, "<II", d.shape, d)
 
 
 def read_depth(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    _check_magic(buf, MAGIC_DEPTH)
-    _need(buf, 4, 8, "depth header")
-    h, w = struct.unpack_from("<II", buf, 4)
-    count = h * w
-    _need(buf, 12, 4 * count, "depth payload")
-    _check_end(buf, 12 + 4 * count)
-    d = np.frombuffer(buf, dtype="<f4", count=count, offset=12).reshape(h, w)
-    if not np.all(np.isfinite(d)):
-        bad = int(np.flatnonzero(~np.isfinite(d.ravel()))[0])
-        raise FormatError(f"non-finite depth value at offset {12 + 4 * bad}")
-    return d.astype(np.float64)
+    cur = _Cursor(path, MAGIC_DEPTH)
+    h, w = cur.header("<II", "depth header")
+    start = cur.offset
+    d = cur.array("<f4", h * w, "depth payload")
+    cur.end()
+    bad = ~(np.isfinite(d) & (d >= 0.0))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise cur.fail(
+            f"depth value {d[i]} at offset {start + 4 * i} is not finite and >= 0"
+        )
+    return d.reshape(h, w).astype(np.float64)
 
 
 # --------------------------------------------------------------------- images
+
+def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
+    """Binary PNM: magic, width, height and maxval 255, then the uint8 pixels."""
+    h, w = pixels.shape[:2]
+    atomic_write_bytes(path, f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
+
 
 def write_image(path, image: np.ndarray) -> None:
     """Write an HxWx3 image in [0, 1] as binary PPM (P6)."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected HxWx3 image, got shape {img.shape}")
-    q = np.floor(img * 255.0 + 0.5).clip(0, 255).astype(np.uint8)
-    header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + q.tobytes())
+    _write_pnm(path, "P6", np.floor(img * 255.0 + 0.5).clip(0, 255).astype(np.uint8))
 
 
 def write_pgm(path, values: np.ndarray) -> None:
@@ -163,45 +188,44 @@ def write_pgm(path, values: np.ndarray) -> None:
     v = v.astype(np.uint8)
     if v.ndim != 2:
         raise ValueError(f"expected HxW map, got shape {v.shape}")
-    header = f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + v.tobytes())
+    _write_pnm(path, "P5", v)
 
 
-def _pnm_tokens(buf: bytes, count: int, path) -> tuple:
-    """Read `count` whitespace-separated header tokens, honoring # comments."""
-    tokens = []
-    pos = 2  # past the magic
+def _pnm_tokens(cur: _Cursor, count: int) -> list:
+    """Read `count` whitespace-separated integer header tokens as (value,
+    offset) pairs, honoring # comments.
+
+    Leaves the cursor past the single whitespace byte after the last token.
+    """
+    buf, pos, tokens = cur.buf, cur.offset, []
     while len(tokens) < count:
         if pos >= len(buf):
-            raise FormatError(f"{path}: truncated header at offset {pos}")
+            raise cur.fail(f"truncated header at offset {pos}")
         ch = buf[pos: pos + 1]
         if ch == b"#":
             nl = buf.find(b"\n", pos)
             if nl < 0:
-                raise FormatError(f"{path}: unterminated comment at offset {pos}")
+                raise cur.fail(f"unterminated comment at offset {pos}")
             pos = nl + 1
         elif ch.isspace():
             pos += 1
         else:
             m = re.match(rb"[0-9]+", buf[pos:])
             if not m:
-                raise FormatError(f"{path}: expected integer at offset {pos}")
-            tokens.append(int(m.group(0)))
+                raise cur.fail(f"expected integer at offset {pos}")
+            tokens.append((int(m.group(0)), pos))
             pos += m.end()
-    return tokens, pos + 1  # single whitespace byte after maxval
+    cur.offset = pos + 1
+    return tokens
 
 
 def read_image(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    if buf[:2] != b"P6":
-        raise FormatError(f"bad magic at offset 0: expected b'P6', got {buf[:2]!r}")
-    (w, h, maxval), start = _pnm_tokens(buf, 3, path)
+    cur = _Cursor(path, b"P6")
+    (w, _), (h, _), (maxval, at) = _pnm_tokens(cur, 3)
     if maxval != 255:
-        raise FormatError(f"unsupported maxval {maxval} (only 255)")
-    count = w * h * 3
-    _need(buf, start, count, "pixel payload")
-    _check_end(buf, start + count)
-    pix = np.frombuffer(buf, dtype=np.uint8, count=count, offset=start)
+        raise cur.fail(f"unsupported maxval {maxval} at offset {at} (only 255)")
+    pix = cur.array(np.uint8, w * h * 3, "pixel payload")
+    cur.end()
     return pix.reshape(h, w, 3).astype(np.float64) / 255.0
 
 
@@ -217,60 +241,48 @@ def write_poses(path, poses) -> None:
 
 
 def parse_pose_line(line: str, lineno: int = 1) -> Se3Pose:
+    """One 3x4 [R|t] line; `Se3Pose.from_rt` decides what rotation it holds."""
     parts = line.split()
     if len(parts) != 12:
-        raise FormatError(
-            f"line {lineno}: expected 12 pose values, got {len(parts)}"
-        )
+        raise FormatError(f"line {lineno}: expected 12 pose values, got {len(parts)}")
     try:
         vals = np.array([float(p) for p in parts]).reshape(3, 4)
+        return Se3Pose.from_rt(vals[:, :3], vals[:, 3])
     except ValueError as exc:
         raise FormatError(f"line {lineno}: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
-        raise FormatError(f"line {lineno}: non-finite pose value")
-    r = vals[:, :3]
-    drift = np.abs(r @ r.T - np.eye(3)).max()
-    if drift > 1e-6:
-        # sloppy external file: project onto the nearest rotation
-        return Se3Pose.from_rt(r, vals[:, 3])
-    # clean line: the pose constructor renormalizes only beyond 1e-12,
-    # keeping write -> parse -> write byte-stable
-    return Se3Pose(r, vals[:, 3])
 
 
 def read_poses(path) -> List[Se3Pose]:
-    poses = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        poses.append(parse_pose_line(line, lineno))
-    return poses
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"line {lineno}: invalid UTF-8 byte at offset {exc.start}") from exc
+    lines = enumerate(text.splitlines(), start=1)
+    return [parse_pose_line(line, lineno) for lineno, line in lines if line.strip()]
 
 
 # ------------------------------------------------------------- fused volumes
 
 def write_fused(path, fused: FusedVolume) -> None:
-    bx, by, bz = fused.block_dims
     c = fused.features.shape[-1]
-    header = MAGIC_FUSED + struct.pack("<IIII", bx, by, bz, c)
-    data = np.ascontiguousarray(fused.features, dtype="<f4")
-    atomic_write_bytes(path, header + data.tobytes())
+    _write_record(
+        path, MAGIC_FUSED, "<IIII", (*fused.block_dims, c),
+        np.asarray(fused.features, dtype="<f4"),
+    )
 
 
 def read_fused(path, channels_per_frame: int = 0) -> FusedVolume:
-    buf = Path(path).read_bytes()
-    _check_magic(buf, MAGIC_FUSED)
-    _need(buf, 4, 16, "fused header")
-    bx, by, bz, c = struct.unpack_from("<IIII", buf, 4)
+    cur = _Cursor(path, MAGIC_FUSED)
+    bx, by, bz, c = cur.header("<IIII", "fused header")
     if channels_per_frame and c % channels_per_frame:
-        raise FormatError(
+        raise cur.fail(
             f"channel count {c} at offset 16 is not a multiple of "
             f"{channels_per_frame} channels per frame"
         )
-    count = bx * by * bz * c
-    _need(buf, 20, 4 * count, "feature payload")
-    _check_end(buf, 20 + 4 * count)
-    feats = np.frombuffer(buf, dtype="<f4", count=count, offset=20)
+    feats = cur.array("<f4", bx * by * bz * c, "feature payload")
+    cur.end()
     return FusedVolume(
         (bx, by, bz),
         feats.reshape(bx, by, bz, c).astype(np.float64),
@@ -279,33 +291,23 @@ def read_fused(path, channels_per_frame: int = 0) -> FusedVolume:
 
 
 def write_blockvis(path, bv: BlockVisibility) -> None:
-    f = bv.num_frames
-    bx, by, bz = bv.block_dims
-    header = MAGIC_BLOCKVIS + struct.pack(
-        "<IIIIII", f, bx, by, bz, bv.image_width, bv.image_height
+    _write_record(
+        path, MAGIC_BLOCKVIS, "<IIIIII",
+        (bv.num_frames, *bv.block_dims, bv.image_width, bv.image_height),
+        np.asarray(bv.frame_indices, dtype="<i8"),
+        np.asarray(bv.visible, dtype=np.uint8),
+        np.asarray(bv.proj_uv_d, dtype="<f4"),
     )
-    idx = np.asarray(bv.frame_indices, dtype="<i8").tobytes()
-    vis = bv.visible.astype(np.uint8).tobytes()
-    proj = np.ascontiguousarray(bv.proj_uv_d, dtype="<f4").tobytes()
-    atomic_write_bytes(path, header + idx + vis + proj)
 
 
 def read_blockvis(path) -> BlockVisibility:
-    buf = Path(path).read_bytes()
-    _check_magic(buf, MAGIC_BLOCKVIS)
-    _need(buf, 4, 24, "block visibility header")
-    f, bx, by, bz, w, h = struct.unpack_from("<IIIIII", buf, 4)
-    off = 28
-    _need(buf, off, 8 * f, "frame indices")
-    idx = np.frombuffer(buf, dtype="<i8", count=f, offset=off)
-    off += 8 * f
+    cur = _Cursor(path, MAGIC_BLOCKVIS)
+    f, bx, by, bz, w, h = cur.header("<IIIIII", "block visibility header")
+    idx = cur.array("<i8", f, "frame indices")
     nvis = f * bx * by * bz
-    _need(buf, off, nvis, "visibility payload")
-    vis = np.frombuffer(buf, dtype=np.uint8, count=nvis, offset=off)
-    off += nvis
-    _need(buf, off, 4 * nvis * 3, "projection payload")
-    _check_end(buf, off + 4 * nvis * 3)
-    proj = np.frombuffer(buf, dtype="<f4", count=nvis * 3, offset=off)
+    vis = cur.array(np.uint8, nvis, "visibility payload")
+    proj = cur.array("<f4", nvis * 3, "projection payload")
+    cur.end()
     return BlockVisibility(
         (bx, by, bz),
         vis.reshape(f, bx, by, bz).astype(bool),
@@ -331,15 +333,9 @@ def write_frame_sequence(directory, frames) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    max_index = max(f.frame_index for f in frames)
-    by_index = {f.frame_index: f for f in frames}
-    lines = []
-    for i in range(max_index + 1):
-        if i in by_index:
-            lines.append(format_pose_line(by_index[i].pose))
-        else:
-            lines.append(format_pose_line(Se3Pose.identity()))
-    atomic_write_text(directory / "poses.txt", "".join(l + "\n" for l in lines))
+    by_index = {f.frame_index: f.pose for f in frames}
+    identity = Se3Pose.identity()
+    write_poses(directory / "poses.txt", [by_index.get(i, identity) for i in range(max(by_index) + 1)])
     for f in frames:
         base = frame_basename(f.frame_index)
         write_image(directory / f"{base}.ppm", f.image)

@@ -1,11 +1,12 @@
 """Voxel visibility, block downsampling, and multi-frame 3D feature fusion.
 
 Scene grids live in a level "scene frame" anchored at the current camera:
-x right, y forward, z up. The fixed permutation SCENE_TO_CAM converts scene
-axes to camera axes (x right, y down, z forward). Every voxel center is
-carried through the relative pose into each temporal frame, projected, and
-tested against that frame's depth map: a voxel is visible when its projected
-depth lies within theta_d of the depth sampled at the nearest pixel.
+x right, y forward, z up. `geom.LEVEL_CAMERA_ROTATION`, the axes of a level
+camera, converts scene axes to camera axes (x right, y down, z forward).
+Every voxel center is carried through the relative pose into each temporal
+frame, projected, and tested against that frame's depth map: a voxel is
+visible when its projected depth lies within theta_d of the depth sampled at
+the nearest pixel.
 
 Voxels are grouped into 4x4x4 blocks (visible if any member voxel is, with
 projection coordinates averaged over the visible members); per-frame 2D
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import defaults
 from .geom import (
+    LEVEL_CAMERA_ROTATION,
     CameraIntrinsics,
     Se3Pose,
     bilinear_sample_many,
@@ -36,16 +38,6 @@ from .geom import (
     relative_pose,
 )
 from .warp import FrameBundle
-
-# columns are the scene basis vectors expressed in camera axes
-SCENE_TO_CAM = np.array(
-    [
-        [1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0],
-        [0.0, 1.0, 0.0],
-    ]
-)
-
 
 @dataclass(frozen=True)
 class SceneRange:
@@ -176,14 +168,14 @@ def voxel_centers(rng: SceneRange) -> np.ndarray:
 def scene_to_frame_transform(current_pose: Se3Pose, frame_pose: Se3Pose):
     """(R, t) taking scene-frame points of the current camera into frame_pose's camera.
 
-    The scene-axis permutation is folded into the rotation by exact column
-    permutation/negation, so scalar re-implementations can reproduce the
-    vectorized arithmetic bit for bit.
+    Scene axis j is the signed camera axis in row j of LEVEL_CAMERA_ROTATION,
+    so the scene-to-camera map folds into the relative rotation by picking
+    and negating its columns, which is exact.
     """
     rel = relative_pose(current_pose, frame_pose)
-    r = rel.rotation
-    folded = np.stack([r[:, 0], r[:, 2], -r[:, 1]], axis=1)
-    return folded, rel.translation.copy()
+    axes = np.abs(LEVEL_CAMERA_ROTATION).argmax(axis=1)
+    signs = LEVEL_CAMERA_ROTATION[np.arange(3), axes]
+    return rel.rotation[:, axes] * signs, rel.translation.copy()
 
 
 def visibility(
@@ -354,7 +346,7 @@ def resample_to_range(
     an integer shift.
     """
     centers = voxel_centers(rng).reshape(-1, 3)
-    cam = centers @ SCENE_TO_CAM.T
+    cam = centers @ LEVEL_CAMERA_ROTATION
     w = current_pose.apply(cam)
     idx = np.floor((w - world.range.origin) / world.range.voxel_size).astype(np.int64)
     dims = np.array(world.range.dims)

@@ -4,6 +4,7 @@ Conventions used throughout the package:
   - camera axes: x right, y down, z forward (KITTI camera frame)
   - pixel (0, 0) is the center of the top-left pixel
   - poses are world-from-camera unless stated otherwise
+  - scene/world axes: x right, y forward, z up (see LEVEL_CAMERA_ROTATION)
   - twists are 6-vectors (wx, wy, wz, tx, ty, tz): rotation radians first,
     translation meters last
 
@@ -24,6 +25,11 @@ ORTHO_DRIFT = 1e-12
 # reject inputs farther than this from a rotation (indicates corrupt data)
 _ORTHO_REJECT = 1e-6
 _SMALL_ANGLE = 1e-8
+
+# the one scene-axes convention: a level camera's axes as columns in scene
+# axes, camera x = scene x, camera y = -scene z, camera z = scene y
+LEVEL_CAMERA_ROTATION = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+LEVEL_CAMERA_ROTATION.flags.writeable = False
 
 
 def _closest_rotation(m: np.ndarray) -> np.ndarray:
@@ -74,11 +80,16 @@ class Se3Pose:
 
     @classmethod
     def from_rt(cls, rotation, translation) -> "Se3Pose":
-        """Build from a possibly noisy rotation; always projects onto SO(3)."""
+        """Build from a rotation read from a file: reject det <= 0, keep it bit
+        for bit within ORTHO_DRIFT of orthonormal, else project onto SO(3)."""
         r = np.array(rotation, dtype=np.float64).reshape(3, 3)
         if not np.all(np.isfinite(r)):
             raise ValueError("rotation entries must be finite")
-        return cls(_closest_rotation(r), translation)
+        if np.linalg.det(r) <= 0.0:
+            raise ValueError("rotation must have determinant +1")
+        if _rotation_drift(r) > ORTHO_DRIFT:
+            r = _closest_rotation(r)
+        return cls(r, translation)
 
     def matrix34(self) -> np.ndarray:
         m = np.empty((3, 4))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -39,16 +39,15 @@ class ProbVolume:
 
     probs: np.ndarray
 
-    def __init__(self, probs, check: bool = True):
+    def __init__(self, probs):
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 4:
             raise ValueError(f"probs must be XxYxZxC, got shape {probs.shape}")
-        if check:
-            if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
-                raise ValueError("probabilities must lie in [0, 1]")
-            sums = probs.sum(axis=-1)
-            if np.abs(sums - 1.0).max() > 1e-6:
-                raise ValueError("per-voxel probabilities must sum to 1 within 1e-6")
+        if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
+            raise ValueError("probabilities must lie in [0, 1]")
+        sums = probs.sum(axis=-1)
+        if np.abs(sums - 1.0).max() > 1e-6:
+            raise ValueError("per-voxel probabilities must sum to 1 within 1e-6")
         self.probs = probs
 
     @property
@@ -75,14 +74,13 @@ class LabelVolume:
 
 @dataclass
 class LossWeights:
-    """Weights of the synthesis loss terms plus optional CE class weights."""
+    """Weights of the synthesis loss terms."""
 
     w_pose: float = defaults.POSE_LOSS_WEIGHT
     w_img: float = 1.0
     w_feat: float = 1.0
     w_ssim: float = 1.0
     w_depth: float = 1.0
-    class_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         for name in ("w_pose", "w_img", "w_feat", "w_ssim", "w_depth"):

@@ -1,7 +1,7 @@
 """Synthetic ground-truth factory: scenes, trajectories, exact renders.
 
 Scenes are labeled voxel grids in a level world frame (x right, y forward,
-z up); cameras look down the +y axis through the fixed canonical orientation.
+z up); cameras look down the +y axis through `geom.LEVEL_CAMERA_ROTATION`.
 Depth is rendered by integer grid traversal (Amanatides-Woo stepping) and
 measured along the camera z-axis to the first occupied voxel's entry face,
 so rendered depths are exactly the quantity the visibility band compares.
@@ -18,7 +18,7 @@ from scipy import ndimage
 from . import defaults
 from .forecast import PoseSequence
 from .fusion import SceneGrid, SceneRange
-from .geom import CameraIntrinsics, Se3Pose, compose, se3_exp
+from .geom import LEVEL_CAMERA_ROTATION, CameraIntrinsics, Se3Pose, compose, se3_exp
 from .warp import FrameBundle
 
 LAYOUTS = ("corridor", "intersection", "random_boxes", "empty")
@@ -50,19 +50,9 @@ PALETTE = np.array(
     ]
 )
 
-# camera axes (x right, y down, z forward) expressed in world axes
-CANONICAL_ROTATION = np.array(
-    [
-        [1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [0.0, -1.0, 0.0],
-    ]
-)
-
-
 def canonical_camera_pose(position=(0.0, 0.0, 0.0)) -> Se3Pose:
     """Level camera at `position` looking down the world +y axis."""
-    return Se3Pose(CANONICAL_ROTATION, np.asarray(position, dtype=np.float64))
+    return Se3Pose(LEVEL_CAMERA_ROTATION, np.asarray(position, dtype=np.float64))
 
 
 def desk_intrinsics(

@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from scenecast.fusion import SceneRange, scene_to_frame_transform
-from scenecast.geom import CameraIntrinsics, Se3Pose
+from scenecast.fusion import SceneRange
+from scenecast.geom import CameraIntrinsics, Se3Pose, relative_pose
 from scenecast.warp import FrameBundle
 
 
@@ -21,10 +21,16 @@ def visibility_bruteforce(
     k: CameraIntrinsics,
     theta_d: float,
 ):
-    """Scalar per-voxel visibility enumeration mirroring the band test."""
-    r, t = scene_to_frame_transform(current_pose, frame.pose)
-    r = [[float(v) for v in row] for row in r]
-    t = [float(v) for v in t]
+    """Scalar per-voxel visibility enumeration mirroring the band test.
+
+    A scene point (sx, sy, sz) is the point (sx, -sz, sy) of the current
+    camera (x right, y down, z forward), which the relative pose carries
+    into the frame's camera. Each product is summed in scene-axis order
+    (sx, then sy, then sz term) to match the vectorized sum bit for bit.
+    """
+    rel = relative_pose(current_pose, frame.pose)
+    r = [[float(v) for v in row] for row in rel.rotation]
+    t = [float(v) for v in rel.translation]
     depth = frame.depth.tolist()
     nx, ny, nz = rng.dims
     ox, oy, oz = (float(v) for v in rng.origin)
@@ -40,9 +46,11 @@ def visibility_bruteforce(
             sy = oy + (j + 0.5) * vs
             for kk in range(nz):
                 sz = oz + (kk + 0.5) * vs
-                x = r[0][0] * sx + r[0][1] * sy + r[0][2] * sz + t[0]
-                y = r[1][0] * sx + r[1][1] * sy + r[1][2] * sz + t[1]
-                z = r[2][0] * sx + r[2][1] * sy + r[2][2] * sz + t[2]
+                # current-camera coordinates of the scene point
+                px, py, pz = sx, -sz, sy
+                x = r[0][0] * px + r[0][2] * pz + r[0][1] * py + t[0]
+                y = r[1][0] * px + r[1][2] * pz + r[1][1] * py + t[1]
+                z = r[2][0] * px + r[2][2] * pz + r[2][1] * py + t[2]
                 if z <= 1e-6:
                     continue
                 u = fx * x / z + cx

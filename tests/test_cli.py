@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scenecast import dataio, defaults
 from scenecast.cli import demo_pipeline, main
 from scenecast.fusion import SceneRange, fuse_pipeline
-from scenecast.geom import CameraIntrinsics
+from scenecast.geom import CameraIntrinsics, Se3Pose
 from scenecast.synth import (
     SceneSpec,
     TrajectorySpec,
@@ -17,7 +18,7 @@ from scenecast.synth import (
     make_trajectory,
     render_frame,
 )
-from scenecast.warp import compose_pseudo_future, forward_splat
+from scenecast.warp import FrameBundle, compose_pseudo_future, forward_splat
 from test_acceptance import _standard_corridor_run
 
 
@@ -144,6 +145,14 @@ class TestWarp:
         for name in ("source_index.pgm", "warped.ppm", "warped.dpt"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
+    def test_negative_target_index_is_one_line_error(self, small_frames_dir, tmp_path, capsys):
+        out = tmp_path / "warp_neg"
+        code, _, err = run(capsys, "warp", "--frames-dir", str(small_frames_dir),
+                           "--interval", "5", "--target-index", "-1", "--out-dir", str(out))
+        assert code == 1
+        assert err == "error: target index -1 outside pose file (26 lines)\n"
+        assert not out.exists()
+
     def test_outputs_match_single_splats(self, small_frames_dir, tmp_path, capsys):
         # one splat gives the image, mask and sources; coverage row m is the
         # hit count of splatting the first m sources alone
@@ -252,6 +261,63 @@ class TestEval:
         assert code == 1
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+
+IDENTITY_LINE = b"1 0 0 0 0 1 0 0 0 0 1 0\n"
+
+
+def _poses_file(tmp_path, second_line: bytes):
+    path = tmp_path / "poses.txt"
+    path.write_bytes(IDENTITY_LINE + second_line + IDENTITY_LINE)
+    return ["forecast", "--poses", str(path), "--interval", "1"]
+
+
+def _grid_file(tmp_path, dims, origin):
+    path = tmp_path / "g.vxg"
+    header = struct.pack("<IIIf3f", *dims, 0.5, *origin)
+    path.write_bytes(b"VXG1" + header + bytes(int(np.prod(dims))))
+    return ["eval", "--pred", str(path), "--gt", str(path)]
+
+
+def _negative_depth_tree(tmp_path):
+    frames = [
+        FrameBundle(np.zeros((4, 4, 3)), np.ones((4, 4)), Se3Pose.identity(), i)
+        for i in range(2)
+    ]
+    dataio.write_frame_sequence(tmp_path / "frames", frames)
+    dpt = tmp_path / "frames" / "000001.dpt"
+    data = bytearray(dpt.read_bytes())
+    data[20:24] = np.array([-1.0], dtype="<f4").tobytes()
+    dpt.write_bytes(bytes(data))
+    return ["warp", "--frames-dir", str(tmp_path / "frames"), "--interval", "1",
+            "--out-dir", str(tmp_path / "out")]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "make_argv, expected",
+        [
+            (lambda d: _poses_file(d, b"1 0 0 0 0 1 0 0 0 0 -1 0\n"),
+             "line 2: rotation must have determinant +1"),
+            (lambda d: _poses_file(d, b"0 0 0 1 0 0 0 2 0 0 0 3\n"),
+             "line 2: rotation must have determinant +1"),
+            (lambda d: _poses_file(d, b"1 0 0 0 0 1 0 0 0 0 1 \xff\n"),
+             "line 2: invalid UTF-8 byte at offset 46"),
+            (lambda d: _grid_file(d, (2, 2, 2), (0.0, 0.0, float("nan"))),
+             "g.vxg: non-finite origin nan at offset 28"),
+            (lambda d: _grid_file(d, (2, 2, 0), (0.0, 0.0, 0.0)),
+             "g.vxg: zero grid dim at offset 12"),
+            (_negative_depth_tree, "000001.dpt: depth value -1.0 at offset 20"),
+        ],
+        ids=["reflected_rotation", "zero_rotation", "non_utf8_pose", "nan_origin",
+             "zero_dim", "negative_depth"],
+    )
+    def test_one_error_line_naming_offset_or_line(self, tmp_path, capsys, make_argv, expected):
+        code, out, err = run(capsys, *make_argv(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert expected in err
 
 
 class TestGradCheck:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,19 @@ class TestGridFile:
         path = tmp_path / "g.vxg"
         path.write_bytes(b"NOPE" + bytes(28))
         with pytest.raises(FormatError, match="offset 0"):
+            dataio.read_grid(path)
+
+    def test_zero_dim_names_offset(self, tmp_path):
+        path = tmp_path / "g.vxg"
+        path.write_bytes(b"VXG1" + struct.pack("<IIIf3f", 2, 0, 2, 0.5, 0.0, 0.0, 0.0))
+        with pytest.raises(FormatError, match="zero grid dim at offset 8"):
+            dataio.read_grid(path)
+
+    def test_non_finite_origin_names_offset(self, tmp_path):
+        path = tmp_path / "g.vxg"
+        header = struct.pack("<IIIf3f", 1, 1, 1, 0.5, 0.0, float("nan"), 0.0)
+        path.write_bytes(b"VXG1" + header + bytes(1))
+        with pytest.raises(FormatError, match="non-finite origin nan at offset 24"):
             dataio.read_grid(path)
 
     def test_truncated_payload_names_offset(self, tmp_path):
@@ -79,6 +94,20 @@ class TestDepthFile:
         data[12:16] = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="offset 12"):
+            dataio.read_depth(path)
+
+    def test_negative_rejected_on_write(self, tmp_path):
+        with pytest.raises(ValueError, match=">= 0"):
+            dataio.write_depth(tmp_path / "d.dpt", np.full((2, 2), -1.0))
+        assert not (tmp_path / "d.dpt").exists()
+
+    def test_negative_rejected_on_read(self, tmp_path):
+        path = tmp_path / "d.dpt"
+        dataio.write_depth(path, np.zeros((2, 2)))
+        data = bytearray(path.read_bytes())
+        data[20:24] = np.array([-1.0], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="depth value -1.0 at offset 20"):
             dataio.read_depth(path)
 
     def test_truncated(self, tmp_path):
@@ -157,6 +186,22 @@ class TestPoseFile:
         line = "1.000001 0 0 1 0 0.999999 0 2 0 0 1 3"
         pose = dataio.parse_pose_line(line)
         assert np.abs(pose.rotation @ pose.rotation.T - np.eye(3)).max() < 1e-12
+
+    def test_reflected_rotation_names_line(self):
+        with pytest.raises(FormatError, match="line 3: rotation must have determinant"):
+            dataio.parse_pose_line("1 0 0 0 0 1 0 0 0 0 -1 0", lineno=3)
+
+    def test_singular_rotation_rejected(self):
+        # projecting an all-zero block onto SO(3) would yield the identity
+        with pytest.raises(FormatError, match="line 2: rotation must have determinant"):
+            dataio.parse_pose_line("0 0 0 1 0 0 0 2 0 0 0 3", lineno=2)
+
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        identity = b"1 0 0 0 0 1 0 0 0 0 1 0\n"
+        path.write_bytes(identity + identity[:22] + b"\xff\n")
+        with pytest.raises(FormatError, match="line 2: invalid UTF-8 byte at offset 46"):
+            dataio.read_poses(path)
 
     def test_errors_name_line(self):
         with pytest.raises(FormatError, match="line 4"):

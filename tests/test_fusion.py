@@ -288,9 +288,9 @@ class TestFusePipeline:
         # wall voxels whose centers project inside the image must all pass;
         # the canonical camera at the origin makes scene coords == world coords
         centers = voxel_centers(grid.range)[:, 10, :, :]
-        from scenecast.fusion import SCENE_TO_CAM
+        from scenecast.geom import LEVEL_CAMERA_ROTATION
 
-        cam = centers.reshape(-1, 3) @ SCENE_TO_CAM.T
+        cam = centers.reshape(-1, 3) @ LEVEL_CAMERA_ROTATION
         u = k.fx * cam[:, 0] / cam[:, 2] + k.cx
         v = k.fy * cam[:, 1] / cam[:, 2] + k.cy
         inb = (np.floor(u + 0.5) >= 0) & (np.floor(u + 0.5) <= k.width - 1) & \

@@ -97,6 +97,20 @@ class TestPoseAlgebra:
         p = Se3Pose(noisy, np.zeros(3))
         assert np.abs(p.rotation @ p.rotation.T - np.eye(3)).max() < 1e-12
 
+    def test_from_rt_keeps_or_projects_by_drift(self):
+        r = rot_z(30.0)
+        kept = Se3Pose.from_rt(r, np.zeros(3))
+        assert np.array_equal(kept.rotation, r)
+        # far beyond what the constructor repairs: projected onto SO(3)
+        sloppy = Se3Pose.from_rt(r + 1e-3, np.zeros(3))
+        assert np.abs(sloppy.rotation @ sloppy.rotation.T - np.eye(3)).max() < 1e-12
+        assert np.abs(sloppy.rotation - r).max() < 2e-3
+
+    @pytest.mark.parametrize("block", [np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3))])
+    def test_from_rt_rejects_nonpositive_determinant(self, block):
+        with pytest.raises(ValueError, match="determinant"):
+            Se3Pose.from_rt(block, np.zeros(3))
+
     def test_immutability(self):
         p = translate(1, 2, 3)
         with pytest.raises(ValueError):
