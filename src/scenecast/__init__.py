@@ -34,7 +34,6 @@ from .fusion import (
     resample_to_range,
     sample_fuse,
     visibility,
-    voxel_centers,
 )
 from .losses import (
     LabelVolume,

@@ -215,6 +215,10 @@ def _pnm_tokens(cur: _Cursor, count: int) -> list:
                 raise cur.fail(f"expected integer at offset {pos}")
             tokens.append((int(m.group(0)), pos))
             pos += m.end()
+    if pos >= len(buf):
+        raise cur.fail(f"truncated header at offset {pos}")
+    if not buf[pos: pos + 1].isspace():
+        raise cur.fail(f"expected whitespace after header at offset {pos}")
     cur.offset = pos + 1
     return tokens
 
@@ -256,11 +260,15 @@ def read_poses(path) -> List[Se3Pose]:
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
+        lines = enumerate(text.splitlines(), start=1)
+        return [parse_pose_line(line, lineno) for lineno, line in lines if line.strip()]
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"line {lineno}: invalid UTF-8 byte at offset {exc.start}") from exc
-    lines = enumerate(text.splitlines(), start=1)
-    return [parse_pose_line(line, lineno) for lineno, line in lines if line.strip()]
+        raise FormatError(
+            f"{path}: line {lineno}: invalid UTF-8 byte at offset {exc.start}"
+        ) from exc
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ------------------------------------------------------------- fused volumes

@@ -13,13 +13,13 @@ projection coordinates averaged over the visible members); per-frame 2D
 features are then sampled at the averaged coordinates and concatenated
 frame-major, zero-padded wherever a frame contributed nothing.
 
-Fusion streams over the frames: each frame's voxel arrays are reduced to
-its block slice right after its visibility pass and dropped before the next
-frame, and the reduction sums only the visible voxels. Peak memory is one
-frame's voxel arrays plus the block-level stacks. A frame's blocks and
-feature channels depend only on that frame and the anchoring current pose,
-so the result for a subset of frames is a frame-axis slice of the result
-for the whole set (`BlockVisibility.frames`, `FusedVolume.frames`).
+Fusion streams over the frames: each visibility pass returns only the
+visible voxels (flat indices and projections), reduced to the frame's block
+slice before the next frame, so peak memory is one pass's temporaries plus
+the block-level stacks. A frame's blocks and feature channels depend only
+on that frame and the anchoring current pose, so the result for a subset of
+frames is a frame-axis slice of the result for the whole set
+(`BlockVisibility.frames`, `FusedVolume.frames`).
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ from .geom import (
     bilinear_sample_many,
     project_pixels,
     relative_pose,
+    rigid_transform,
 )
 from .warp import FrameBundle
 
@@ -155,16 +156,6 @@ def _center_axes(rng: SceneRange):
     return cx[:, None, None], cy[None, :, None], cz[None, None, :]
 
 
-def voxel_centers(rng: SceneRange) -> np.ndarray:
-    """(X, Y, Z, 3) scene-frame centers: origin + (i+0.5, j+0.5, k+0.5)*voxel."""
-    sx, sy, sz = _center_axes(rng)
-    out = np.empty(rng.dims + (3,))
-    out[..., 0] = sx
-    out[..., 1] = sy
-    out[..., 2] = sz
-    return out
-
-
 def scene_to_frame_transform(current_pose: Se3Pose, frame_pose: Se3Pose):
     """(R, t) taking scene-frame points of the current camera into frame_pose's camera.
 
@@ -192,8 +183,8 @@ def visibility(
     D is read at the nearest integer pixel: bilinear interpolation across
     depth discontinuities would fabricate depths and corrupt the band test.
 
-    Returns (visible (X,Y,Z) bool, proj (X,Y,Z,3) of (u, v, d), zeroed where
-    not visible).
+    Returns (idx, uvd): the ascending flat C-order indices of the visible
+    voxels and their (n, 3) rows of (u, v, d).
     """
     if theta_d <= 0:
         raise ValueError("theta_d must be positive")
@@ -201,8 +192,7 @@ def visibility(
     if (w, h) != (k.width, k.height):
         raise ValueError(f"frame is {w}x{h} but intrinsics expect {k.width}x{k.height}")
     r, t = scene_to_frame_transform(current_pose, frame.pose)
-    # broadcasting the 1-D center axes keeps voxel_centers' values and the
-    # elementwise operation order without building the (X, Y, Z, 3) array
+    # broadcasting the 1-D center axes avoids building an (X, Y, Z, 3) array
     u, v, z, ui, vi, inb = project_pixels(r, t, *_center_axes(rng), k)
     u, v, z, ui, vi, inb = (a.ravel() for a in (u, v, z, ui, vi, inb))
     # the depth test and the outputs only touch the in-image voxels
@@ -210,41 +200,31 @@ def visibility(
     d_map = frame.depth[vi[cand].astype(np.int64), ui[cand].astype(np.int64)]
     del ui, vi
     sel = cand[(d_map > 0.0) & (np.abs(z[cand] - d_map) <= theta_d)]
-    vis = np.zeros(rng.dims, dtype=bool)
-    vis.reshape(-1)[sel] = True
-    proj = np.zeros(rng.dims + (3,))
-    flat = proj.reshape(-1, 3)
-    flat[sel, 0] = u[sel]
-    flat[sel, 1] = v[sel]
-    flat[sel, 2] = z[sel]
-    return vis, proj
+    return sel, np.stack([u[sel], v[sel], z[sel]], axis=1)
 
 
-def downsample_blocks(visible: np.ndarray, proj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def downsample_blocks(dims, idx: np.ndarray, uvd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Group one frame's 4x4x4 voxels into blocks: OR visibility, mean projection.
 
-    Only the visible voxels are read: their projections are summed per
-    block in voxel C order and divided by the block's visible count, so
-    values at invisible voxels (zeros, NaN or anything else) never reach a
-    block. Blocks with no visible member carry zeros and are flagged
-    invisible. Returns (block_visible (BX,BY,BZ) bool, block_mean (BX,BY,BZ,3)).
+    `idx` holds the ascending flat C-order indices of the visible voxels of
+    a `dims` grid and `uvd` their (n, 3) projections, as `visibility`
+    returns them. Each block's members are summed in voxel C order and
+    divided by the block's visible count. Blocks with no visible member
+    carry zeros and are flagged invisible. Returns (block_visible
+    (BX,BY,BZ) bool, block_mean (BX,BY,BZ,3)).
     """
-    visible = np.asarray(visible, dtype=bool)
-    proj = np.asarray(proj, dtype=np.float64)
-    nx, ny, nz = visible.shape
+    nx, ny, nz = dims
     e = defaults.BLOCK_EDGE
     if nx % e or ny % e or nz % e:
         raise ValueError(f"voxel dims {(nx, ny, nz)} not divisible by {e}")
     bx, by, bz = nx // e, ny // e, nz // e
     nb = bx * by * bz
-    idx = np.flatnonzero(visible)
     i, j, kk = np.unravel_index(idx, (nx, ny, nz))
     block = ((i // e) * by + j // e) * bz + kk // e
     counts = np.bincount(block, minlength=nb)
-    members = proj.reshape(-1, 3)[idx]
     sums = np.zeros((nb, 3))
     for a in range(3):
-        sums[:, a] = np.bincount(block, weights=members[:, a], minlength=nb)
+        sums[:, a] = np.bincount(block, weights=uvd[:, a], minlength=nb)
     block_vis = counts > 0
     mean = np.zeros_like(sums)
     mean[block_vis] = sums[block_vis] / counts[block_vis][:, None]
@@ -304,8 +284,8 @@ def fuse_pipeline(
 
     `frames` must be ordered by ascending frame index (pseudo-future last);
     `current_index` designates the frame whose camera anchors the range.
-    Each frame is reduced to its block slice right after its visibility
-    pass, so peak memory is one frame's voxel arrays plus the block stacks.
+    Each frame's visible voxels are reduced to its block slice right after
+    its visibility pass, so peak memory is one pass plus the block stacks.
     """
     frames = list(frames)
     if not frames:
@@ -318,9 +298,8 @@ def fuse_pipeline(
     current_pose = frames[current_index].pose
     blocks, fmaps = [], []
     for frame in frames:
-        vis, proj = visibility(rng, frame, current_pose, k, theta_d)
-        blocks.append(downsample_blocks(vis, proj))
-        del vis, proj
+        idx, uvd = visibility(rng, frame, current_pose, k, theta_d)
+        blocks.append(downsample_blocks(rng.dims, idx, uvd))
         fmaps.append(feature_extractor(frame.image))
     visible = np.stack([b[0] for b in blocks])
     bv = BlockVisibility(
@@ -340,18 +319,16 @@ def resample_to_range(
 ) -> SceneGrid:
     """Relabel a world-frame grid onto a camera-anchored scene range.
 
-    Each range voxel center is mapped into world coordinates and takes the
-    label of the world voxel containing it; points outside the world grid
-    become empty. For a camera aligned with the world axes this reduces to
-    an integer shift.
+    Each range voxel center is carried into world coordinates (the world is
+    the identity camera) and takes the label of the world voxel containing
+    it; points outside the world grid become empty. For a camera aligned
+    with the world axes this reduces to an integer shift.
     """
-    centers = voxel_centers(rng).reshape(-1, 3)
-    cam = centers @ LEVEL_CAMERA_ROTATION
-    w = current_pose.apply(cam)
+    r, t = scene_to_frame_transform(current_pose, Se3Pose.identity())
+    w = np.stack(rigid_transform(r, t, *_center_axes(rng)), axis=-1)
     idx = np.floor((w - world.range.origin) / world.range.voxel_size).astype(np.int64)
-    dims = np.array(world.range.dims)
-    inside = np.all((idx >= 0) & (idx < dims), axis=1)
-    labels = np.zeros(centers.shape[0], dtype=np.uint8)
+    inside = np.all((idx >= 0) & (idx < world.range.dims), axis=-1)
+    labels = np.zeros(rng.dims, dtype=np.uint8)
     sel = idx[inside]
     labels[inside] = world.labels[sel[:, 0], sel[:, 1], sel[:, 2]]
-    return SceneGrid(rng, labels.reshape(rng.dims))
+    return SceneGrid(rng, labels)

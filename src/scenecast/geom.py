@@ -202,19 +202,24 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
-def project_pixels(r: np.ndarray, t: np.ndarray, x, y, z, k: CameraIntrinsics):
-    """Move points by (r, t), project them and round to the nearest pixel.
-
-    x, y, z are broadcast-compatible arrays of point coordinates. The rigid
-    transform runs elementwise in a fixed order, so an identity transform
-    returns z bit for bit. Returns (u, v, z', ui, vi, inside) in the
-    broadcast shape: the continuous pixel, the depth along the camera axis,
-    the nearest pixel (as floats) and the mask of points in front of the
-    camera (z' > Z_EPS) whose nearest pixel lies inside the image.
-    """
+def rigid_transform(r: np.ndarray, t: np.ndarray, x, y, z):
+    """Move broadcast-compatible point coordinates x, y, z by (r, t), elementwise
+    in a fixed order, so an identity transform returns them bit for bit."""
     xp = r[0, 0] * x + r[0, 1] * y + r[0, 2] * z + t[0]
     yp = r[1, 0] * x + r[1, 1] * y + r[1, 2] * z + t[1]
     zp = r[2, 0] * x + r[2, 1] * y + r[2, 2] * z + t[2]
+    return xp, yp, zp
+
+
+def project_pixels(r: np.ndarray, t: np.ndarray, x, y, z, k: CameraIntrinsics):
+    """Move points by (r, t), project them and round to the nearest pixel.
+
+    x, y, z move as in `rigid_transform`. Returns (u, v, z', ui, vi, inside)
+    in the broadcast shape: the continuous pixel, the depth along the camera
+    axis, the nearest pixel (as floats) and the mask of points in front of
+    the camera (z' > Z_EPS) whose nearest pixel lies inside the image.
+    """
+    xp, yp, zp = rigid_transform(r, t, x, y, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = k.fx * xp / zp + k.cx
         v = k.fy * yp / zp + k.cy

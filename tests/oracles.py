@@ -66,6 +66,41 @@ def visibility_bruteforce(
     return vis, proj
 
 
+def resample_bruteforce(world, rng: SceneRange, pose: Se3Pose):
+    """Scalar relabelling of a world grid onto a camera-anchored range.
+
+    Each range centre origin + (i + 0.5) * vs, read in the level axes as the
+    camera point (sx, -sz, sy), is moved through the world-from-camera pose
+    (products summed in scene-axis order), floored to a world voxel and
+    looked up; centres outside the world grid stay empty (0).
+    """
+    r = [[float(v) for v in row] for row in pose.rotation]
+    t = [float(v) for v in pose.translation]
+    wo = [float(v) for v in world.range.origin]
+    wvs = float(world.range.voxel_size)
+    wdims = world.range.dims
+    world_labels = world.labels.tolist()
+    nx, ny, nz = rng.dims
+    ox, oy, oz = (float(v) for v in rng.origin)
+    vs = float(rng.voxel_size)
+
+    out = np.zeros((nx, ny, nz), dtype=np.uint8)
+    for i in range(nx):
+        sx = ox + (i + 0.5) * vs
+        for j in range(ny):
+            sy = oy + (j + 0.5) * vs
+            for kk in range(nz):
+                sz = oz + (kk + 0.5) * vs
+                px, py, pz = sx, -sz, sy
+                cell = []
+                for a in range(3):
+                    w = r[a][0] * px + r[a][2] * pz + r[a][1] * py + t[a]
+                    cell.append(math.floor((w - wo[a]) / wvs))
+                if all(0 <= cell[a] < wdims[a] for a in range(3)):
+                    out[i, j, kk] = world_labels[cell[0]][cell[1]][cell[2]]
+    return out
+
+
 def downsample_bruteforce(visible, proj, edge: int = 4):
     """Scalar block reduction: OR of member visibility, projection mean over
     the visible members, each block's members summed in voxel C order."""

@@ -10,9 +10,9 @@ import numpy as np
 
 from oracles import visibility_bruteforce
 from scenecast import dataio, defaults
-from scenecast.cli import main
+from scenecast.cli import demo_pipeline, main
 from scenecast.forecast import PoseSequence, forecast_next, pose_mse
-from scenecast.fusion import SceneRange, fuse_pipeline, resample_to_range, visibility
+from scenecast.fusion import SceneRange, visibility
 from scenecast.geom import Se3Pose, compose, se3_exp
 from scenecast.gradcheck import random_volume_pair, run_gradient_checks
 from scenecast.losses import (
@@ -22,19 +22,16 @@ from scenecast.losses import (
     scal_sem,
     weighted_ce,
 )
-from scenecast.metrics import confusion, coverage, iou_geometry, majority_complete
 from scenecast.synth import (
     SceneSpec,
     TrajectorySpec,
     build_scene,
-    canonical_camera_pose,
     classify_palette,
     desk_intrinsics,
-    extract_features,
     make_trajectory,
     render_frame,
 )
-from scenecast.warp import FrameBundle, compose_pseudo_future, fill_refiner, forward_splat
+from scenecast.warp import FrameBundle, forward_splat
 from oracles import scal_bruteforce
 
 
@@ -77,12 +74,12 @@ def test_criterion_1_visibility_oracle_equivalence():
                 0,
             )
             current = se3_exp(rng.normal(scale=0.3, size=6))
-            vis_fast, proj_fast = visibility(srange, frame, current, k, defaults.THETA_D)
+            idx, uvd = visibility(srange, frame, current, k, defaults.THETA_D)
             vis_ref, proj_ref = visibility_bruteforce(
                 srange, frame, current, k, defaults.THETA_D
             )
-            assert np.array_equal(vis_fast, vis_ref)
-            assert np.array_equal(proj_fast[vis_fast], proj_ref[vis_ref])
+            assert np.array_equal(idx, np.flatnonzero(vis_ref))
+            assert np.array_equal(uvd, proj_ref[vis_ref])
         elapsed = time.time() - start
         assert elapsed < 10.0, f"budget exceeded: {elapsed:.1f}s"
 
@@ -149,53 +146,12 @@ def test_criterion_3_warp_round_trip():
 
 
 def _standard_corridor_run(seed: int):
-    """The standard corridor trajectory: 4 past + current, interval 5."""
-    past = defaults.PAST_FRAMES
-    interval = defaults.FRAME_INTERVAL
-    speed = defaults.DEMO_SPEED
-    voxel = defaults.DESK_VOXEL_SIZE
-    k = desk_intrinsics()
-    step = speed * interval
-    ny = int(np.ceil((2.0 + past * step + 51.2 + step + 2.0) / voxel / 4) * 4)
-    spec = SceneSpec(
-        seed=seed,
-        layout="corridor",
-        dims=(128, ny, 16),
-        origin=(-25.6, 0.0, -2.0),
-        box_count=defaults.DEMO_BOX_COUNT,
-    )
-    grid = build_scene(spec)
-    traj = make_trajectory(
-        TrajectorySpec(
-            frames=past + 2,
-            speed=speed,
-            frame_interval=interval,
-            start=canonical_camera_pose((0.0, 2.0, 0.0)),
-        )
-    )
-    bundles = [
-        render_frame(grid, p, k, i) for p, i in zip(traj.poses, traj.frame_indices)
-    ]
-    past_current = bundles[: past + 1]
-    current = past_current[-1]
-    history = PoseSequence(traj.poses[: past + 1], traj.frame_indices[: past + 1], interval)
-    predicted = forecast_next(history)
-    pseudo = compose_pseudo_future(
-        past_current, predicted, k, refiner=fill_refiner, frame_interval=interval
-    )
-    rng = SceneRange((-25.6, 0.0, -2.0), tuple(d * voxel for d in defaults.DESK_SCENE_DIMS), voxel)
-    gt_range = resample_to_range(grid, rng, current.pose)
-    unions, ious = [], []
-    for frames, ci in (
-        ([current], 0),
-        (past_current, past),
-        (past_current + [pseudo], past),
-    ):
-        _, bv = fuse_pipeline(frames, rng, k, defaults.THETA_D, extract_features, ci)
-        unions.append(coverage(bv).union)
-        completed = majority_complete(bv, gt_range)
-        ious.append(iou_geometry(confusion(completed, gt_range, spec.num_classes)).value)
-    return unions, ious
+    """The shipped demo on the standard corridor: 4 past + current, interval 5."""
+    summary = demo_pipeline(
+        seed, "corridor", defaults.PAST_FRAMES, defaults.FRAME_INTERVAL, defaults.DEMO_SPEED,
+        defaults.THETA_D, defaults.DEMO_BOX_COUNT, "fill", "pseudo",
+    )["summary"]
+    return [row["union_blocks"] for row in summary], [row["iou"] for row in summary]
 
 
 def test_criterion_4_pseudo_future_coverage_gain():

@@ -6,8 +6,10 @@ import pytest
 
 from scenecast import dataio, defaults
 from scenecast.cli import demo_pipeline, main
-from scenecast.fusion import SceneRange, fuse_pipeline
+from scenecast.forecast import PoseSequence, forecast_next
+from scenecast.fusion import SceneRange, fuse_pipeline, resample_to_range
 from scenecast.geom import CameraIntrinsics, Se3Pose
+from scenecast.metrics import confusion, coverage, iou_geometry, majority_complete
 from scenecast.synth import (
     SceneSpec,
     TrajectorySpec,
@@ -18,8 +20,7 @@ from scenecast.synth import (
     make_trajectory,
     render_frame,
 )
-from scenecast.warp import FrameBundle, compose_pseudo_future, forward_splat
-from test_acceptance import _standard_corridor_run
+from scenecast.warp import FrameBundle, compose_pseudo_future, fill_refiner, forward_splat
 
 
 def run(capsys, *argv):
@@ -293,24 +294,36 @@ def _negative_depth_tree(tmp_path):
             "--out-dir", str(tmp_path / "out")]
 
 
+def _bad_ppm_header_tree(tmp_path):
+    frames = [
+        FrameBundle(np.zeros((1, 1, 3)), np.ones((1, 1)), Se3Pose.identity(), i)
+        for i in range(2)
+    ]
+    dataio.write_frame_sequence(tmp_path / "frames", frames)
+    (tmp_path / "frames" / "000001.ppm").write_bytes(b"P6\n1 1\n255X" + bytes(3))
+    return ["warp", "--frames-dir", str(tmp_path / "frames"), "--interval", "1",
+            "--out-dir", str(tmp_path / "out")]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "make_argv, expected",
         [
             (lambda d: _poses_file(d, b"1 0 0 0 0 1 0 0 0 0 -1 0\n"),
-             "line 2: rotation must have determinant +1"),
+             "poses.txt: line 2: rotation must have determinant +1"),
             (lambda d: _poses_file(d, b"0 0 0 1 0 0 0 2 0 0 0 3\n"),
-             "line 2: rotation must have determinant +1"),
+             "poses.txt: line 2: rotation must have determinant +1"),
             (lambda d: _poses_file(d, b"1 0 0 0 0 1 0 0 0 0 1 \xff\n"),
-             "line 2: invalid UTF-8 byte at offset 46"),
+             "poses.txt: line 2: invalid UTF-8 byte at offset 46"),
             (lambda d: _grid_file(d, (2, 2, 2), (0.0, 0.0, float("nan"))),
              "g.vxg: non-finite origin nan at offset 28"),
             (lambda d: _grid_file(d, (2, 2, 0), (0.0, 0.0, 0.0)),
              "g.vxg: zero grid dim at offset 12"),
             (_negative_depth_tree, "000001.dpt: depth value -1.0 at offset 20"),
+            (_bad_ppm_header_tree, "000001.ppm: expected whitespace after header at offset 10"),
         ],
         ids=["reflected_rotation", "zero_rotation", "non_utf8_pose", "nan_origin",
-             "zero_dim", "negative_depth"],
+             "zero_dim", "negative_depth", "ppm_maxval_separator"],
     )
     def test_one_error_line_naming_offset_or_line(self, tmp_path, capsys, make_argv, expected):
         code, out, err = run(capsys, *make_argv(tmp_path))
@@ -413,6 +426,56 @@ class TestConfigFile:
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
+def _hand_wired_corridor_run(seed: int):
+    """The standard corridor run wired by hand, one fusion per frame set."""
+    past = defaults.PAST_FRAMES
+    interval = defaults.FRAME_INTERVAL
+    speed = defaults.DEMO_SPEED
+    voxel = defaults.DESK_VOXEL_SIZE
+    k = desk_intrinsics()
+    step = speed * interval
+    ny = int(np.ceil((2.0 + past * step + 51.2 + step + 2.0) / voxel / 4) * 4)
+    spec = SceneSpec(
+        seed=seed,
+        layout="corridor",
+        dims=(128, ny, 16),
+        origin=(-25.6, 0.0, -2.0),
+        box_count=defaults.DEMO_BOX_COUNT,
+    )
+    grid = build_scene(spec)
+    traj = make_trajectory(
+        TrajectorySpec(
+            frames=past + 2,
+            speed=speed,
+            frame_interval=interval,
+            start=canonical_camera_pose((0.0, 2.0, 0.0)),
+        )
+    )
+    bundles = [
+        render_frame(grid, p, k, i) for p, i in zip(traj.poses, traj.frame_indices)
+    ]
+    past_current = bundles[: past + 1]
+    current = past_current[-1]
+    history = PoseSequence(traj.poses[: past + 1], traj.frame_indices[: past + 1], interval)
+    predicted = forecast_next(history)
+    pseudo = compose_pseudo_future(
+        past_current, predicted, k, refiner=fill_refiner, frame_interval=interval
+    )
+    rng = SceneRange((-25.6, 0.0, -2.0), tuple(d * voxel for d in defaults.DESK_SCENE_DIMS), voxel)
+    gt_range = resample_to_range(grid, rng, current.pose)
+    unions, ious = [], []
+    for frames, ci in (
+        ([current], 0),
+        (past_current, past),
+        (past_current + [pseudo], past),
+    ):
+        _, bv = fuse_pipeline(frames, rng, k, defaults.THETA_D, extract_features, ci)
+        unions.append(coverage(bv).union)
+        completed = majority_complete(bv, gt_range)
+        ious.append(iou_geometry(confusion(completed, gt_range, spec.num_classes)).value)
+    return unions, ious
+
+
 class TestDemo:
     def test_summary_and_coverage_ordering(self, tmp_path, capsys):
         out = tmp_path / "demo"
@@ -452,12 +515,11 @@ class TestDemo:
             assert np.array_equal(fused.features, fused_ref.features), name
 
     def test_matches_independent_corridor_wiring(self):
-        # the acceptance suite wires the same corridor run by hand (criterion 4)
         result = demo_pipeline(
             seed=0, layout="corridor", past=defaults.PAST_FRAMES, interval=defaults.FRAME_INTERVAL,
             speed=defaults.DEMO_SPEED, theta_d=defaults.THETA_D, box_count=defaults.DEMO_BOX_COUNT,
             refiner_name="fill", future_mode="pseudo",
         )
-        unions, ious = _standard_corridor_run(0)
+        unions, ious = _hand_wired_corridor_run(0)
         assert [row["union_blocks"] for row in result["summary"]] == unions
         assert [row["iou"] for row in result["summary"]] == ious

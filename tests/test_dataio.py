@@ -150,6 +150,20 @@ class TestImageFile:
         with pytest.raises(FormatError, match="offset 17"):
             dataio.read_image(path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P6\n1 1\n255X" + bytes(3), "expected whitespace after header at offset 10"),
+            (b"P6\n1 1\n255", "truncated header at offset 10"),
+        ],
+        ids=["not_whitespace", "missing"],
+    )
+    def test_byte_after_maxval_names_offset(self, tmp_path, data, message):
+        path = tmp_path / "i.ppm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"i.ppm: {message}"):
+            dataio.read_image(path)
+
     def test_pgm_mask(self, tmp_path):
         path = tmp_path / "m.pgm"
         dataio.write_pgm(path, np.array([[True, False]]))
@@ -200,7 +214,13 @@ class TestPoseFile:
         path = tmp_path / "poses.txt"
         identity = b"1 0 0 0 0 1 0 0 0 0 1 0\n"
         path.write_bytes(identity + identity[:22] + b"\xff\n")
-        with pytest.raises(FormatError, match="line 2: invalid UTF-8 byte at offset 46"):
+        with pytest.raises(FormatError, match="poses.txt: line 2: invalid UTF-8 byte at offset 46"):
+            dataio.read_poses(path)
+
+    def test_read_errors_name_file_and_line(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_bytes(b"1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 0 0 1 0 0 0 0 -1 0\n")
+        with pytest.raises(FormatError, match="poses.txt: line 2: rotation must have determinant"):
             dataio.read_poses(path)
 
     def test_errors_name_line(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import downsample_bruteforce, visibility_bruteforce
+from oracles import downsample_bruteforce, resample_bruteforce, visibility_bruteforce
 from scenecast.fusion import (
     SceneGrid,
     SceneRange,
@@ -10,9 +10,8 @@ from scenecast.fusion import (
     resample_to_range,
     sample_fuse,
     visibility,
-    voxel_centers,
 )
-from scenecast.geom import CameraIntrinsics, Se3Pose, se3_exp
+from scenecast.geom import LEVEL_CAMERA_ROTATION, CameraIntrinsics, Se3Pose, compose, se3_exp
 from scenecast.synth import (
     SceneSpec,
     TrajectorySpec,
@@ -39,21 +38,16 @@ def single_voxel_range(center_forward: float) -> SceneRange:
     return SceneRange((-0.2, center_forward - 0.2, -0.2), (0.4, 0.4, 0.4), 0.4)
 
 
+def sparse(visible, proj):
+    """A dense visibility mask and projection array as `visibility` returns them."""
+    return np.flatnonzero(visible), proj[visible]
+
+
 class TestVoxelCenters:
     def test_paper_scale_dims(self):
         rng = SceneRange.default()
         assert rng.dims == (256, 256, 32)
         assert rng.block_dims == (64, 64, 8)
-
-    def test_first_center_offset(self):
-        rng = SceneRange.default()
-        c = voxel_centers(rng)
-        assert np.allclose(c[0, 0, 0], rng.origin + 0.1)
-
-    def test_center_formula(self):
-        rng = SceneRange((1.0, 2.0, 3.0), (2.0, 2.0, 2.0), 0.5)
-        c = voxel_centers(rng)
-        assert np.allclose(c[1, 2, 3], [1.75, 3.25, 4.75])
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
@@ -63,32 +57,35 @@ class TestVoxelCenters:
 class TestVisibility:
     def test_inside_band(self):
         depth = np.full((30, 40), 10.4)
-        vis, proj = visibility(
+        idx, uvd = visibility(
             single_voxel_range(10.0), frame_with_depth(depth), Se3Pose.identity(), K, 0.5
         )
-        assert vis[0, 0, 0]
-        assert proj[0, 0, 0, 2] == pytest.approx(10.0)
+        assert idx.tolist() == [0]
+        assert uvd[0, 2] == pytest.approx(10.0)
 
     def test_outside_band(self):
         depth = np.full((30, 40), 10.6)
-        vis, _ = visibility(
+        idx, uvd = visibility(
             single_voxel_range(10.0), frame_with_depth(depth), Se3Pose.identity(), K, 0.5
         )
-        assert not vis.any()
+        assert idx.size == 0
+        assert uvd.shape == (0, 3)
 
     def test_invalid_depth_blocks_visibility(self):
         depth = np.zeros((30, 40))
-        vis, _ = visibility(
+        idx, uvd = visibility(
             single_voxel_range(10.0), frame_with_depth(depth), Se3Pose.identity(), K, 0.5
         )
-        assert not vis.any()
+        assert idx.size == 0
+        assert uvd.shape == (0, 3)
 
     def test_behind_camera_invisible(self):
         depth = np.full((30, 40), 10.0)
-        vis, _ = visibility(
+        idx, uvd = visibility(
             single_voxel_range(-10.0), frame_with_depth(depth), Se3Pose.identity(), K, 0.5
         )
-        assert not vis.any()
+        assert idx.size == 0
+        assert uvd.shape == (0, 3)
 
     def test_matches_bruteforce_oracle(self):
         rng_gen = np.random.default_rng(13)
@@ -104,41 +101,35 @@ class TestVisibility:
                 depth, se3_exp(rng_gen.normal(scale=0.2, size=6)), 0
             )
             current = se3_exp(rng_gen.normal(scale=0.2, size=6))
-            vis_fast, proj_fast = visibility(srange, frame, current, K, 0.5)
+            idx, uvd = visibility(srange, frame, current, K, 0.5)
             vis_ref, proj_ref = visibility_bruteforce(srange, frame, current, K, 0.5)
-            assert np.array_equal(vis_fast, vis_ref)
-            assert np.array_equal(proj_fast[vis_fast], proj_ref[vis_ref])
+            assert np.array_equal(idx, np.flatnonzero(vis_ref))
+            assert np.array_equal(uvd, proj_ref[vis_ref])
 
 
 class TestDownsampleBlocks:
     def test_single_visible_voxel(self):
-        vis = np.zeros((4, 4, 4), dtype=bool)
-        proj = np.zeros((4, 4, 4, 3))
-        vis[1, 2, 3] = True
-        proj[1, 2, 3] = (10.0, 20.0, 5.0)
-        block_vis, block_mean = downsample_blocks(vis, proj)
+        idx = [np.ravel_multi_index((1, 2, 3), (4, 4, 4))]
+        block_vis, block_mean = downsample_blocks((4, 4, 4), idx, np.array([[10.0, 20.0, 5.0]]))
         assert block_vis.shape == (1, 1, 1)
         assert block_vis[0, 0, 0]
         assert np.allclose(block_mean[0, 0, 0], (10.0, 20.0, 5.0))
 
     def test_empty_block(self):
         block_vis, block_mean = downsample_blocks(
-            np.zeros((4, 4, 4), dtype=bool), np.zeros((4, 4, 4, 3))
+            (4, 4, 4), np.zeros(0, dtype=np.int64), np.zeros((0, 3))
         )
         assert not block_vis.any()
         assert np.all(block_mean == 0.0)
 
     def test_mean_over_visible_only(self):
-        vis = np.zeros((4, 4, 4), dtype=bool)
-        proj = np.zeros((4, 4, 4, 3))
-        vis[0, 0, 0] = True
-        proj[0, 0, 0] = (10.0, 4.0, 2.0)
-        vis[0, 0, 1] = True
-        proj[0, 0, 1] = (12.0, 6.0, 4.0)
-        proj[1, 1, 1] = (99.0, 99.0, 99.0)  # invisible: must not contribute
-        proj[1, 1, 2] = (np.nan, np.inf, -np.inf)  # nor may non-finite values
-        _, block_mean = downsample_blocks(vis, proj)
+        # voxels (0,0,0) and (0,0,1) share the first block; (4,0,0) is alone in the second
+        idx = np.ravel_multi_index(([0, 0, 4], [0, 0, 0], [0, 1, 0]), (8, 4, 4))
+        uvd = np.array([(10.0, 4.0, 2.0), (12.0, 6.0, 4.0), (99.0, 99.0, 99.0)])
+        block_vis, block_mean = downsample_blocks((8, 4, 4), idx, uvd)
+        assert block_vis.ravel().tolist() == [True, True]
         assert np.array_equal(block_mean[0, 0, 0], (11.0, 5.0, 3.0))
+        assert np.array_equal(block_mean[1, 0, 0], (99.0, 99.0, 99.0))
 
     @pytest.mark.parametrize("frac", [0.01, 0.3])
     def test_matches_bruteforce_oracle(self, frac):
@@ -150,7 +141,7 @@ class TestDownsampleBlocks:
             proj = rng.normal(size=(3,) + dims + (3,)) * 10.0 ** rng.uniform(-3, 3, size=(3,) + dims + (3,))
             vis_ref, proj_ref = downsample_bruteforce(vis, proj)
             for f in range(3):
-                block_vis, block_mean = downsample_blocks(vis[f], proj[f])
+                block_vis, block_mean = downsample_blocks(dims, *sparse(vis[f], proj[f]))
                 assert np.array_equal(block_vis, vis_ref[f])
                 assert np.array_equal(block_mean, proj_ref[f])
 
@@ -158,13 +149,13 @@ class TestDownsampleBlocks:
         rng = np.random.default_rng(14)
         vis = rng.random((8, 4, 4)) < 0.3
         proj = rng.random((8, 4, 4, 3))
-        block_vis, _ = downsample_blocks(vis, proj)
+        block_vis, _ = downsample_blocks(vis.shape, *sparse(vis, proj))
         expect = vis.reshape(2, 4, 1, 4, 1, 4).any(axis=(1, 3, 5))
         assert np.array_equal(block_vis, expect)
 
     def test_indivisible_dims_rejected(self):
         with pytest.raises(ValueError):
-            downsample_blocks(np.zeros((5, 4, 4), dtype=bool), np.zeros((5, 4, 4, 3)))
+            downsample_blocks((5, 4, 4), np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
 
 
 class TestSampleFuse:
@@ -284,12 +275,14 @@ class TestFusePipeline:
         k = desk_intrinsics()
         pose = canonical_camera_pose((0.0, 0.0, 0.0))
         frame = render_frame(grid, pose, k, 0)
-        vis, _ = visibility(grid.range, frame, pose, k, 0.4)
+        idx, _ = visibility(grid.range, frame, pose, k, 0.4)
+        vis = np.zeros(grid.range.dims, dtype=bool)
+        vis.reshape(-1)[idx] = True
         # wall voxels whose centers project inside the image must all pass;
         # the canonical camera at the origin makes scene coords == world coords
-        centers = voxel_centers(grid.range)[:, 10, :, :]
-        from scenecast.geom import LEVEL_CAMERA_ROTATION
-
+        vs = grid.range.voxel_size
+        i, kk = np.meshgrid(np.arange(16), np.arange(8), indexing="ij")
+        centers = grid.range.origin + (np.stack([i, np.full_like(i, 10), kk], axis=-1) + 0.5) * vs
         cam = centers.reshape(-1, 3) @ LEVEL_CAMERA_ROTATION
         u = k.fx * cam[:, 0] / cam[:, 2] + k.cx
         v = k.fy * cam[:, 1] / cam[:, 2] + k.cy
@@ -315,3 +308,20 @@ class TestResampleToRange:
         pose = canonical_camera_pose((0.0, 100.0, 0.0))
         out = resample_to_range(grid, rng, pose)
         assert not out.labels.any()
+
+    def test_matches_bruteforce_oracle_off_axis(self):
+        gen = np.random.default_rng(16)
+        for _ in range(6):
+            # every world voxel is labelled, so a centre floored into the
+            # wrong voxel almost always changes its label
+            grid = SceneGrid(SceneRange((-6.4, 0.0, -1.6), (12.8, 12.8, 3.2), 0.4),
+                             gen.integers(1, 20, size=(32, 32, 8)))
+            dims = tuple(int(4 * n) for n in gen.integers(1, 4, size=3))
+            vs = float(gen.uniform(0.2, 0.6))
+            origin = (gen.uniform(-3.0, 0.0), gen.uniform(0.0, 3.0), gen.uniform(-2.0, -0.5))
+            rng = SceneRange(origin, np.array(dims) * vs, vs)
+            # a level camera turned by a random yaw, pitch and roll
+            twist = np.concatenate([gen.normal(scale=0.4, size=3), gen.normal(scale=1.0, size=3)])
+            pose = compose(canonical_camera_pose((0.0, 2.0, 0.0)), se3_exp(twist))
+            out = resample_to_range(grid, rng, pose)
+            assert np.array_equal(out.labels, resample_bruteforce(grid, rng, pose))
