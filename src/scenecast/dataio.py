@@ -292,7 +292,6 @@ def read_fused(path, channels_per_frame: int = 0) -> FusedVolume:
     feats = cur.array("<f4", bx * by * bz * c, "feature payload")
     cur.end()
     return FusedVolume(
-        (bx, by, bz),
         feats.reshape(bx, by, bz, c).astype(np.float64),
         channels_per_frame or c,
     )
@@ -317,7 +316,6 @@ def read_blockvis(path) -> BlockVisibility:
     proj = cur.array("<f4", nvis * 3, "projection payload")
     cur.end()
     return BlockVisibility(
-        (bx, by, bz),
         vis.reshape(f, bx, by, bz).astype(bool),
         proj.reshape(f, bx, by, bz, 3).astype(np.float64),
         tuple(int(i) for i in idx),

@@ -51,7 +51,8 @@ def forecast_next(seq: PoseSequence, window: int | None = None) -> Se3Pose:
     The step twists log(P_i^-1 P_{i+1}) of the last `window` consecutive
     pose pairs (default min(history, 3)) are averaged in the Lie algebra, so
     the replayed motion is always a valid pose, and a fixed world
-    re-anchoring of all poses cancels out.
+    re-anchoring of all poses cancels out. A step whose rotation is too
+    close to pi for a stable log raises ValueError naming its two frames.
     """
     if window is None:
         window = min(len(seq) - 1, DEFAULT_WINDOW_CAP)
@@ -62,7 +63,13 @@ def forecast_next(seq: PoseSequence, window: int | None = None) -> Se3Pose:
             f"need at least {window + 1} poses for window {window}, got {len(seq)}"
         )
     poses = seq.poses[-(window + 1):]
-    twists = [se3_log(compose(inverse(a), b)) for a, b in zip(poses, poses[1:])]
+    indices = seq.frame_indices[-(window + 1):]
+    twists = []
+    for a, b, ia, ib in zip(poses, poses[1:], indices, indices[1:]):
+        try:
+            twists.append(se3_log(compose(inverse(a), b)))
+        except ValueError as exc:
+            raise ValueError(f"step from frame {ia} to frame {ib}: {exc}") from exc
     return compose(poses[-1], se3_exp(np.mean(twists, axis=0)))
 
 

@@ -13,11 +13,13 @@ projection coordinates averaged over the visible members); per-frame 2D
 features are then sampled at the averaged coordinates and concatenated
 frame-major, zero-padded wherever a frame contributed nothing.
 
-Fusion streams over the frames: each visibility pass returns only the
-visible voxels (flat indices and projections), reduced to the frame's block
-slice before the next frame, so peak memory is one pass's temporaries plus
-the block-level stacks. A frame's blocks and feature channels depend only
-on that frame and the anchoring current pose, so the result for a subset of
+Fusion is one pass per frame: visibility returns only the visible voxels
+(flat indices and projections), they are reduced to the frame's block slice,
+and the frame's feature map is sampled at those blocks before the next frame
+starts, so peak memory is one pass's temporaries plus the block-level
+arrays. The feature extractor maps an image to an HxWxC array with the same
+C for every frame. A frame's blocks and feature channels depend only on
+that frame and the anchoring current pose, so the result for a subset of
 frames is a frame-axis slice of the result for the whole set
 (`BlockVisibility.frames`, `FusedVolume.frames`).
 """
@@ -109,12 +111,15 @@ class SceneGrid:
 class BlockVisibility:
     """Per-frame block visibility flags and averaged projection coordinates."""
 
-    block_dims: Tuple[int, int, int]
     visible: np.ndarray       # (F, BX, BY, BZ) bool
     proj_uv_d: np.ndarray     # (F, BX, BY, BZ, 3), defined only where visible
     frame_indices: Tuple[int, ...]
     image_width: int
     image_height: int
+
+    @property
+    def block_dims(self) -> Tuple[int, ...]:
+        return self.visible.shape[1:]
 
     @property
     def num_frames(self) -> int:
@@ -123,7 +128,6 @@ class BlockVisibility:
     def frames(self, start: int, stop: int) -> "BlockVisibility":
         """The frames start..stop-1 of this set, as fusing them alone gives."""
         return BlockVisibility(
-            self.block_dims,
             self.visible[start:stop],
             self.proj_uv_d[start:stop],
             self.frame_indices[start:stop],
@@ -136,14 +140,17 @@ class BlockVisibility:
 class FusedVolume:
     """Concatenated per-frame block features, frame-major, oldest first."""
 
-    block_dims: Tuple[int, int, int]
     features: np.ndarray      # (BX, BY, BZ, F * C)
     channels_per_frame: int
+
+    @property
+    def block_dims(self) -> Tuple[int, ...]:
+        return self.features.shape[:3]
 
     def frames(self, start: int, stop: int) -> "FusedVolume":
         """The channels of frames start..stop-1, as fusing them alone gives."""
         c = self.channels_per_frame
-        return FusedVolume(self.block_dims, self.features[..., start * c:stop * c], c)
+        return FusedVolume(self.features[..., start * c:stop * c], c)
 
 
 def _center_axes(rng: SceneRange):
@@ -231,42 +238,23 @@ def downsample_blocks(dims, idx: np.ndarray, uvd: np.ndarray) -> Tuple[np.ndarra
     return block_vis.reshape(bx, by, bz), mean.reshape(bx, by, bz, 3)
 
 
-def sample_fuse(bv: BlockVisibility, feature_maps: Sequence[np.ndarray]) -> FusedVolume:
-    """Sample per-frame features at each visible block and concatenate.
+def _frame_features(
+    fmap: np.ndarray, block_vis: np.ndarray, block_mean: np.ndarray, k: CameraIntrinsics
+) -> np.ndarray:
+    """One frame's (BX, BY, BZ, C) block features from its HxWxC feature map.
 
-    The averaged (u, v) are image-pixel coordinates; they are rescaled into
-    each feature map's resolution with the pixel-center-aligned mapping
-    u_f = (u + 0.5) * (fw / W) - 0.5. Invisible blocks and out-of-bounds
-    samples contribute exact zeros in their frame's channel slot.
+    The averaged (u, v) of each visible block are image-pixel coordinates;
+    they are rescaled into the map's resolution with the pixel-center-aligned
+    mapping u_f = (u + 0.5) * (fw / W) - 0.5. Invisible blocks and
+    out-of-bounds samples are exact zeros.
     """
-    maps = [np.asarray(m, dtype=np.float64) for m in feature_maps]
-    if len(maps) != bv.num_frames:
-        raise ValueError(
-            f"expected {bv.num_frames} feature maps, got {len(maps)}"
-        )
-    channels = maps[0].shape[2] if maps[0].ndim == 3 else 1
-    for m in maps:
-        c = m.shape[2] if m.ndim == 3 else 1
-        if c != channels:
-            raise ValueError("all feature maps must share the channel count")
-    bx, by, bz = bv.block_dims
-    out = np.zeros((bx, by, bz, bv.num_frames * channels))
-    for fi, fmap in enumerate(maps):
-        fh, fw = fmap.shape[:2]
-        vis = bv.visible[fi]
-        if not vis.any():
-            continue
-        uv = bv.proj_uv_d[fi][vis][:, :2]
-        su = fw / bv.image_width
-        sv = fh / bv.image_height
-        uf = (uv[:, 0] + 0.5) * su - 0.5
-        vf = (uv[:, 1] + 0.5) * sv - 0.5
-        vals, ok = bilinear_sample_many(fmap, np.stack([uf, vf], axis=1))
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        vals[~ok] = 0.0
-        out[vis, fi * channels:(fi + 1) * channels] = vals
-    return FusedVolume((bx, by, bz), out, channels)
+    fh, fw, channels = fmap.shape
+    out = np.zeros(block_vis.shape + (channels,))
+    uv = block_mean[block_vis][:, :2]
+    uf = (uv[:, 0] + 0.5) * (fw / k.width) - 0.5
+    vf = (uv[:, 1] + 0.5) * (fh / k.height) - 0.5
+    out[block_vis] = bilinear_sample_many(fmap, np.stack([uf, vf], axis=1))[0]
+    return out
 
 
 FeatureExtractor = Callable[[np.ndarray], np.ndarray]
@@ -284,8 +272,11 @@ def fuse_pipeline(
 
     `frames` must be ordered by ascending frame index (pseudo-future last);
     `current_index` designates the frame whose camera anchors the range.
-    Each frame's visible voxels are reduced to its block slice right after
-    its visibility pass, so peak memory is one pass plus the block stacks.
+    Each frame is one pass: its visible voxels are reduced to its block
+    slice, then its feature map is sampled at those blocks, so peak memory
+    is one pass plus the block arrays. `feature_extractor` must return an
+    HxWxC map with the same C for every frame; anything else raises
+    ValueError naming the shape.
     """
     frames = list(frames)
     if not frames:
@@ -296,22 +287,23 @@ def fuse_pipeline(
     if not (-len(frames) <= current_index < len(frames)):
         raise ValueError(f"current_index {current_index} out of range")
     current_pose = frames[current_index].pose
-    blocks, fmaps = [], []
-    for frame in frames:
+    visible = np.zeros((len(frames),) + rng.block_dims, dtype=bool)
+    means = np.zeros(visible.shape + (3,))
+    features = []
+    for fi, frame in enumerate(frames):
         idx, uvd = visibility(rng, frame, current_pose, k, theta_d)
-        blocks.append(downsample_blocks(rng.dims, idx, uvd))
-        fmaps.append(feature_extractor(frame.image))
-    visible = np.stack([b[0] for b in blocks])
+        visible[fi], means[fi] = downsample_blocks(rng.dims, idx, uvd)
+        fmap = np.asarray(feature_extractor(frame.image))
+        if fmap.ndim != 3 or (features and fmap.shape[2] != features[0].shape[-1]):
+            raise ValueError(
+                f"feature map of frame {frame.frame_index} has shape {fmap.shape}; "
+                "the extractor must return HxWxC with one C for every frame"
+            )
+        features.append(_frame_features(fmap, visible[fi], means[fi], k))
     bv = BlockVisibility(
-        visible.shape[1:],
-        visible,
-        np.stack([b[1] for b in blocks]),
-        tuple(f.frame_index for f in frames),
-        k.width,
-        k.height,
+        visible, means, tuple(f.frame_index for f in frames), k.width, k.height
     )
-    fused = sample_fuse(bv, fmaps)
-    return fused, bv
+    return FusedVolume(np.concatenate(features, axis=-1), features[0].shape[-1]), bv
 
 
 def resample_to_range(

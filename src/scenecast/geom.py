@@ -97,11 +97,6 @@ class Se3Pose:
         m[:, 3] = self.translation
         return m
 
-    def apply(self, points) -> np.ndarray:
-        """Transform one (3,) point or an (..., 3) array of points."""
-        p = np.asarray(points, dtype=np.float64)
-        return p @ self.rotation.T + self.translation
-
 
 def compose(a: Se3Pose, b: Se3Pose) -> Se3Pose:
     """Composition applying b first, then a: result(p) = a(b(p))."""
@@ -232,18 +227,16 @@ def project_pixels(r: np.ndarray, t: np.ndarray, x, y, z, k: CameraIntrinsics):
 
 
 def bilinear_sample_many(field: np.ndarray, uv: np.ndarray):
-    """Vectorized bilinear sampling at (N, 2) pixel locations.
+    """Vectorized bilinear sampling of an HxWxC field at (N, 2) pixel locations.
 
-    Out-of-bounds samples are flagged False in the returned mask and zeroed.
-    Integer coordinates reproduce pixel values exactly, including the last
-    row/column (the upper neighbor then carries full weight).
+    Returns (N, C) values and an (N,) in-bounds mask; out-of-bounds samples
+    are flagged False and zeroed. Integer coordinates reproduce pixel values
+    exactly, including the last row/column (the upper neighbor then carries
+    full weight).
     """
     f = np.asarray(field, dtype=np.float64)
-    if f.size == 0:
-        raise ValueError("field must be nonempty")
-    squeeze = f.ndim == 2
-    if squeeze:
-        f = f[:, :, None]
+    if f.ndim != 3 or f.size == 0:
+        raise ValueError(f"field must be a nonempty HxWxC array, got shape {f.shape}")
     h, w = f.shape[:2]
     uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
     u, v = uv[:, 0], uv[:, 1]
@@ -263,6 +256,4 @@ def bilinear_sample_many(field: np.ndarray, uv: np.ndarray):
         + f[y1, x1] * fx * fy
     )
     vals[~ok] = 0.0
-    if squeeze:
-        vals = vals[:, 0]
     return vals, ok

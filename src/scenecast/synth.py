@@ -288,23 +288,6 @@ def render_frame(
     return FrameBundle(PALETTE[cls] * shade[..., None], depth, pose, frame_index)
 
 
-def classify_palette(image: np.ndarray) -> np.ndarray:
-    """Recover class ids from a (possibly shaded) render by color direction.
-
-    Shading only scales colors, so the nearest palette direction under the
-    cosine measure identifies the class; near-black pixels map to 0.
-    """
-    img = np.asarray(image, dtype=np.float64)
-    norms = np.linalg.norm(img, axis=-1)
-    dirs = PALETTE[1:] / np.linalg.norm(PALETTE[1:], axis=1, keepdims=True)
-    scores = img @ dirs.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = scores / np.maximum(norms[..., None], 1e-12)
-    cls = np.argmax(scores, axis=-1).astype(np.uint8) + 1
-    cls[norms < 1e-6] = 0
-    return cls
-
-
 def extract_features(image: np.ndarray) -> np.ndarray:
     """Deterministic stride-4 feature stand-in for a learned 2D encoder.
 

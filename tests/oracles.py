@@ -2,6 +2,9 @@
 
 Everything here is deliberately scalar pure-Python math (no vectorization)
 so it shares no code path with the package implementations it checks.
+The one exception is `classify_palette`, a vectorized test helper rather
+than an oracle: it reads class ids back from renders using only
+`synth.PALETTE`, and no package function computes the same thing.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import numpy as np
 
 from scenecast.fusion import SceneRange
 from scenecast.geom import CameraIntrinsics, Se3Pose, relative_pose
+from scenecast.synth import PALETTE
 from scenecast.warp import FrameBundle
 
 
@@ -258,3 +262,20 @@ def raycast_bruteforce(grid, pose: Se3Pose, k: CameraIntrinsics, d_max: float):
                 depth[v, u] = best_t
                 cls[v, u] = best_label
     return depth, cls
+
+
+def classify_palette(image) -> np.ndarray:
+    """Recover class ids from a (possibly shaded) render by color direction.
+
+    Shading only scales colors, so the nearest palette direction under the
+    cosine measure identifies the class; near-black pixels map to 0.
+    """
+    img = np.asarray(image, dtype=np.float64)
+    norms = np.linalg.norm(img, axis=-1)
+    dirs = PALETTE[1:] / np.linalg.norm(PALETTE[1:], axis=1, keepdims=True)
+    scores = img @ dirs.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = scores / np.maximum(norms[..., None], 1e-12)
+    cls = np.argmax(scores, axis=-1).astype(np.uint8) + 1
+    cls[norms < 1e-6] = 0
+    return cls

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from oracles import visibility_bruteforce
+from oracles import classify_palette, visibility_bruteforce
 from scenecast import dataio, defaults
 from scenecast.cli import demo_pipeline, main
 from scenecast.forecast import PoseSequence, forecast_next, pose_mse
@@ -26,7 +26,6 @@ from scenecast.synth import (
     SceneSpec,
     TrajectorySpec,
     build_scene,
-    classify_palette,
     desk_intrinsics,
     make_trajectory,
     render_frame,
@@ -289,7 +288,7 @@ def test_criterion_8_format_round_trips(tmp_path):
 
             bx, by, bz, f = (int(v) for v in rng.integers(1, 5, size=4))
             feats = (rng.random((bx, by, bz, f * 4)) * 3).astype(np.float32).astype(np.float64)
-            fused = FusedVolume((bx, by, bz), feats, 4)
+            fused = FusedVolume(feats, 4)
             fpath = tmp_path / f"f{i}.fvx"
             dataio.write_fused(fpath, fused)
             ffirst = fpath.read_bytes()
@@ -300,7 +299,7 @@ def test_criterion_8_format_round_trips(tmp_path):
 
             vis = rng.random((f, bx, by, bz)) < 0.5
             proj = (rng.random((f, bx, by, bz, 3)) * 20).astype(np.float32).astype(np.float64)
-            bv = BlockVisibility((bx, by, bz), vis, proj, tuple(range(f)), 128, 96)
+            bv = BlockVisibility(vis, proj, tuple(range(f)), 128, 96)
             bpath = tmp_path / f"b{i}.bvx"
             dataio.write_blockvis(bpath, bv)
             bfirst = bpath.read_bytes()

@@ -90,6 +90,17 @@ class TestForecast:
         assert mse < 1e-18
         assert (tmp_path / "pred.txt").exists()
 
+    def test_half_turn_step_is_one_line_error_naming_frames(self, tmp_path, capsys):
+        path = tmp_path / "poses.txt"
+        # the last step (frame 1 -> 2, lines 2 -> 3) yaws 180 degrees
+        path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n"
+                        "1 0 0 0 0 1 0 0 0 0 1 1\n"
+                        "-1 0 0 0 0 1 0 0 0 0 -1 2\n")
+        code, out, err = run(capsys, "forecast", "--poses", str(path), "--interval", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: step from frame 1 to frame 2: rotation angle 3.14")
+        assert len(err.splitlines()) == 1
+
     def test_needs_history(self, tmp_path, capsys):
         path = tmp_path / "poses.txt"
         path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")

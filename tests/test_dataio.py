@@ -234,7 +234,7 @@ class TestFusedAndBlockVis:
     def test_fused_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         feats = rng.random((3, 4, 2, 16)).astype(np.float32).astype(np.float64)
-        fused = FusedVolume((3, 4, 2), feats, 8)
+        fused = FusedVolume(feats, 8)
         path = tmp_path / "f.fvx"
         dataio.write_fused(path, fused)
         back = dataio.read_fused(path, 8)
@@ -243,19 +243,19 @@ class TestFusedAndBlockVis:
 
     def test_fused_channels_per_frame_must_divide(self, tmp_path):
         path = tmp_path / "f.fvx"
-        dataio.write_fused(path, FusedVolume((1, 1, 1), np.zeros((1, 1, 1, 4)), 4))
+        dataio.write_fused(path, FusedVolume(np.zeros((1, 1, 1, 4)), 4))
         with pytest.raises(FormatError, match="offset 16"):
             dataio.read_fused(path, 3)
 
     def test_fused_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "f.fvx"
-        dataio.write_fused(path, FusedVolume((1, 2, 1), np.zeros((1, 2, 1, 4)), 4))
+        dataio.write_fused(path, FusedVolume(np.zeros((1, 2, 1, 4)), 4))
         path.write_bytes(path.read_bytes() + bytes(4))
         with pytest.raises(FormatError, match="offset 52"):
             dataio.read_fused(path, 4)
 
     def test_blockvis_trailing_bytes_rejected(self, tmp_path):
-        bv = BlockVisibility((1, 1, 1), np.ones((2, 1, 1, 1), dtype=bool),
+        bv = BlockVisibility(np.ones((2, 1, 1, 1), dtype=bool),
                              np.ones((2, 1, 1, 1, 3)), (0, 5), 8, 8)
         path = tmp_path / "b.bvx"
         dataio.write_blockvis(path, bv)
@@ -269,7 +269,7 @@ class TestFusedAndBlockVis:
         vis = rng.random((2, 3, 3, 2)) < 0.5
         proj = (rng.random((2, 3, 3, 2, 3)) * 30).astype(np.float32).astype(np.float64)
         proj[~vis] = 0.0
-        bv = BlockVisibility((3, 3, 2), vis, proj, (0, 5), 128, 96)
+        bv = BlockVisibility(vis, proj, (0, 5), 128, 96)
         path = tmp_path / "b.bvx"
         dataio.write_blockvis(path, bv)
         back = dataio.read_blockvis(path)

@@ -42,6 +42,14 @@ class TestMomentum:
         with pytest.raises(ValueError):
             forecast_next(seq, 3)
 
+    def test_half_turn_step_names_its_frames(self):
+        # the step from frame 10 to 15 yaws 180 degrees, where se3_log is unstable
+        half_turn = Se3Pose(np.diag([-1.0, 1.0, -1.0]), [0.0, 0.0, 2.0])
+        poses = (Se3Pose.identity(), Se3Pose(np.eye(3), [0.0, 0.0, 1.0]), half_turn)
+        seq = PoseSequence(poses, (5, 10, 15), 5)
+        with pytest.raises(ValueError, match=r"^step from frame 10 to frame 15: rotation angle 3\.14"):
+            forecast_next(seq)
+
     def test_left_reanchoring_invariance(self):
         rng = np.random.default_rng(7)
         xi = rng.normal(scale=0.2, size=6)

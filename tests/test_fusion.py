@@ -5,10 +5,10 @@ from oracles import downsample_bruteforce, resample_bruteforce, visibility_brute
 from scenecast.fusion import (
     SceneGrid,
     SceneRange,
+    _frame_features,
     downsample_blocks,
     fuse_pipeline,
     resample_to_range,
-    sample_fuse,
     visibility,
 )
 from scenecast.geom import LEVEL_CAMERA_ROTATION, CameraIntrinsics, Se3Pose, compose, se3_exp
@@ -159,48 +159,65 @@ class TestDownsampleBlocks:
 
 
 class TestSampleFuse:
-    def _bv(self, visible, uv, frames=1):
-        vis = np.zeros((frames, 1, 1, 1), dtype=bool)
-        proj = np.zeros((frames, 1, 1, 1, 3))
-        for f, (flag, coords) in enumerate(zip(visible, uv)):
-            vis[f, 0, 0, 0] = flag
-            proj[f, 0, 0, 0, :2] = coords
-        from scenecast.fusion import BlockVisibility
+    """Feature sampling: `_frame_features` on one 1x1x1-block frame of an 8x8
+    image, and `fuse_pipeline`'s extractor contract."""
 
-        return BlockVisibility((1, 1, 1), vis, proj, tuple(range(frames)), 8, 8)
+    K8 = CameraIntrinsics(8.0, 8.0, 3.5, 3.5, 8, 8)
+
+    def _features(self, fmap, visible, uv):
+        vis = np.array([[[visible]]])
+        mean = np.zeros((1, 1, 1, 3))
+        mean[0, 0, 0, :2] = uv
+        return _frame_features(fmap, vis, mean, self.K8)
 
     def test_invisible_block_zero_padded(self):
-        bv = self._bv([False], [(0.0, 0.0)])
-        fused = sample_fuse(bv, [np.full((8, 8, 2), 7.0)])
-        assert np.all(fused.features == 0.0)
+        feats = self._features(np.full((8, 8, 2), 7.0), False, (0.0, 0.0))
+        assert np.all(feats == 0.0)
 
     def test_constant_map_sampled(self):
-        bv = self._bv([True], [(3.0, 3.0)])
-        fused = sample_fuse(bv, [np.full((8, 8, 2), 7.0)])
-        assert np.allclose(fused.features[0, 0, 0], [7.0, 7.0])
+        feats = self._features(np.full((8, 8, 2), 7.0), True, (3.0, 3.0))
+        assert np.allclose(feats[0, 0, 0], [7.0, 7.0])
 
     def test_two_frames_partial_visibility(self):
-        bv = self._bv([True, False], [(3.0, 3.0), (3.0, 3.0)], frames=2)
-        fused = sample_fuse(bv, [np.full((8, 8, 1), 5.0), np.full((8, 8, 1), 9.0)])
-        assert np.allclose(fused.features[0, 0, 0], [5.0, 0.0])
+        feats = np.concatenate([
+            self._features(np.full((8, 8, 1), 5.0), True, (3.0, 3.0)),
+            self._features(np.full((8, 8, 1), 9.0), False, (3.0, 3.0)),
+        ], axis=-1)
+        assert np.allclose(feats[0, 0, 0], [5.0, 0.0])
+
+    def _fuse(self, extractor):
+        # one 4x4x4 voxel block 10 m ahead of two identical frames
+        frames = [frame_with_depth(np.full((30, 40), 10.0), index=i) for i in range(2)]
+        rng = SceneRange((-0.8, 9.2, -0.8), (1.6, 1.6, 1.6), 0.4)
+        return fuse_pipeline(frames, rng, K, 0.5, extractor, 1)
 
     def test_channel_mismatch_rejected(self):
-        bv = self._bv([True, True], [(3.0, 3.0), (3.0, 3.0)], frames=2)
-        with pytest.raises(ValueError):
-            sample_fuse(bv, [np.zeros((8, 8, 1)), np.zeros((8, 8, 2))])
+        channels = iter([1, 2])
+
+        def extractor(image):
+            return np.zeros((8, 8, next(channels)))
+
+        with pytest.raises(ValueError, match=r"shape \(8, 8, 2\)"):
+            self._fuse(extractor)
+
+    def test_extractor_without_channel_axis_rejected(self):
+        def gray(image):
+            return image.mean(axis=-1)
+
+        with pytest.raises(ValueError, match=r"shape \(30, 40\)"):
+            self._fuse(gray)
 
     def test_out_of_bounds_sample_zeroed(self):
-        bv = self._bv([True], [(7.9, 7.9)])  # maps past the 2x2 map's hull
-        fused = sample_fuse(bv, [np.full((2, 2, 1), 3.0)])
-        assert np.all(fused.features == 0.0)
+        # maps past the 2x2 map's hull
+        feats = self._features(np.full((2, 2, 1), 3.0), True, (7.9, 7.9))
+        assert np.all(feats == 0.0)
 
     def test_stride_scaling_center_aligned(self):
         # linear-in-u map at quarter resolution: pixel u samples column
         # (u + 0.5) / 4 - 0.5 of the feature map
-        bv = self._bv([True], [(5.0, 3.0)])
         fmap = np.arange(2, dtype=float)[None, :, None].repeat(2, axis=0)
-        fused = sample_fuse(bv, [fmap])
-        assert fused.features[0, 0, 0, 0] == pytest.approx((5.0 + 0.5) / 4 - 0.5)
+        feats = self._features(fmap, True, (5.0, 3.0))
+        assert feats[0, 0, 0, 0] == pytest.approx((5.0 + 0.5) / 4 - 0.5)
 
 
 class TestFusePipeline:

@@ -66,8 +66,8 @@ class TestPoseAlgebra:
         assert np.allclose(inverse(Se3Pose.identity()).matrix34(), Se3Pose.identity().matrix34())
         inv = inverse(translate(1, 2, 3))
         assert np.allclose(inv.translation, [-1, -2, -3])
-        p = Se3Pose(rot_z(90.0), np.zeros(3))
-        moved = inverse(p).apply([1.0, 0.0, 0.0])
+        inv = inverse(Se3Pose(rot_z(90.0), np.zeros(3)))
+        moved = np.array([1.0, 0.0, 0.0]) @ inv.rotation.T + inv.translation
         assert np.allclose(moved, [0.0, -1.0, 0.0], atol=1e-12)
 
     def test_relative_pose_same_is_exact_identity(self):
@@ -81,7 +81,8 @@ class TestPoseAlgebra:
         a = translate(0, 0, 0)
         b = translate(0, 0, 1)
         rel = relative_pose(a, b)
-        assert np.allclose(rel.apply([0.0, 0.0, 5.0]), [0.0, 0.0, 4.0], atol=1e-12)
+        moved = np.array([0.0, 0.0, 5.0]) @ rel.rotation.T + rel.translation
+        assert np.allclose(moved, [0.0, 0.0, 4.0], atol=1e-12)
 
     def test_relative_pose_round_trip(self):
         rng = np.random.default_rng(3)
@@ -200,7 +201,8 @@ class TestProjection:
         assert valid.sum() > 500
 
         def lift(pose, u, v, d):
-            return pose.apply(np.stack([(u - k.cx) * d / k.fx, (v - k.cy) * d / k.fy, d], axis=-1))
+            p = np.stack([(u - k.cx) * d / k.fx, (v - k.cy) * d / k.fy, d], axis=-1)
+            return p @ pose.rotation.T + pose.translation
 
         v, u = np.nonzero(valid)
         world_a = lift(a, u.astype(float), v.astype(float), depth[valid])
@@ -215,31 +217,35 @@ class TestProjection:
 
 
 def sample(field, u, v):
-    """bilinear_sample_many at one location: (values, in-bounds flag)."""
+    """bilinear_sample_many at one location: (channel values as a list, in-bounds flag)."""
     vals, ok = bilinear_sample_many(field, np.array([[u, v]]))
-    return vals[0], bool(ok[0])
+    return vals[0].tolist(), bool(ok[0])
 
 
 class TestBilinearSample:
     def test_exact_at_integers(self):
-        field = np.arange(12, dtype=float).reshape(3, 4)
+        field = np.arange(12, dtype=float).reshape(3, 4, 1)
         for v in range(3):
             for u in range(4):
-                assert sample(field, float(u), float(v)) == (field[v, u], True)
+                assert sample(field, float(u), float(v)) == (field[v, u].tolist(), True)
 
     def test_midpoint(self):
-        field = np.array([[0.0, 1.0]])
-        assert sample(field, 0.5, 0.0) == (pytest.approx(0.5), True)
+        field = np.array([[[0.0], [1.0]]])
+        assert sample(field, 0.5, 0.0) == (pytest.approx([0.5]), True)
 
     def test_out_of_bounds_marker(self):
-        field = np.ones((4, 4))
-        assert sample(field, -0.5, 1.0) == (0.0, False)
-        assert sample(field, 1.0, 3.5) == (0.0, False)
+        field = np.ones((4, 4, 1))
+        assert sample(field, -0.5, 1.0) == ([0.0], False)
+        assert sample(field, 1.0, 3.5) == ([0.0], False)
 
     def test_linear_along_axis(self):
-        field = np.array([[0.0, 2.0, 4.0]])
+        field = np.array([[[0.0], [2.0], [4.0]]])
         for frac in np.linspace(0.0, 2.0, 9):
-            assert sample(field, frac, 0.0) == (pytest.approx(2.0 * frac), True)
+            assert sample(field, frac, 0.0) == (pytest.approx([2.0 * frac]), True)
+
+    def test_field_without_channel_axis_rejected(self):
+        with pytest.raises(ValueError, match=r"\(4, 4\)"):
+            bilinear_sample_many(np.ones((4, 4)), np.zeros((1, 2)))
 
     def test_multichannel(self):
         field = np.stack([np.full((2, 2), 3.0), np.full((2, 2), 7.0)], axis=-1)
@@ -248,7 +254,7 @@ class TestBilinearSample:
 
     def test_many_matches_scalar(self):
         rng = np.random.default_rng(6)
-        for field in (rng.random((5, 7)), rng.random((5, 7, 3))):
+        for field in (rng.random((5, 7, 1)), rng.random((5, 7, 3))):
             uv = rng.uniform(-1.0, 7.0, size=(200, 2))
             uv[:20] = np.round(uv[:20])  # pixel centers, including the last row/column
             vals, ok = bilinear_sample_many(field, uv)

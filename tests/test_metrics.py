@@ -25,7 +25,7 @@ def block_vis(visible, frame_indices=None, width=8, height=8):
     f = visible.shape[0]
     proj = np.zeros(visible.shape + (3,))
     return BlockVisibility(
-        visible.shape[1:], visible, proj,
+        visible, proj,
         tuple(frame_indices or range(f)), width, height,
     )
 

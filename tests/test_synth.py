@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import raycast_bruteforce
+from oracles import classify_palette, raycast_bruteforce
 from scenecast.fusion import SceneGrid, SceneRange
 from scenecast.geom import CameraIntrinsics, compose, inverse, se3_log
 from scenecast.synth import (
@@ -10,7 +10,6 @@ from scenecast.synth import (
     TrajectorySpec,
     build_scene,
     canonical_camera_pose,
-    classify_palette,
     desk_intrinsics,
     extract_features,
     make_trajectory,

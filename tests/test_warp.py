@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import classify_palette
 from scenecast.forecast import PoseSequence, forecast_next
 from scenecast.geom import CameraIntrinsics, Se3Pose
 from scenecast.synth import (
@@ -8,7 +9,6 @@ from scenecast.synth import (
     TrajectorySpec,
     build_scene,
     canonical_camera_pose,
-    classify_palette,
     desk_intrinsics,
     make_trajectory,
     render_frame,
