@@ -35,7 +35,6 @@ from .synth import (
 from .warp import (
     compose_pseudo_future,
     fill_refiner,
-    flow_targets,
     identity_refiner,
     reprojection_flow,
 )
@@ -174,7 +173,7 @@ def _coverage_rows(sources, pose, k):
     covered = np.zeros(k.width * k.height, dtype=bool)
     rows = []
     for m, src in enumerate(sources, start=1):
-        covered[flow_targets(*reprojection_flow(src, pose, k), k.width)] = True
+        covered[reprojection_flow(src, pose, k)[1]] = True
         hits = int(covered.sum())
         rows.append((m, hits, covered.size, hits / covered.size))
     return rows

@@ -289,6 +289,8 @@ def read_fused(path, channels_per_frame: int = 0) -> FusedVolume:
             f"channel count {c} at offset 16 is not a multiple of "
             f"{channels_per_frame} channels per frame"
         )
+    if not (channels_per_frame or c):
+        raise cur.fail("channel count 0 at offset 16 leaves no channels per frame")
     feats = cur.array("<f4", bx * by * bz * c, "feature payload")
     cur.end()
     return FusedVolume(

@@ -117,6 +117,19 @@ class BlockVisibility:
     image_width: int
     image_height: int
 
+    def __post_init__(self):
+        if self.visible.ndim != 4:
+            raise ValueError(f"visible must be (F, BX, BY, BZ), got shape {self.visible.shape}")
+        if self.proj_uv_d.shape != self.visible.shape + (3,):
+            raise ValueError(
+                f"proj_uv_d shape {self.proj_uv_d.shape} does not match "
+                f"visible {self.visible.shape} + (3,)"
+            )
+        if len(self.frame_indices) != self.visible.shape[0]:
+            raise ValueError(
+                f"{len(self.frame_indices)} frame indices for {self.visible.shape[0]} frames"
+            )
+
     @property
     def block_dims(self) -> Tuple[int, ...]:
         return self.visible.shape[1:]
@@ -142,6 +155,16 @@ class FusedVolume:
 
     features: np.ndarray      # (BX, BY, BZ, F * C)
     channels_per_frame: int
+
+    def __post_init__(self):
+        if self.features.ndim != 4:
+            raise ValueError(f"features must be (BX, BY, BZ, C), got shape {self.features.shape}")
+        c = self.features.shape[3]
+        if self.channels_per_frame < 1 or c % self.channels_per_frame:
+            raise ValueError(
+                f"channel count {c} is not a multiple of "
+                f"{self.channels_per_frame} channels per frame"
+            )
 
     @property
     def block_dims(self) -> Tuple[int, ...]:
@@ -200,14 +223,10 @@ def visibility(
         raise ValueError(f"frame is {w}x{h} but intrinsics expect {k.width}x{k.height}")
     r, t = scene_to_frame_transform(current_pose, frame.pose)
     # broadcasting the 1-D center axes avoids building an (X, Y, Z, 3) array
-    u, v, z, ui, vi, inb = project_pixels(r, t, *_center_axes(rng), k)
-    u, v, z, ui, vi, inb = (a.ravel() for a in (u, v, z, ui, vi, inb))
-    # the depth test and the outputs only touch the in-image voxels
-    cand = np.flatnonzero(inb)
-    d_map = frame.depth[vi[cand].astype(np.int64), ui[cand].astype(np.int64)]
-    del ui, vi
-    sel = cand[(d_map > 0.0) & (np.abs(z[cand] - d_map) <= theta_d)]
-    return sel, np.stack([u[sel], v[sel], z[sel]], axis=1)
+    idx, pix, u, v, z = project_pixels(r, t, *_center_axes(rng), k)
+    d_map = frame.depth.ravel()[pix]
+    keep = (d_map > 0.0) & (np.abs(z - d_map) <= theta_d)
+    return idx[keep], np.stack([u[keep], v[keep], z[keep]], axis=1)
 
 
 def downsample_blocks(dims, idx: np.ndarray, uvd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,9 @@ Conventions used throughout the package:
   - twists are 6-vectors (wx, wy, wz, tx, ty, tz): rotation radians first,
     translation meters last
 
-Behind-camera and out-of-bounds conditions are reported as values, not
-exceptions, so pixel/voxel inner loops stay total.
+`project_pixels` drops points behind the camera or off the image rather
+than flagging or raising on them, so pixel and voxel passes stay total and
+touch only the points that land in the image.
 """
 from __future__ import annotations
 
@@ -207,23 +208,37 @@ def rigid_transform(r: np.ndarray, t: np.ndarray, x, y, z):
 
 
 def project_pixels(r: np.ndarray, t: np.ndarray, x, y, z, k: CameraIntrinsics):
-    """Move points by (r, t), project them and round to the nearest pixel.
+    """Move points by (r, t), project them and keep the ones that land in the image.
 
-    x, y, z move as in `rigid_transform`. Returns (u, v, z', ui, vi, inside)
-    in the broadcast shape: the continuous pixel, the depth along the camera
-    axis, the nearest pixel (as floats) and the mask of points in front of
-    the camera (z' > Z_EPS) whose nearest pixel lies inside the image.
+    x, y, z move as in `rigid_transform`. A point is kept when it lies in
+    front of the camera (z' > Z_EPS) and its nearest pixel is inside the
+    image; the rest are dropped. Returns (idx, pix, u, v, z') for the kept
+    points: their ascending flat C-order indices in the broadcast shape, the
+    row-major index vi * W + ui of their nearest pixel, their continuous
+    pixel and their depth along the camera axis. This is the one place that
+    rounds to the nearest pixel.
     """
-    xp, yp, zp = rigid_transform(r, t, x, y, z)
+    u, v, zp = (np.ravel(c) for c in rigid_transform(r, t, x, y, z))
+    # fx x' / z' + cx and fy y' / z' + cy, in place to bound peak memory
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * xp / zp + k.cx
-        v = k.fy * yp / zp + k.cy
-    # free the camera-frame x and y before rounding to bound peak memory
-    del xp, yp
-    ui = np.floor(u + 0.5)
-    vi = np.floor(v + 0.5)
-    inside = (zp > Z_EPS) & (ui >= 0) & (ui <= k.width - 1) & (vi >= 0) & (vi <= k.height - 1)
-    return u, v, zp, ui, vi, inside
+        u *= k.fx
+        u /= zp
+        u += k.cx
+        v *= k.fy
+        v /= zp
+        v += k.cy
+    # the nearest pixel floor(a), a = u + 0.5, is in 0..n-1 exactly when 0 <= a < n,
+    # so floor runs on the kept points only
+    keep = (zp > Z_EPS) & _inside(u + 0.5, k.width) & _inside(v + 0.5, k.height)
+    idx = np.flatnonzero(keep)
+    u, v, zp = u[idx], v[idx], zp[idx]
+    pix = np.floor(v + 0.5).astype(np.int64) * k.width + np.floor(u + 0.5).astype(np.int64)
+    return idx, pix, u, v, zp
+
+
+def _inside(a: np.ndarray, n: int) -> np.ndarray:
+    """Mask of 0 <= a < n; a temporary passed as `a` is freed on return."""
+    return (a >= 0) & (a < n)
 
 
 def bilinear_sample_many(field: np.ndarray, uv: np.ndarray):

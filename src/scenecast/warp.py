@@ -33,8 +33,6 @@ class FrameBundle:
     def __post_init__(self):
         self.image = np.asarray(self.image, dtype=np.float64)
         self.depth = np.asarray(self.depth, dtype=np.float64)
-        if self.image.ndim == 2:
-            self.image = self.image[:, :, None]
         if self.image.ndim != 3:
             raise ValueError(f"image must be HxWxC, got shape {self.image.shape}")
         if self.depth.shape != self.image.shape[:2]:
@@ -86,12 +84,14 @@ def fill_refiner(result: WarpResult) -> Tuple[np.ndarray, np.ndarray]:
 
 def reprojection_flow(
     src: FrameBundle, dst_pose: Se3Pose, k: CameraIntrinsics
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Geometric flow from src pixels into dst: (u', v', d') plus validity.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the valid src pixels land in dst: (idx, pix, uvd).
 
     A pixel is valid when its source depth is positive, the moved point lies
     in front of the destination camera, and its nearest destination pixel is
-    inside the image. Invalid entries are zeroed.
+    inside the image. Returns the ascending row-major indices of the valid
+    source pixels, the row-major index of each one's nearest destination
+    pixel, and their (n, 3) rows of destination (u', v', d').
     """
     h, w = src.shape
     if (w, h) != (k.width, k.height):
@@ -99,23 +99,14 @@ def reprojection_flow(
             f"frame is {w}x{h} but intrinsics expect {k.width}x{k.height}"
         )
     rel = relative_pose(src.pose, dst_pose)
-    d = src.depth
-    u = np.arange(w, dtype=np.float64)[None, :]
-    v = np.arange(h, dtype=np.float64)[:, None]
+    d = src.depth.ravel()
+    spix = np.flatnonzero(d > 0.0)
+    v, u = np.divmod(spix, w)
+    d = d[spix]
     x = (u - k.cx) * d / k.fx
     y = (v - k.cy) * d / k.fy
-    up, vp, zp, _, _, inside = project_pixels(rel.rotation, rel.translation, x, y, d, k)
-    valid = (d > 0.0) & inside
-    flow = np.stack([up, vp, zp], axis=-1)
-    flow[~valid] = 0.0
-    return flow, valid
-
-
-def flow_targets(flow: np.ndarray, valid: np.ndarray, width: int) -> np.ndarray:
-    """Row-major index of the nearest destination pixel of each valid flow entry."""
-    ui = np.floor(flow[..., 0][valid] + 0.5).astype(np.int64)
-    vi = np.floor(flow[..., 1][valid] + 0.5).astype(np.int64)
-    return vi * width + ui
+    idx, pix, up, vp, zp = project_pixels(rel.rotation, rel.translation, x, y, d, k)
+    return spix[idx], pix, np.stack([up, vp, zp], axis=1)
 
 
 def forward_splat(
@@ -139,37 +130,18 @@ def forward_splat(
         if s.shape != (h, w) or s.image.shape[2] != channels:
             raise ValueError("all sources must share image dimensions")
 
-    tgt_parts, dq_parts, prox_parts, spix_parts, slot_parts = [], [], [], [], []
-    depth_parts, color_parts = [], []
+    # one (target, depth, proximity, source pixel, slot, color) tuple per source
+    parts = []
     for slot, src in enumerate(sources):
-        flow, valid = reprojection_flow(src, dst_pose, k)
-        if not valid.any():
-            continue
-        zp = flow[..., 2][valid]
-        tgt_parts.append(flow_targets(flow, valid, w))
-        dq_parts.append(np.round(zp / DEPTH_TIE_QUANTUM).astype(np.int64))
+        spix, tgt, uvd = reprojection_flow(src, dst_pose, k)
+        n = len(spix)
         prox = abs(src.frame_index - dst_frame_index)
-        prox_parts.append(np.full(zp.shape, prox, dtype=np.int64))
-        spix = np.flatnonzero(valid.ravel())
-        spix_parts.append(spix)
-        slot_parts.append(np.full(zp.shape, slot, dtype=np.int64))
-        depth_parts.append(zp)
-        color_parts.append(src.image[valid])
-
-    image = np.zeros((h, w, channels))
-    depth = np.zeros((h, w))
-    hit = np.zeros((h, w), dtype=bool)
-    source_index = np.full((h, w), -1, dtype=np.int64)
-    if not tgt_parts:
-        return WarpResult(image, depth, hit, source_index)
-
-    tgt = np.concatenate(tgt_parts)
-    dq = np.concatenate(dq_parts)
-    prox = np.concatenate(prox_parts)
-    spix = np.concatenate(spix_parts)
-    slot = np.concatenate(slot_parts)
-    depths = np.concatenate(depth_parts)
-    colors = np.concatenate(color_parts)
+        parts.append((
+            tgt, uvd[:, 2], np.full(n, prox, dtype=np.int64), spix,
+            np.full(n, slot, dtype=np.int64), src.image.reshape(-1, channels)[spix],
+        ))
+    tgt, depths, prox, spix, slot, colors = (np.concatenate(p) for p in zip(*parts))
+    dq = np.round(depths / DEPTH_TIE_QUANTUM).astype(np.int64)
 
     # last key is most significant: sort by target, depth bucket, tie chain
     order = np.lexsort((slot, spix, prox, dq, tgt))
@@ -179,6 +151,10 @@ def forward_splat(
     winners = order[first]
 
     t = tgt[winners]
+    image = np.zeros((h, w, channels))
+    depth = np.zeros((h, w))
+    hit = np.zeros((h, w), dtype=bool)
+    source_index = np.full((h, w), -1, dtype=np.int64)
     image.reshape(-1, channels)[t] = colors[winners]
     depth.reshape(-1)[t] = depths[winners]
     hit.reshape(-1)[t] = True

@@ -70,6 +70,58 @@ def visibility_bruteforce(
     return vis, proj
 
 
+def reprojection_bruteforce(src: FrameBundle, dst_pose: Se3Pose, k: CameraIntrinsics):
+    """Scalar per-pixel reprojection of a source frame into a destination view.
+
+    Pixel (u, v) with depth d lifts to ((u - cx) d / fx, (v - cy) d / fy, d),
+    moves through the relative pose (products summed in x, y, z order) and
+    projects; it is kept when d > 0, the moved depth exceeds 1e-6 and the
+    nearest pixel floor(u' + 0.5), floor(v' + 0.5) is inside the image.
+    Returns (idx, pix, uvd, drops): the row-major indices of the kept source
+    pixels, their nearest destination pixels, their (n, 3) rows of
+    (u', v', d'), and a dict counting the dropped pixels by reason.
+    """
+    rel = relative_pose(src.pose, dst_pose)
+    r = [[float(v) for v in row] for row in rel.rotation]
+    t = [float(v) for v in rel.translation]
+    depth = src.depth.tolist()
+    fx, fy, cx, cy = k.fx, k.fy, k.cx, k.cy
+    w, h = k.width, k.height
+
+    idx, pix, uvd = [], [], []
+    drops = {"zero_depth": 0, "behind": 0, "off_image": 0}
+    for v in range(h):
+        for u in range(w):
+            d = depth[v][u]
+            if not d > 0.0:
+                drops["zero_depth"] += 1
+                continue
+            x = (u - cx) * d / fx
+            y = (v - cy) * d / fy
+            xp = r[0][0] * x + r[0][1] * y + r[0][2] * d + t[0]
+            yp = r[1][0] * x + r[1][1] * y + r[1][2] * d + t[1]
+            zp = r[2][0] * x + r[2][1] * y + r[2][2] * d + t[2]
+            if zp <= 1e-6:
+                drops["behind"] += 1
+                continue
+            up = fx * xp / zp + cx
+            vp = fy * yp / zp + cy
+            ui = math.floor(up + 0.5)
+            vi = math.floor(vp + 0.5)
+            if ui < 0 or ui > w - 1 or vi < 0 or vi > h - 1:
+                drops["off_image"] += 1
+                continue
+            idx.append(v * w + u)
+            pix.append(vi * w + ui)
+            uvd.append((up, vp, zp))
+    return (
+        np.array(idx, dtype=np.int64),
+        np.array(pix, dtype=np.int64),
+        np.array(uvd, dtype=np.float64).reshape(-1, 3),
+        drops,
+    )
+
+
 def resample_bruteforce(world, rng: SceneRange, pose: Se3Pose):
     """Scalar relabelling of a world grid onto a camera-anchored range.
 

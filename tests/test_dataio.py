@@ -247,6 +247,30 @@ class TestFusedAndBlockVis:
         with pytest.raises(FormatError, match="offset 16"):
             dataio.read_fused(path, 3)
 
+    def test_fused_zero_channels_need_channels_per_frame(self, tmp_path):
+        path = tmp_path / "f.fvx"
+        dataio.write_fused(path, FusedVolume(np.zeros((1, 1, 1, 0)), 4))
+        assert dataio.read_fused(path, 4).features.shape == (1, 1, 1, 0)
+        with pytest.raises(FormatError, match="offset 16"):
+            dataio.read_fused(path)
+
+    def test_inconsistent_volumes_rejected_before_writing(self, tmp_path):
+        # both were once written as files their readers reject
+        with pytest.raises(ValueError, match="proj_uv_d"):
+            dataio.write_blockvis(tmp_path / "b.bvx", BlockVisibility(
+                np.ones((1, 2, 2, 2), dtype=bool), np.ones((1, 1, 1, 1, 3)), (0,), 8, 8))
+        with pytest.raises(ValueError, match="multiple of 4"):
+            dataio.write_fused(tmp_path / "f.fvx", FusedVolume(np.zeros((1, 1, 1, 6)), 4))
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(ValueError, match="frame indices"):
+            BlockVisibility(np.ones((2, 1, 1, 1), dtype=bool), np.ones((2, 1, 1, 1, 3)), (0,), 8, 8)
+        with pytest.raises(ValueError, match="visible"):
+            BlockVisibility(np.ones((1, 1, 1), dtype=bool), np.ones((1, 1, 1, 3)), (0,), 8, 8)
+        with pytest.raises(ValueError, match="features"):
+            FusedVolume(np.zeros((1, 1, 4)), 4)
+        with pytest.raises(ValueError, match="multiple of 0"):
+            FusedVolume(np.zeros((1, 1, 1, 4)), 0)
+
     def test_fused_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "f.fvx"
         dataio.write_fused(path, FusedVolume(np.zeros((1, 2, 1, 4)), 4))

@@ -164,31 +164,32 @@ class TestSe3LogExp:
 
 
 def project_one(x, y, z, r=np.eye(3), t=np.zeros(3)):
-    """project_pixels on one point, as Python scalars."""
-    out = project_pixels(r, t, np.array([x]), np.array([y]), np.array([z]), K)
-    return tuple(a[0].item() for a in out)
+    """project_pixels on one point: (u, v, d, ui, vi) as Python scalars, None if dropped."""
+    idx, pix, u, v, d = project_pixels(r, t, np.array([x]), np.array([y]), np.array([z]), K)
+    if not idx.size:
+        return None
+    vi, ui = divmod(int(pix[0]), K.width)
+    return u[0].item(), v[0].item(), d[0].item(), ui, vi
 
 
 class TestProjection:
     def test_optical_axis(self):
-        u, v, d, ui, vi, inside = project_one(0.0, 0.0, 5.0)
-        assert (u, v, d, ui, vi) == (320.0, 240.0, 5.0, 320.0, 240.0)
-        assert inside
+        assert project_one(0.0, 0.0, 5.0) == (320.0, 240.0, 5.0, 320, 240)
 
     def test_fx_scaling(self):
-        u, v, _, ui, _, _ = project_one(1.0, 0.0, 2.0)
+        u, v, _, ui, _ = project_one(1.0, 0.0, 2.0)
         assert u == pytest.approx(370.0, abs=1e-12)
-        assert v == 240.0 and ui == 370.0
+        assert v == 240.0 and ui == 370
 
     def test_behind_camera_is_invalid_value(self):
-        assert not project_one(0.0, 0.0, -1.0)[5]
-        assert not project_one(0.0, 0.0, 0.0)[5]
+        assert project_one(0.0, 0.0, -1.0) is None
+        assert project_one(0.0, 0.0, 0.0) is None
 
     def test_off_image_is_masked(self):
         # u = 100 x + 320 at z = 1: nearest pixels 639 and 0 are in, 640 and -1 out
-        inside = [project_one(x, 0.0, 1.0)[5] for x in (3.194, 3.196, -3.204, -3.206)]
+        inside = [project_one(x, 0.0, 1.0) is not None for x in (3.194, 3.196, -3.204, -3.206)]
         assert inside == [True, False, True, False]
-        assert not project_one(0.0, 2.406, 1.0)[5]  # v = 480.6 rounds to row 481
+        assert project_one(0.0, 2.406, 1.0) is None  # v = 480.6 rounds to row 481
 
     def test_round_trip_random_pixels(self):
         # lifting (u, v, d) in A and the flow's (u', v', d') in B reach the same world point
@@ -197,16 +198,16 @@ class TestProjection:
         depth = rng.uniform(0.1, 100.0, size=(k.height, k.width))
         a = se3_exp(rng.normal(scale=0.5, size=6))
         b = compose(a, se3_exp(np.array([0.01, -0.02, 0.01, 0.2, -0.1, 0.5])))
-        flow, valid = reprojection_flow(FrameBundle(np.zeros((24, 32, 3)), depth, a, 0), b, k)
-        assert valid.sum() > 500
+        idx, _, uvd = reprojection_flow(FrameBundle(np.zeros((24, 32, 3)), depth, a, 0), b, k)
+        assert idx.size > 500
 
         def lift(pose, u, v, d):
             p = np.stack([(u - k.cx) * d / k.fx, (v - k.cy) * d / k.fy, d], axis=-1)
             return p @ pose.rotation.T + pose.translation
 
-        v, u = np.nonzero(valid)
-        world_a = lift(a, u.astype(float), v.astype(float), depth[valid])
-        world_b = lift(b, flow[..., 0][valid], flow[..., 1][valid], flow[..., 2][valid])
+        v, u = np.divmod(idx, k.width)
+        world_a = lift(a, u.astype(float), v.astype(float), depth.ravel()[idx])
+        world_b = lift(b, uvd[:, 0], uvd[:, 1], uvd[:, 2])
         assert np.abs(world_a - world_b).max() < 1e-9
 
     def test_intrinsics_validation(self):

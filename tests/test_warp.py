@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from oracles import classify_palette
+from oracles import classify_palette, reprojection_bruteforce
 from scenecast.forecast import PoseSequence, forecast_next
-from scenecast.geom import CameraIntrinsics, Se3Pose
+from scenecast.geom import CameraIntrinsics, Se3Pose, compose, se3_exp
 from scenecast.synth import (
     SceneSpec,
     TrajectorySpec,
@@ -51,33 +53,59 @@ def corridor_setup(seed, speed=2.0, past=4, interval=5):
 class TestReprojectionFlow:
     def test_identity_flow(self):
         src = flat_frame(5.0)
-        flow, valid = reprojection_flow(src, src.pose, K4)
-        assert valid.all()
+        idx, pix, uvd = reprojection_flow(src, src.pose, K4)
+        assert np.array_equal(idx, np.arange(16))
+        assert np.array_equal(pix, idx)
         u = np.arange(4, dtype=float)
-        assert np.abs(flow[..., 0] - u[None, :]).max() < 1e-9
-        assert np.abs(flow[..., 1] - u[:, None]).max() < 1e-9
-        assert np.array_equal(flow[..., 2], src.depth)
+        assert np.abs(uvd[:, 0] - np.tile(u, 4)).max() < 1e-9
+        assert np.abs(uvd[:, 1] - np.repeat(u, 4)).max() < 1e-9
+        assert np.array_equal(uvd[:, 2], src.depth.ravel())
 
     def test_forward_translation_toward_plane(self):
         # camera advances 1 m along z toward a fronto-parallel plane at 5 m
         src = flat_frame(5.0)
         dst_pose = Se3Pose(np.eye(3), [0.0, 0.0, 1.0])
-        flow, valid = reprojection_flow(src, dst_pose, K4)
-        assert np.all(flow[valid][:, 2] == pytest.approx(4.0, abs=1e-12))
+        _, _, uvd = reprojection_flow(src, dst_pose, K4)
+        assert np.all(uvd[:, 2] == pytest.approx(4.0, abs=1e-12))
 
     def test_zero_depth_invalid(self):
         src = flat_frame(5.0)
         src.depth[1, 2] = 0.0
-        _, valid = reprojection_flow(src, src.pose, K4)
-        assert not valid[1, 2]
-        assert valid.sum() == 15
+        idx, _, _ = reprojection_flow(src, src.pose, K4)
+        assert 1 * 4 + 2 not in idx
+        assert idx.size == 15
 
     def test_off_image_invalid(self):
         # large lateral shove maps every pixel out of the destination image
         src = flat_frame(5.0)
         dst_pose = Se3Pose(np.eye(3), [100.0, 0.0, 0.0])
-        _, valid = reprojection_flow(src, dst_pose, K4)
-        assert not valid.any()
+        idx, pix, uvd = reprojection_flow(src, dst_pose, K4)
+        assert idx.size == 0 and pix.size == 0 and uvd.shape == (0, 3)
+
+    def test_matches_bruteforce_oracle(self):
+        # 20 seeded pose pairs over depths 0.5-10 m: moving up to 6 m forward
+        # puts points behind the camera, turns shift others off the image, and
+        # moving back brings the source camera centre, where zero-depth pixels
+        # would land, into view
+        k = CameraIntrinsics(30.0, 25.0, 11.5, 8.5, 24, 18)
+        rng = np.random.default_rng(12)
+        drops = Counter()
+        for case in range(20):
+            depth = rng.uniform(0.5, 10.0, size=(k.height, k.width))
+            depth[rng.random(depth.shape) < 0.1] = 0.0
+            src = FrameBundle(rng.random(depth.shape + (3,)), depth,
+                              se3_exp(rng.normal(scale=0.5, size=6)), 0)
+            move = np.concatenate([rng.normal(scale=0.3, size=3),
+                                   rng.normal(scale=1.0, size=2), [rng.uniform(-3.0, 6.0)]])
+            # the first case is the identity, which relative_pose makes exact
+            dst_pose = src.pose if case == 0 else compose(src.pose, se3_exp(move))
+            idx, pix, uvd = reprojection_flow(src, dst_pose, k)
+            ref_idx, ref_pix, ref_uvd, ref_drops = reprojection_bruteforce(src, dst_pose, k)
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(pix, ref_pix)
+            assert np.array_equal(uvd, ref_uvd)
+            drops.update(ref_drops)
+        assert min(drops[r] for r in ("zero_depth", "behind", "off_image")) > 100
 
 
 class TestForwardSplat:
@@ -250,6 +278,8 @@ class TestFrameBundleValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             FrameBundle(np.zeros((4, 4, 3)), np.zeros((5, 4)), Se3Pose.identity(), 0)
+        with pytest.raises(ValueError, match="HxWxC"):
+            FrameBundle(np.zeros((4, 4)), np.zeros((4, 4)), Se3Pose.identity(), 0)
 
     def test_image_range(self):
         with pytest.raises(ValueError):
