@@ -347,8 +347,18 @@ def demo_pipeline(
     """Full synthetic pipeline; returns artifacts and the per-set summary."""
     voxel = defaults.DESK_VOXEL_SIZE
     k = desk_intrinsics()
-    step = speed * interval
     start_y = 2.0
+    # the trajectory comes first, so a bad speed is named before it sizes the scene
+    traj = make_trajectory(
+        TrajectorySpec(
+            kind="straight",
+            speed=speed,
+            frames=past + 2,
+            frame_interval=interval,
+            start=canonical_camera_pose((0.0, start_y, 0.0)),
+        )
+    )
+    step = speed * interval
     ahead = defaults.DESK_SCENE_DIMS[1] * voxel
     depth_y = start_y + past * step + ahead + step + 2.0
     ny = int(np.ceil(depth_y / voxel / 4.0) * 4)
@@ -360,15 +370,6 @@ def demo_pipeline(
         box_count=box_count,
     )
     grid = build_scene(spec)
-    traj = make_trajectory(
-        TrajectorySpec(
-            kind="straight",
-            speed=speed,
-            frames=past + 2,
-            frame_interval=interval,
-            start=canonical_camera_pose((0.0, start_y, 0.0)),
-        )
-    )
     bundles = [
         render_frame(grid, pose, k, idx)
         for pose, idx in zip(traj.poses, traj.frame_indices)

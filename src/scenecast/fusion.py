@@ -6,7 +6,13 @@ camera, converts scene axes to camera axes (x right, y down, z forward).
 Every voxel center is carried through the relative pose into each temporal
 frame, projected, and tested against that frame's depth map: a voxel is
 visible when its projected depth lies within theta_d of the depth sampled at
-the nearest pixel.
+the nearest pixel. Most voxels of a frame cannot pass, so a conservative cull
+over 4x4x4 blocks runs first: a block is dropped when its 8 extreme centers
+show that every member lies behind the camera, off the image, or outside the
+depth band of its pixel rectangle (read from min/max tables over 8x8-pixel
+depth tiles). Only the members of the kept blocks are projected, with the
+same elementwise arithmetic, so the result is the exhaustive test's bit for
+bit.
 
 Voxels are grouped into 4x4x4 blocks (visible if any member voxel is, with
 projection coordinates averaged over the visible members); per-frame 2D
@@ -35,6 +41,7 @@ from .geom import (
     LEVEL_CAMERA_ROTATION,
     CameraIntrinsics,
     Se3Pose,
+    Z_EPS,
     bilinear_sample_many,
     project_pixels,
     relative_pose,
@@ -177,13 +184,10 @@ class FusedVolume:
 
 
 def _center_axes(rng: SceneRange):
-    """Scene-frame center coordinates along x, y, z, shaped to broadcast to (X, Y, Z)."""
-    nx, ny, nz = rng.dims
-    vs = rng.voxel_size
-    cx = rng.origin[0] + (np.arange(nx) + 0.5) * vs
-    cy = rng.origin[1] + (np.arange(ny) + 0.5) * vs
-    cz = rng.origin[2] + (np.arange(nz) + 0.5) * vs
-    return cx[:, None, None], cy[None, :, None], cz[None, None, :]
+    """Scene-frame voxel-center coordinates along x, y and z, as three 1-D arrays."""
+    return tuple(
+        o + (np.arange(n) + 0.5) * rng.voxel_size for o, n in zip(rng.origin, rng.dims)
+    )
 
 
 def scene_to_frame_transform(current_pose: Se3Pose, frame_pose: Se3Pose):
@@ -197,6 +201,115 @@ def scene_to_frame_transform(current_pose: Se3Pose, frame_pose: Se3Pose):
     axes = np.abs(LEVEL_CAMERA_ROTATION).argmax(axis=1)
     signs = LEVEL_CAMERA_ROTATION[np.arange(3), axes]
     return rel.rotation[:, axes] * signs, rel.translation.copy()
+
+
+# edge in pixels of the depth tiles the block cull reads
+_DEPTH_TILE = 8
+
+
+def _tile_reduce(op, a: np.ndarray) -> np.ndarray:
+    """op over each 8x8-pixel tile of a; edge padding fills the last partial tiles
+    with copies of their own pixels, which min and max ignore."""
+    s = _DEPTH_TILE
+    h, w = a.shape
+    if h % s or w % s:
+        a = np.pad(a, ((0, -h % s), (0, -w % s)), mode="edge")
+    a = op.reduce(a.reshape(-1, s, a.shape[1]), axis=1).reshape(a.shape[0] // s, -1, s)
+    out = a[:, :, 0]
+    for q in range(1, s):
+        out = op(out, a[:, :, q])
+    return out
+
+
+def _depth_table(depth: np.ndarray) -> np.ndarray:
+    """2-D sparse table over 8x8-pixel tiles of the min positive depth and the
+    negated max depth.
+
+    Entry (a, b, :, r, c) covers tiles r..r+2^a-1 x c..c+2^b-1: slot 0 holds
+    the min over their positive depths (inf if none), slot 1 minus their max
+    depth, so one np.minimum builds both. NaN is neither positive nor a max.
+    """
+    lo = _tile_reduce(np.minimum, np.where(depth > 0.0, depth, np.inf))
+    hi = _tile_reduce(np.fmax, depth)
+    th, tw = lo.shape
+    st = np.full((th.bit_length(), tw.bit_length(), 2, th, tw), np.inf)
+    st[0, 0, 0], st[0, 0, 1] = lo, -hi
+    for a in range(1, st.shape[0]):
+        half = 1 << (a - 1)
+        n = th - 2 * half + 1
+        st[a, 0, :, :n] = np.minimum(st[a - 1, 0, :, :n], st[a - 1, 0, :, half:half + n])
+    for b in range(1, st.shape[1]):
+        half = 1 << (b - 1)
+        n = tw - 2 * half + 1
+        st[:, b, :, :, :n] = np.minimum(st[:, b - 1, :, :, :n], st[:, b - 1, :, :, half:half + n])
+    return st
+
+
+def _depth_range(st: np.ndarray, u0, u1, v0, v1):
+    """(min, max) of the positive depths over the tiles holding pixels u0..u1 x
+    v0..v1 (inclusive, inside the image), from four overlapping table entries."""
+    s = _DEPTH_TILE
+    _, lb, _, th, tw = st.shape
+    r0, r1, c0, c1 = v0 // s, v1 // s, u0 // s, u1 // s
+    a = np.frexp(r1 - r0 + 1)[1] - 1  # floor(log2(n)), exact for integers
+    b = np.frexp(c1 - c0 + 1)[1] - 1
+    r2 = r1 + 1 - np.left_shift(1, a)
+    c2 = c1 + 1 - np.left_shift(1, b)
+    at = (a * lb + b) * (2 * th * tw)
+    q = np.stack([at + r0 * tw + c0, at + r2 * tw + c0, at + r0 * tw + c2, at + r2 * tw + c2])
+    flat = st.ravel()
+    return flat[q].min(axis=0), -flat[q + th * tw].min(axis=0)
+
+
+def _floor_index(a: np.ndarray, n: int) -> np.ndarray:
+    """floor(a) as int64 for an n-pixel axis; a is clipped to -2..n+2 first so any float fits."""
+    return np.floor(np.clip(a, -2.0, n + 2.0)).astype(np.int64)
+
+
+def _kept_blocks(axes, r, t, k: CameraIntrinsics, depth, theta_d: float) -> np.ndarray:
+    """Mask of the 4x4x4 blocks the cull keeps, shaped (ceil(X/4), ceil(Y/4),
+    ceil(Z/4)) for center axes of lengths X, Y and Z.
+
+    The centers of a block fill the box spanned by its 8 extreme centers (a
+    partial block at the far end of an axis is clamped to the last center).
+    A rigid motion keeps that box convex, and so does projection in front of
+    the camera, so the extreme centers bound the depth and the pixel
+    rectangle of every member. A block is dropped when all of them lie
+    behind Z_EPS; or all lie in front and the rectangle, padded by 1 px,
+    misses the image; or [zmin - theta_d, zmax + theta_d] misses the range
+    of positive depth over the rectangle. Blocks straddling the near plane
+    are kept. A relative epsilon covers rounding in every bound.
+    """
+    e = defaults.BLOCK_EDGE
+    nb = tuple(-(-c.size // e) for c in axes)
+    # per axis, the first and last member center of each block, shaped so the
+    # three broadcast to (2, 2, 2, BX, BY, BZ): the 8 corners of every block
+    ends = []
+    for a, c in enumerate(axes):
+        first = np.arange(nb[a]) * e
+        shape = [1] * 6
+        shape[a], shape[3 + a] = 2, nb[a]
+        ends.append(np.stack([c[first], c[np.minimum(first + e - 1, c.size - 1)]]).reshape(shape))
+    xc, yc, zc = (c.reshape(8, -1) for c in rigid_transform(r, t, *ends))
+    scale = 3.0 * max(np.abs(c[[0, -1]]).max() for c in axes) + np.abs(t).max() + theta_d
+    eps = 1e-9 * (1.0 + scale)
+    zmin, zmax = zc.min(axis=0), zc.max(axis=0)
+    front = zmin > Z_EPS + eps
+    kept = ~front & (zmax > Z_EPS - eps)  # straddling the near plane
+    f = np.flatnonzero(front)
+    zf = zc.take(f, axis=1)
+    u = k.fx * xc.take(f, axis=1) / zf + k.cx
+    v = k.fy * yc.take(f, axis=1) / zf + k.cy
+    # the nearest pixels floor(u + 0.5) of the extremes, padded by 1 px, clipped to the image
+    u0 = np.maximum(_floor_index(u.min(axis=0) - 0.5, k.width), 0)
+    u1 = np.minimum(_floor_index(u.max(axis=0) + 1.5, k.width), k.width - 1)
+    v0 = np.maximum(_floor_index(v.min(axis=0) - 0.5, k.height), 0)
+    v1 = np.minimum(_floor_index(v.max(axis=0) + 1.5, k.height), k.height - 1)
+    on = np.flatnonzero((u0 <= u1) & (v0 <= v1))
+    f = f[on]
+    dmin, dmax = _depth_range(_depth_table(depth), u0[on], u1[on], v0[on], v1[on])
+    kept[f[(zmax[f] + theta_d + eps >= dmin) & (zmin[f] - theta_d - eps <= dmax)]] = True
+    return kept.reshape(nb)
 
 
 def visibility(
@@ -213,20 +326,44 @@ def visibility(
     D is read at the nearest integer pixel: bilinear interpolation across
     depth discontinuities would fabricate depths and corrupt the band test.
 
+    A conservative cull over 4x4x4 blocks (`_kept_blocks`) first drops the
+    blocks that cannot hold a visible voxel, using the block corners and a
+    min/max depth table over 8x8-pixel tiles. Only the members of the kept
+    blocks go through `project_pixels`, whose elementwise arithmetic is the
+    same for any subset, so the result equals testing every voxel bit for
+    bit. Dims need not be multiples of 4.
+
     Returns (idx, uvd): the ascending flat C-order indices of the visible
     voxels and their (n, 3) rows of (u, v, d).
     """
-    if theta_d <= 0:
-        raise ValueError("theta_d must be positive")
+    if not (np.isfinite(theta_d) and theta_d > 0):
+        raise ValueError(f"theta_d must be finite and positive, got {theta_d}")
     h, w = frame.shape
     if (w, h) != (k.width, k.height):
         raise ValueError(f"frame is {w}x{h} but intrinsics expect {k.width}x{k.height}")
     r, t = scene_to_frame_transform(current_pose, frame.pose)
-    # broadcasting the 1-D center axes avoids building an (X, Y, Z, 3) array
-    idx, pix, u, v, z = project_pixels(r, t, *_center_axes(rng), k)
+    axes = _center_axes(rng)
+    e = defaults.BLOCK_EDGE
+    blocks = np.nonzero(_kept_blocks(axes, r, t, k, frame.depth, theta_d))
+    # member centers of the kept blocks, broadcast to (n, 4, 4, 4); centers past
+    # a partial block's end are NaN, which project_pixels drops (NaN > Z_EPS is false)
+    o = np.arange(e)
+    members = [b[:, None] * e + o for b in blocks]
+    centers = [
+        np.append(c, np.full(-c.size % e, np.nan))[m].reshape(shape)
+        for c, m, shape in zip(axes, members, ((-1, e, 1, 1), (-1, 1, e, 1), (-1, 1, 1, e)))
+    ]
+    sel, pix, u, v, z = project_pixels(r, t, *centers, k)
     d_map = frame.depth.ravel()[pix]
-    keep = (d_map > 0.0) & (np.abs(z - d_map) <= theta_d)
-    return idx[keep], np.stack([u[keep], v[keep], z[keep]], axis=1)
+    keep = np.flatnonzero((d_map > 0.0) & (np.abs(z - d_map) <= theta_d))
+    block, a, b, c = np.unravel_index(sel[keep], (blocks[0].size, e, e, e))
+    idx = np.ravel_multi_index(
+        (members[0][block, a], members[1][block, b], members[2][block, c]), rng.dims
+    )
+    # members come block by block: restore C order over the visible voxels only
+    order = np.argsort(idx)
+    keep = keep[order]
+    return idx[order], np.stack([u[keep], v[keep], z[keep]], axis=1)
 
 
 def downsample_blocks(dims, idx: np.ndarray, uvd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -336,7 +473,8 @@ def resample_to_range(
     with the world axes this reduces to an integer shift.
     """
     r, t = scene_to_frame_transform(current_pose, Se3Pose.identity())
-    w = np.stack(rigid_transform(r, t, *_center_axes(rng)), axis=-1)
+    cx, cy, cz = _center_axes(rng)
+    w = np.stack(rigid_transform(r, t, cx[:, None, None], cy[:, None], cz), axis=-1)
     idx = np.floor((w - world.range.origin) / world.range.voxel_size).astype(np.int64)
     inside = np.all((idx >= 0) & (idx < world.range.dims), axis=-1)
     labels = np.zeros(rng.dims, dtype=np.uint8)

@@ -109,6 +109,9 @@ class TrajectorySpec:
             raise ValueError(
                 f"kind must be one of {TRAJECTORY_KINDS}, got {self.kind!r}"
             )
+        for name in ("speed", "turn_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.frames < 1:
             raise ValueError("need at least one frame")
         if self.frame_interval < 1:
@@ -300,24 +303,31 @@ def extract_features(image: np.ndarray) -> np.ndarray:
     h, w = img.shape[:2]
     if h % 4 or w % 4:
         raise ValueError(f"image dims {w}x{h} must be divisible by 4")
-    gray = img.mean(axis=2)
+    r, g, b = img[:, :, 0], img[:, :, 1], img[:, :, 2]
+    # the sum a mean over the 3-long channel axis takes, in its order
+    gray = (r + g + b) / 3.0
     sob_x = np.abs(ndimage.sobel(gray, axis=1))
     sob_y = np.abs(ndimage.sobel(gray, axis=0))
 
     def blocks(a: np.ndarray) -> np.ndarray:
         return a.reshape(h // 4, 4, w // 4, 4)
 
-    feats = np.stack(
+    def tree(op, a: np.ndarray) -> np.ndarray:
+        """op over each 4x4 block, as a pairwise tree over rows, then columns."""
+        a = blocks(a)
+        rows = op(op(a[:, 0], a[:, 1]), op(a[:, 2], a[:, 3]))
+        return op(op(rows[..., 0], rows[..., 1]), op(rows[..., 2], rows[..., 3]))
+
+    return np.stack(
         [
-            blocks(img[:, :, 0]).mean(axis=(1, 3)),
-            blocks(img[:, :, 1]).mean(axis=(1, 3)),
-            blocks(img[:, :, 2]).mean(axis=(1, 3)),
+            blocks(r).mean(axis=(1, 3)),
+            blocks(g).mean(axis=(1, 3)),
+            blocks(b).mean(axis=(1, 3)),
             blocks(gray).mean(axis=(1, 3)),
             blocks(sob_x).mean(axis=(1, 3)),
             blocks(sob_y).mean(axis=(1, 3)),
-            blocks(gray).min(axis=(1, 3)),
-            blocks(gray).max(axis=(1, 3)),
+            tree(np.minimum, gray),
+            tree(np.maximum, gray),
         ],
         axis=-1,
     )
-    return feats

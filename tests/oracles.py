@@ -190,6 +190,49 @@ def downsample_bruteforce(visible, proj, edge: int = 4):
     return block_vis, block_proj
 
 
+def extract_features_bruteforce(image):
+    """Scalar per-block transcription of the stride-4 feature stand-in.
+
+    Gray is (r + g + b) / 3 per pixel. The Sobel responses correlate gray
+    with [-1, 0, 1] along the derivative axis and [1, 2, 1] across it,
+    reflecting at the border (index -1 reads 0, index n reads n - 1). Each
+    4x4 block gives the means of R, G, B, gray, |Sobel x| and |Sobel y|
+    (16 values summed in row-major order) and the min and max of gray.
+    """
+    rows = np.asarray(image, dtype=np.float64).tolist()
+    h, w = len(rows), len(rows[0])
+    gray = [[(px[0] + px[1] + px[2]) / 3.0 for px in row] for row in rows]
+    # gray with a reflected 1-pixel border: p[i + 1][j + 1] is gray[i][j]
+    p = [[row[0]] + row + [row[-1]] for row in [gray[0]] + gray + [gray[-1]]]
+
+    def sobel_x(i, j):
+        return (
+            (p[i][j + 2] - p[i][j])
+            + 2.0 * (p[i + 1][j + 2] - p[i + 1][j])
+            + (p[i + 2][j + 2] - p[i + 2][j])
+        )
+
+    def sobel_y(i, j):
+        return (
+            (p[i + 2][j] - p[i][j])
+            + 2.0 * (p[i + 2][j + 1] - p[i][j + 1])
+            + (p[i + 2][j + 2] - p[i][j + 2])
+        )
+
+    out = np.zeros((h // 4, w // 4, 8))
+    for bi in range(h // 4):
+        for bj in range(w // 4):
+            cells = [(4 * bi + a, 4 * bj + b) for a in range(4) for b in range(4)]
+            for c in range(3):
+                out[bi, bj, c] = sum(rows[i][j][c] for i, j in cells) / 16.0
+            out[bi, bj, 3] = sum(gray[i][j] for i, j in cells) / 16.0
+            out[bi, bj, 4] = sum(abs(sobel_x(i, j)) for i, j in cells) / 16.0
+            out[bi, bj, 5] = sum(abs(sobel_y(i, j)) for i, j in cells) / 16.0
+            out[bi, bj, 6] = min(gray[i][j] for i, j in cells)
+            out[bi, bj, 7] = max(gray[i][j] for i, j in cells)
+    return out
+
+
 def bilinear_bruteforce(field, u: float, v: float):
     """Scalar bilinear sample as a tent-filter sum over every pixel.
 

@@ -344,6 +344,32 @@ class TestMalformedInput:
         assert expected in err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["demo", "--theta-d", "nan"], "theta_d"),
+            (["demo", "--speed", "nan"], "speed"),
+            (["synth", "--speed", "nan"], "speed"),
+            (["synth", "--kind", "constant_turn", "--turn-rate", "inf"], "turn_rate"),
+        ],
+        ids=["demo_theta_d", "demo_speed", "synth_speed", "synth_turn_rate"],
+    )
+    def test_one_error_line_naming_the_input(self, tmp_path, capsys, argv, name):
+        code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {name} must be finite")
+
+    def test_fuse_nan_theta_d_is_one_error_line(self, small_frames_dir, tmp_path, capsys):
+        out = tmp_path / "fuse"
+        code, _, err = run(capsys, "fuse", "--frames-dir", str(small_frames_dir),
+                           "--theta-d", "nan", "--out-dir", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: theta_d must be finite")
+        assert not (out / "fused.fvx").exists()
+
+
 class TestGradCheck:
     def test_passes_at_tolerance(self, capsys):
         code, out, err = run(capsys, "grad-check", "--volumes", "3", "--seed", "1")

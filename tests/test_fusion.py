@@ -107,6 +107,93 @@ class TestVisibility:
             assert np.array_equal(uvd, proj_ref[vis_ref])
 
 
+class TestVisibilityCull:
+    """`visibility` drops whole 4x4x4 blocks before projecting; the scalar
+    oracle tests every voxel, so any block dropped wrongly shows up here."""
+
+    @staticmethod
+    def check(srange, frame, current, theta_d=0.5, k=K):
+        idx, uvd = visibility(srange, frame, current, k, theta_d)
+        vis, proj = visibility_bruteforce(srange, frame, current, k, theta_d)
+        assert np.array_equal(idx, np.flatnonzero(vis))
+        assert np.array_equal(uvd, proj[vis])
+        return idx, uvd
+
+    def test_camera_inside_range_with_blocks_straddling_near_plane(self):
+        # the camera sits inside a 13x14x7 range; the first y-block holds centers
+        # at y = -0.7, -0.3, 0.1 and 0.5, so it straddles the near plane
+        srange = SceneRange((-2.6, -0.9, -1.4), (5.2, 5.6, 2.8), 0.4)
+        rng_gen = np.random.default_rng(31)
+        near_visible = 0
+        for _ in range(8):
+            depth = rng_gen.uniform(0.05, 1.5, size=(30, 40))
+            frame = frame_with_depth(depth, se3_exp(rng_gen.normal(scale=0.03, size=6)))
+            idx, _ = self.check(srange, frame, Se3Pose.identity(), theta_d=0.3)
+            near_visible += np.count_nonzero(np.unravel_index(idx, srange.dims)[1] < 4)
+        assert near_visible > 0
+
+    def test_border_only_depth(self):
+        # depth only on the outermost pixel ring: a block can be visible only
+        # through the border pixels its clipped rectangle reaches
+        depth = np.zeros((30, 40))
+        depth[[0, -1], :] = 6.0
+        depth[:, [0, -1]] = 6.0
+        srange = SceneRange((-9.0, 1.0, -7.0), (18.0, 9.0, 14.0), 0.5)
+        rng_gen = np.random.default_rng(32)
+        seen = 0
+        for _ in range(4):
+            frame = frame_with_depth(depth, se3_exp(rng_gen.normal(scale=0.05, size=6)))
+            idx, uvd = self.check(srange, frame, Se3Pose.identity())
+            pu, pv = np.floor(uvd[:, 0] + 0.5), np.floor(uvd[:, 1] + 0.5)
+            assert np.all((pu == 0) | (pu == 39) | (pv == 0) | (pv == 29))
+            seen += idx.size
+        assert seen > 0
+
+    def test_all_zero_depth_sees_nothing(self):
+        srange = SceneRange((-2.6, -0.9, -1.4), (5.2, 5.6, 2.8), 0.4)
+        idx, _ = self.check(srange, frame_with_depth(np.zeros((30, 40))), Se3Pose.identity())
+        assert idx.size == 0
+
+    @pytest.mark.parametrize("k", [K, CameraIntrinsics(160.0, 160.0, 79.5, 59.5, 160, 120)])
+    def test_one_isolated_depth_pixel(self, k):
+        # one pixel holds the depth of the voxel center that projects farthest
+        # left, right, up or down, so it sits on the edge of its block's pixel
+        # rectangle; on the larger image a rectangle spans many depth tiles
+        rng_gen = np.random.default_rng(33)
+        seen = 0
+        for trial in range(120):
+            dims = rng_gen.integers(1, 15, size=3)
+            origin = rng_gen.uniform((-3.0, 0.5, -2.5), (0.5, 2.0, 0.5))
+            srange = SceneRange(origin, dims * 0.3, 0.3)
+            pose = se3_exp(rng_gen.normal(scale=0.1, size=6))
+            full = frame_with_depth(np.full((k.height, k.width), 20.0), pose)
+            vis, proj = visibility_bruteforce(srange, full, Se3Pose.identity(), k, 100.0)
+            if not vis.any():
+                continue
+            uv = proj[vis][:, trial % 2]
+            u, v, d = proj[vis][uv.argmax() if trial % 4 < 2 else uv.argmin()]
+            depth = np.zeros((k.height, k.width))
+            depth[int(np.floor(v + 0.5)), int(np.floor(u + 0.5))] = d
+            idx, _ = self.check(srange, frame_with_depth(depth, pose), Se3Pose.identity(), 0.2, k)
+            seen += idx.size > 0
+        assert seen >= 60
+
+    def test_random_ranges_and_depth_maps(self):
+        # dims drawn from 1..20 are mostly not multiples of 4; poses put the
+        # camera inside, behind or beside the range; depth maps range from
+        # empty through sparse to dense
+        rng_gen = np.random.default_rng(34)
+        for _ in range(40):
+            dims = rng_gen.integers(1, 21, size=3)
+            vs = float(rng_gen.uniform(0.1, 0.6))
+            srange = SceneRange(rng_gen.uniform(-5.0, 1.0, size=3), dims * vs, vs)
+            depth = rng_gen.uniform(0.0, 10.0, size=(30, 40))
+            depth[depth < rng_gen.uniform(0.0, 10.0)] = 0.0
+            frame = frame_with_depth(depth, se3_exp(rng_gen.normal(scale=0.8, size=6)))
+            current = se3_exp(rng_gen.normal(scale=0.8, size=6))
+            self.check(srange, frame, current, theta_d=float(rng_gen.choice([0.05, 0.5, 3.0])))
+
+
 class TestDownsampleBlocks:
     def test_single_visible_voxel(self):
         idx = [np.ravel_multi_index((1, 2, 3), (4, 4, 4))]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import classify_palette, raycast_bruteforce
+from oracles import classify_palette, extract_features_bruteforce, raycast_bruteforce
 from scenecast.fusion import SceneGrid, SceneRange
 from scenecast.geom import CameraIntrinsics, compose, inverse, se3_log
 from scenecast.synth import (
@@ -48,6 +48,12 @@ class TestBuildScene:
 
 
 class TestMakeTrajectory:
+    @pytest.mark.parametrize("name", ["speed", "turn_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rate_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            TrajectorySpec(kind="constant_turn", **{name: value})
+
     def test_straight_advances_forward(self):
         seq = make_trajectory(TrajectorySpec(kind="straight", speed=1.0, frames=3))
         # canonical camera: forward is world +y; steps are interval * speed
@@ -185,6 +191,19 @@ class TestExtractFeatures:
             extract_features(np.zeros((15, 16, 3)))
         with pytest.raises(ValueError):
             extract_features(np.zeros((16, 16)))
+
+    @pytest.mark.parametrize("size", ["desk", "kitti"])
+    def test_matches_bruteforce_oracle(self, size):
+        if size == "desk":
+            grid = build_scene(SceneSpec(seed=4, layout="corridor"))
+            img = render_frame(grid, canonical_camera_pose((0.0, 2.0, 0.0)), desk_intrinsics()).image
+        else:
+            img = np.random.default_rng(54).integers(0, 256, size=(368, 1216, 3)) / 255.0
+        got = extract_features(img)
+        ref = extract_features_bruteforce(img)
+        assert got.shape == ref.shape
+        assert np.array_equal(got[..., 6:], ref[..., 6:])  # min and max are exact
+        assert np.abs(got[..., :6] - ref[..., :6]).max() <= 1e-12
 
     def test_stride_shift_covariance(self):
         rng = np.random.default_rng(52)
