@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dataio, defaults
 from .forecast import PoseSequence, forecast_next, pose_mse
-from .fusion import SceneRange, fuse_pipeline, resample_to_range
+from .fusion import SceneRange, check_theta_d, fuse_pipeline, resample_to_range
 from .gradcheck import REL_TOLERANCE, run_gradient_checks
 from .metrics import confusion, coverage, iou_geometry, majority_complete, miou_semantic
 from .synth import (
@@ -291,6 +291,7 @@ def _fusion_range(args) -> SceneRange:
 
 
 def cmd_fuse(args) -> int:
+    check_theta_d(args.theta_d)
     out_dir = Path(args.out_dir)
     frames, k = _load_frames(args.frames_dir, args.interval)
     rng = _fusion_range(args)
@@ -345,6 +346,7 @@ def demo_pipeline(
     window: int | None = None,
 ):
     """Full synthetic pipeline; returns artifacts and the per-set summary."""
+    check_theta_d(theta_d)
     voxel = defaults.DESK_VOXEL_SIZE
     k = desk_intrinsics()
     start_y = 2.0

@@ -312,6 +312,12 @@ def _kept_blocks(axes, r, t, k: CameraIntrinsics, depth, theta_d: float) -> np.n
     return kept.reshape(nb)
 
 
+def check_theta_d(theta_d: float) -> None:
+    """Reject a visibility band half-width that is not finite and positive."""
+    if not (np.isfinite(theta_d) and theta_d > 0):
+        raise ValueError(f"theta_d must be finite and positive, got {theta_d}")
+
+
 def visibility(
     rng: SceneRange,
     frame: FrameBundle,
@@ -336,8 +342,7 @@ def visibility(
     Returns (idx, uvd): the ascending flat C-order indices of the visible
     voxels and their (n, 3) rows of (u, v, d).
     """
-    if not (np.isfinite(theta_d) and theta_d > 0):
-        raise ValueError(f"theta_d must be finite and positive, got {theta_d}")
+    check_theta_d(theta_d)
     h, w = frame.shape
     if (w, h) != (k.width, k.height):
         raise ValueError(f"frame is {w}x{h} but intrinsics expect {k.width}x{k.height}")

@@ -197,18 +197,22 @@ def make_trajectory(spec: TrajectorySpec) -> PoseSequence:
     return PoseSequence(tuple(poses), indices, spec.frame_interval)
 
 
+# rays cast together; a chunk's per-ray state stays in cache
+_RAY_CHUNK = 16384
+
+
 def _raycast(
     grid: SceneGrid, pose: Se3Pose, k: CameraIntrinsics, d_max: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """First-hit depth (camera z) and class per pixel; 0 where no hit."""
-    labels = grid.labels
-    dims = np.asarray(labels.shape, dtype=np.int64)
-    gmin = grid.range.origin
-    gmax = gmin + grid.range.extents
-    vs = grid.range.voxel_size
-    h, w = k.height, k.width
-    n = h * w
+    """First-hit depth (camera z) and class per pixel; 0 where no hit.
 
+    The labels are copied into a box padded by one cell of -1 on every
+    side, so a ray that leaves the grid reads -1, plus one trailing sentinel
+    cell that reads 0, where `_cast` parks retired rays. Pixels are cast in
+    chunks of `_RAY_CHUNK`; every ray is independent of the others.
+    """
+    labels = grid.labels
+    h, w = k.height, k.width
     xs = (np.arange(w, dtype=np.float64) - k.cx) / k.fx
     ys = (np.arange(h, dtype=np.float64) - k.cy) / k.fy
     dirs = np.empty((h, w, 3))
@@ -216,8 +220,39 @@ def _raycast(
     dirs[..., 1] = ys[:, None]
     dirs[..., 2] = 1.0
     d = dirs.reshape(-1, 3) @ pose.rotation.T
-    o = pose.translation
 
+    pdims = np.asarray(labels.shape, dtype=np.int64) + 2
+    size = int(pdims.prod())
+    cells = np.zeros(size + 1, dtype=np.int16)
+    box = cells[:size].reshape(pdims)
+    box[...] = -1
+    box[1:-1, 1:-1, 1:-1] = labels
+
+    depth = np.zeros(h * w)
+    cls = np.zeros(h * w, dtype=np.uint8)
+    for s in range(0, h * w, _RAY_CHUNK):
+        c = slice(s, s + _RAY_CHUNK)
+        _cast(grid.range, pose.translation, d[c], d_max, cells, pdims, depth[c], cls[c])
+    return depth.reshape(h, w), cls.reshape(h, w)
+
+
+def _cast(rng: SceneRange, o, d, d_max, cells, pdims, depth, cls) -> None:
+    """Cast rays from `o` along the rows of `d`, writing each one's first-hit
+    depth and class into `depth` and `cls`.
+
+    Amanatides & Woo (1987) stepping: after the slab test that finds where a
+    ray enters the grid, all live rays step one cell per iteration. The
+    state is per axis and 1-D: the next boundary t, its increment, and the
+    signed stride of a step in `cells`. A hit, a ray that read the -1
+    border, or one past `d_max` is retired in place: it parks on the
+    sentinel cell (the last of `cells`) with its x stride and increment
+    zeroed and tx = -inf, so it keeps choosing x and stays put. The arrays
+    are compacted when the live rays fall to half of them.
+    """
+    dims = pdims - 2
+    gmin = rng.origin
+    gmax = gmin + rng.extents
+    vs = rng.voxel_size
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (gmin - o) / d
         t2 = (gmax - o) / d
@@ -229,16 +264,12 @@ def _raycast(
         ins = np.broadcast_to(inside, d.shape)
         tmin_ax = np.where(zero, np.where(ins, -np.inf, np.inf), tmin_ax)
         tmax_ax = np.where(zero, np.where(ins, np.inf, -np.inf), tmax_ax)
-    tnear = tmin_ax.max(axis=1)
-    tfar = tmax_ax.min(axis=1)
+    tnear = np.maximum(np.maximum(tmin_ax[:, 0], tmin_ax[:, 1]), tmin_ax[:, 2])
+    tfar = np.minimum(np.minimum(tmax_ax[:, 0], tmax_ax[:, 1]), tmax_ax[:, 2])
     t0 = np.maximum(tnear, 1e-9)
-    alive = (tfar > t0) & (t0 <= d_max)
-
-    out_t = np.zeros(n)
-    out_c = np.zeros(n, dtype=np.uint8)
-    idx = np.flatnonzero(alive)
+    idx = np.flatnonzero((tfar > t0) & (t0 <= d_max))
     if idx.size == 0:
-        return out_t.reshape(h, w), out_c.reshape(h, w)
+        return
 
     da = d[idx]
     p0 = o + da * t0[idx][:, None]
@@ -254,28 +285,51 @@ def _raycast(
     tdelta[dzero] = np.inf
     tcur = t0[idx]
 
-    while idx.size:
-        lab = labels[ijk[:, 0], ijk[:, 1], ijk[:, 2]]
-        hit = lab > 0
-        if hit.any():
-            out_t[idx[hit]] = tcur[hit]
-            out_c[idx[hit]] = lab[hit]
-            keep = ~hit
-            idx, ijk, step = idx[keep], ijk[keep], step[keep]
-            tmax, tdelta, tcur = tmax[keep], tdelta[keep], tcur[keep]
-            if not idx.size:
-                break
-        r = np.arange(idx.size)
-        ax = np.argmin(tmax, axis=1)
-        tcur = tmax[r, ax]
-        ijk[r, ax] += step[r, ax]
-        tmax[r, ax] += tdelta[r, ax]
-        gone = (ijk[r, ax] < 0) | (ijk[r, ax] >= dims[ax]) | (tcur > d_max)
-        if gone.any():
-            keep = ~gone
-            idx, ijk, step = idx[keep], ijk[keep], step[keep]
-            tmax, tdelta, tcur = tmax[keep], tdelta[keep], tcur[keep]
-    return out_t.reshape(h, w), out_c.reshape(h, w)
+    sentinel = cells.size - 1
+    cur = ((ijk[:, 0] + 1) * pdims[1] + ijk[:, 1] + 1) * pdims[2] + ijk[:, 2] + 1
+    sx, sy, sz = (step * [pdims[1] * pdims[2], pdims[2], 1]).T.copy()
+    tx, ty, tz = tmax.T.copy()
+    # increments negated: `t - (+0.0)` keeps every t as it is, -0.0 included,
+    # and `t - (-tdelta)` is `t + tdelta` to the bit
+    ndx, ndy, ndz = -tdelta.T.copy()
+    live = idx.size
+    # no ray crosses more than sum(dims) cells, so a ray still live after
+    # this many iterations is a defect that shows as a missing hit, never a hang
+    for _ in range(int(dims.sum()) + 1):
+        lab = cells.take(cur)
+        stop = (lab != 0) | (tcur > d_max)
+        if stop.any():
+            r = np.flatnonzero(stop)
+            hit = r[(lab[r] > 0) & (tcur[r] <= d_max)]
+            depth[idx[hit]] = tcur[hit]
+            cls[idx[hit]] = lab[hit]
+            cur[r] = sentinel
+            sx[r] = 0
+            tx[r] = -np.inf
+            ndx[r] = 0.0
+            live -= r.size
+            if not live:
+                return
+            if 2 * live <= cur.size:
+                keep = cur != sentinel
+                idx, cur, sx, sy, sz = idx[keep], cur[keep], sx[keep], sy[keep], sz[keep]
+                tx, ty, tz = tx[keep], ty[keep], tz[keep]
+                ndx, ndy, ndz = ndx[keep], ndy[keep], ndz[keep]
+        # argmin's first-minimum rule: x if tx <= ty and tx <= tz, else y if
+        # ty <= tz (`a > b` on booleans is a and not b), else z; each choice
+        # as an all-ones or all-zeros int64 mask
+        mx = (tx <= ty) & (tx <= tz)
+        kx = np.negative(mx, dtype=np.int64)
+        ky = np.negative((ty <= tz) > mx, dtype=np.int64)
+        kz = ~(kx | ky)
+        # the chosen axis's t, selected bit for bit
+        tcur = (
+            (tx.view(np.int64) & kx) | (ty.view(np.int64) & ky) | (tz.view(np.int64) & kz)
+        ).view(np.float64)
+        tx -= (ndx.view(np.int64) & kx).view(np.float64)
+        ty -= (ndy.view(np.int64) & ky).view(np.float64)
+        tz -= (ndz.view(np.int64) & kz).view(np.float64)
+        cur += (sx & kx) | (sy & ky) | (sz & kz)
 
 
 def render_frame(

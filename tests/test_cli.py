@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scenecast import dataio, defaults
+from scenecast import cli, dataio, defaults
 from scenecast.cli import demo_pipeline, main
 from scenecast.forecast import PoseSequence, forecast_next
 from scenecast.fusion import SceneRange, fuse_pipeline, resample_to_range
@@ -368,6 +368,19 @@ class TestNonFiniteInput:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: theta_d must be finite")
         assert not (out / "fused.fvx").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["demo"], ["fuse", "--frames-dir", "frames"]], ids=["demo", "fuse"]
+    )
+    def test_bad_theta_d_fails_before_any_render_or_load(self, monkeypatch, tmp_path, capsys, argv):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("rendered or loaded a frame")
+
+        monkeypatch.setattr(cli, "render_frame", unreachable)
+        monkeypatch.setattr(dataio, "load_frame_sequence", unreachable)
+        code, out, err = run(capsys, *argv, "--theta-d", "nan", "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == "error: theta_d must be finite and positive, got nan\n"
 
 
 class TestGradCheck:

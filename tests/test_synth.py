@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import classify_palette, extract_features_bruteforce, raycast_bruteforce
+from scenecast import synth
 from scenecast.fusion import SceneGrid, SceneRange
-from scenecast.geom import CameraIntrinsics, compose, inverse, se3_log
+from scenecast.geom import CameraIntrinsics, compose, inverse, se3_exp, se3_log
 from scenecast.synth import (
+    LAYOUTS,
     PALETTE,
     SceneSpec,
     TrajectorySpec,
@@ -125,6 +127,142 @@ class TestRenderDepth:
         k = desk_intrinsics()
         depth = render_frame(grid, canonical_camera_pose(), k, d_max=1.0).depth
         assert not depth.any()
+
+
+def _matches_oracle(grid, pose, k, d_max=80.0):
+    """Render and compare with the brute-force oracle; returns the oracle classes."""
+    frame = render_frame(grid, pose, k, d_max=d_max)
+    ref_depth, ref_cls = raycast_bruteforce(grid, pose, k, d_max)
+    assert np.array_equal(classify_palette(frame.image), ref_cls)
+    assert np.abs(frame.depth - ref_depth).max() < 1e-9
+    return ref_cls
+
+
+def _looking(position, omega=(0.0, 0.0, 0.0)):
+    """Canonical camera at `position`, turned by the body-frame rotation `omega`."""
+    return compose(canonical_camera_pose(position), se3_exp(np.r_[omega, 0.0, 0.0, 0.0]))
+
+
+def _sparse_grid(dims, seed, cameras=(), vs=0.4, fill=0.15):
+    """Random labels at `fill` occupancy, empty within a voxel of each camera position."""
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.random(dims) < fill, rng.integers(1, 9, dims), 0).astype(np.uint8)
+    for position in cameras:
+        x, y, z = np.floor(np.asarray(position) / vs).astype(int)
+        labels[max(x - 1, 0): x + 2, max(y - 1, 0): y + 2, max(z - 1, 0): z + 2] = 0
+    return SceneGrid(SceneRange((0.0, 0.0, 0.0), tuple(d * vs for d in dims), vs), labels)
+
+
+class TestRaycastTraversal:
+    """The traversal loop against `raycast_bruteforce`: exact classes, depth within 1e-9."""
+
+    K = CameraIntrinsics(7.3, 6.1, 5.5, 4.0, 12, 9)
+
+    def test_yawed_and_pitched_cameras(self):
+        rng = np.random.default_rng(60)
+        positions = rng.uniform([0.5, 0.5, 0.5], [3.5, 4.3, 1.9], (6, 3))
+        grid = _sparse_grid((10, 12, 6), seed=60, cameras=positions)
+        for position in positions:
+            omega = rng.uniform(-1.2, 1.2, 3) * [1.0, 1.0, 0.3]
+            assert _matches_oracle(grid, _looking(position, omega), self.K).any()
+
+    @pytest.mark.parametrize(
+        "position, omega",
+        [
+            ((1.93, -2.71, 1.17), (0.0, 0.0, 0.0)),       # behind the grid, looking along +y
+            ((2.11, 2.37, 5.3), (-1.1, 0.0, 0.0)),        # above it, pitched down
+            ((-3.1, 2.49, 1.03), (0.0, 1.3, 0.0)),        # beside it, yawed to face +x
+            ((5.9, 6.7, -1.4), (0.35, -2.4, 0.0)),        # past the far corner, below the floor
+        ],
+        ids=["behind", "above", "beside", "far_corner_below"],
+    )
+    def test_camera_outside_the_grid_looking_in(self, position, omega):
+        grid = _sparse_grid((10, 12, 6), seed=61)
+        assert _matches_oracle(grid, _looking(position, omega), self.K).any()
+
+    def test_rays_with_zero_direction_components(self):
+        # principal point on a pixel centre: column 6 has x = 0 and row 4 has
+        # y = 0 in the camera, so with a level camera those rays keep a zero
+        # world x or z component
+        k = CameraIntrinsics(6.7, 5.9, 6.0, 4.0, 13, 9)
+        positions = [(1.93, 0.31, 1.17), (0.73, 1.51, 0.29), (3.71, 0.13, 2.23)]
+        grid = _sparse_grid((10, 12, 6), seed=62, cameras=positions)
+        for position in positions:
+            cls = _matches_oracle(grid, canonical_camera_pose(position), k)
+            assert cls[4].any() and cls[:, 6].any()
+
+    def test_d_max_cuts_rays_mid_scene(self):
+        grid = _sparse_grid((10, 12, 6), seed=63, cameras=[(1.93, 0.29, 1.17)], fill=0.05)
+        pose = _looking((1.93, 0.29, 1.17), (0.2, 0.1, 0.0))
+        uncapped = _matches_oracle(grid, pose, self.K)
+        capped = _matches_oracle(grid, pose, self.K, d_max=2.3)
+        assert capped.any() and (capped != uncapped).any()
+
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["x_face", "y_face", "z_face"])
+    def test_rays_leave_through_the_last_voxel(self, axis):
+        # the centre ray runs along `axis` through the voxel centres of an
+        # emptied column to the last voxel in C order and leaves through its
+        # high face; the wide field of view sends the other rays out through
+        # high faces nearby or into the occupied cells
+        grid = _sparse_grid((4, 5, 3), seed=64, fill=0.3)
+        last = np.array(grid.labels.shape) - 1
+        column = [slice(i, i + 1) for i in last]
+        column[axis] = slice(None)
+        grid.labels[tuple(column)] = 0
+        start = (last + 0.5) * grid.range.voxel_size
+        start[axis] = 0.5 * grid.range.voxel_size
+        omega = [(0.0, np.pi / 2, 0.0), (0.0, 0.0, 0.0), (np.pi / 2, 0.0, 0.0)][axis]
+        k = CameraIntrinsics(1.7, 1.9, 2.0, 2.0, 5, 5)
+        cls = _matches_oracle(grid, _looking(start, omega), k)
+        assert cls[2, 2] == 0 and cls.any()
+
+    @pytest.mark.parametrize(
+        "pixel, voxel",
+        [((1, 2), (4, 3, 2)), ((0, 1), (2, 4, 3)), ((0, 2), (4, 4, 3))],
+        ids=["x_before_y", "y_before_z", "x_then_y_before_z"],
+    )
+    def test_exact_ties_step_x_then_y_then_z(self, pixel, voxel):
+        # every ray but the centre one runs at 45 degrees through exact voxel
+        # edges or corners, so tx, ty and tz tie at each crossing; argmin's
+        # first-minimum rule enters `voxel` at a corner, which the oracle
+        # counts as a hit, and a y- or z-first rule passes it by
+        labels = np.zeros((6, 6, 6), dtype=np.uint8)
+        labels[voxel] = 3
+        grid = SceneGrid(SceneRange((0.0, 0.0, 0.0), (3.0, 3.0, 3.0), 0.5), labels)
+        k = CameraIntrinsics(1.0, 1.0, 1.0, 1.0, 3, 3)
+        cls = _matches_oracle(grid, canonical_camera_pose((1.25, 1.25, 1.25)), k)
+        assert np.flatnonzero(cls).tolist() == [np.ravel_multi_index(pixel, cls.shape)]
+
+    @pytest.mark.parametrize("label", [0, 5])
+    def test_one_voxel_grid(self, label):
+        grid = SceneGrid(SceneRange((0.0, 0.0, 0.0), (0.4, 0.4, 0.4), 0.4),
+                         np.full((1, 1, 1), label, dtype=np.uint8))
+        for position, omega in [
+            ((0.17, 0.23, 0.29), (0.3, 0.7, 0.1)),       # inside
+            ((0.21, -1.3, 0.19), (0.0, 0.0, 0.0)),       # in front of it
+            ((1.1, 0.9, 1.3), (-0.9, -2.3, 0.0)),        # off a corner, turned toward it
+        ]:
+            cls = _matches_oracle(grid, _looking(position, omega), self.K)
+            assert cls.any() == bool(label)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_every_layout(self, layout):
+        spec = SceneSpec(seed=65, layout=layout, dims=(16, 16, 8), origin=(-3.2, 0.0, -1.6),
+                         box_count=6)
+        grid = build_scene(spec)
+        cls = _matches_oracle(grid, _looking((0.31, 0.53, 0.17), (0.25, -0.4, 0.05)), self.K)
+        assert cls.any() == (layout != "empty")
+
+    def test_chunking_leaves_every_bit(self, monkeypatch):
+        grid = build_scene(SceneSpec(seed=66, layout="corridor", dims=(32, 48, 8)))
+        pose = _looking((0.37, 1.9, 0.23), (0.05, 0.3, 0.0))
+        k = desk_intrinsics(32, 24)
+        whole = render_frame(grid, pose, k)
+        monkeypatch.setattr(synth, "_RAY_CHUNK", 100)
+        chunked = render_frame(grid, pose, k)
+        assert (whole.depth > 0).mean() > 0.3
+        assert whole.depth.tobytes() == chunked.depth.tobytes()
+        assert whole.image.tobytes() == chunked.image.tobytes()
 
 
 class TestRenderImage:
