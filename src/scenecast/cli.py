@@ -255,6 +255,9 @@ def cmd_warp(args) -> int:
         # the pseudo-future frame is the target frame, so the splat breaks depth
         # ties toward it, also when it lies inside the sequence
         interval = args.target_index - sources[-1].frame_index
+    if len(sources) > 255:
+        # source_index.pgm is 8-bit and 255 means "no source"
+        raise ValueError(f"warp takes at most 255 source frames, got {len(sources)}")
     splats = []
 
     def refiner(result):

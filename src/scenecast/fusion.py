@@ -46,6 +46,7 @@ from .geom import (
     project_pixels,
     relative_pose,
     rigid_transform,
+    tile_reduce,
 )
 from .warp import FrameBundle
 
@@ -207,20 +208,6 @@ def scene_to_frame_transform(current_pose: Se3Pose, frame_pose: Se3Pose):
 _DEPTH_TILE = 8
 
 
-def _tile_reduce(op, a: np.ndarray) -> np.ndarray:
-    """op over each 8x8-pixel tile of a; edge padding fills the last partial tiles
-    with copies of their own pixels, which min and max ignore."""
-    s = _DEPTH_TILE
-    h, w = a.shape
-    if h % s or w % s:
-        a = np.pad(a, ((0, -h % s), (0, -w % s)), mode="edge")
-    a = op.reduce(a.reshape(-1, s, a.shape[1]), axis=1).reshape(a.shape[0] // s, -1, s)
-    out = a[:, :, 0]
-    for q in range(1, s):
-        out = op(out, a[:, :, q])
-    return out
-
-
 def _depth_table(depth: np.ndarray) -> np.ndarray:
     """2-D sparse table over 8x8-pixel tiles of the min positive depth and the
     negated max depth.
@@ -228,9 +215,15 @@ def _depth_table(depth: np.ndarray) -> np.ndarray:
     Entry (a, b, :, r, c) covers tiles r..r+2^a-1 x c..c+2^b-1: slot 0 holds
     the min over their positive depths (inf if none), slot 1 minus their max
     depth, so one np.minimum builds both. NaN is neither positive nor a max.
+    Edge padding fills the last partial tiles with copies of their own
+    pixels, which min and max ignore.
     """
-    lo = _tile_reduce(np.minimum, np.where(depth > 0.0, depth, np.inf))
-    hi = _tile_reduce(np.fmax, depth)
+    s = _DEPTH_TILE
+    h, w = depth.shape
+    if h % s or w % s:
+        depth = np.pad(depth, ((0, -h % s), (0, -w % s)), mode="edge")
+    lo = tile_reduce(np.minimum, np.where(depth > 0.0, depth, np.inf), s)
+    hi = tile_reduce(np.fmax, depth, s)
     th, tw = lo.shape
     st = np.full((th.bit_length(), tw.bit_length(), 2, th, tw), np.inf)
     st[0, 0, 0], st[0, 0, 1] = lo, -hi

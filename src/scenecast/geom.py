@@ -1,4 +1,4 @@
-"""Rigid-body pose algebra and pinhole camera projection.
+"""Rigid-body pose algebra, pinhole camera projection and image tile reduction.
 
 Conventions used throughout the package:
   - camera axes: x right, y down, z forward (KITTI camera frame)
@@ -272,3 +272,24 @@ def bilinear_sample_many(field: np.ndarray, uv: np.ndarray):
     )
     vals[~ok] = 0.0
     return vals, ok
+
+
+def tile_reduce(op, a: np.ndarray, s: int) -> np.ndarray:
+    """op over each s x s tile of a 2-D array whose sides are multiples of s (s >= 2).
+
+    Each tile row is folded from left to right, then the row results from top
+    to bottom: for np.add, r_i = ((a_i0 + a_i1) + ...) + a_i,s-1 and then
+    ((r_0 + r_1) + ...) + r_s-1. The order is fixed here, so the bits do not
+    depend on how numpy orders a reduction; it is the order numpy's block
+    mean sums in whenever the array is more than one tile wide.
+    """
+    h, w = a.shape
+    cols = a.reshape(h, w // s, s)
+    rows = op(cols[:, :, 0], cols[:, :, 1])
+    for q in range(2, s):
+        op(rows, cols[:, :, q], out=rows)
+    rows = rows.reshape(h // s, s, w // s)
+    out = op(rows[:, 0], rows[:, 1])
+    for q in range(2, s):
+        op(out, rows[:, q], out=out)
+    return out

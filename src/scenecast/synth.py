@@ -18,7 +18,7 @@ from scipy import ndimage
 from . import defaults
 from .forecast import PoseSequence
 from .fusion import SceneGrid, SceneRange
-from .geom import LEVEL_CAMERA_ROTATION, CameraIntrinsics, Se3Pose, compose, se3_exp
+from .geom import LEVEL_CAMERA_ROTATION, CameraIntrinsics, Se3Pose, compose, se3_exp, tile_reduce
 from .warp import FrameBundle
 
 LAYOUTS = ("corridor", "intersection", "random_boxes", "empty")
@@ -362,26 +362,6 @@ def extract_features(image: np.ndarray) -> np.ndarray:
     gray = (r + g + b) / 3.0
     sob_x = np.abs(ndimage.sobel(gray, axis=1))
     sob_y = np.abs(ndimage.sobel(gray, axis=0))
-
-    def blocks(a: np.ndarray) -> np.ndarray:
-        return a.reshape(h // 4, 4, w // 4, 4)
-
-    def tree(op, a: np.ndarray) -> np.ndarray:
-        """op over each 4x4 block, as a pairwise tree over rows, then columns."""
-        a = blocks(a)
-        rows = op(op(a[:, 0], a[:, 1]), op(a[:, 2], a[:, 3]))
-        return op(op(rows[..., 0], rows[..., 1]), op(rows[..., 2], rows[..., 3]))
-
-    return np.stack(
-        [
-            blocks(r).mean(axis=(1, 3)),
-            blocks(g).mean(axis=(1, 3)),
-            blocks(b).mean(axis=(1, 3)),
-            blocks(gray).mean(axis=(1, 3)),
-            blocks(sob_x).mean(axis=(1, 3)),
-            blocks(sob_y).mean(axis=(1, 3)),
-            tree(np.minimum, gray),
-            tree(np.maximum, gray),
-        ],
-        axis=-1,
-    )
+    means = [tile_reduce(np.add, x, 4) / 16.0 for x in (r, g, b, gray, sob_x, sob_y)]
+    extremes = [tile_reduce(op, gray, 4) for op in (np.minimum, np.maximum)]
+    return np.stack(means + extremes, axis=-1)

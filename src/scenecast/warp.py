@@ -141,7 +141,8 @@ def forward_splat(
             np.full(n, slot, dtype=np.int64), src.image.reshape(-1, channels)[spix],
         ))
     tgt, depths, prox, spix, slot, colors = (np.concatenate(p) for p in zip(*parts))
-    dq = np.round(depths / DEPTH_TIE_QUANTUM).astype(np.int64)
+    # float, not int64: a cast would wrap above ~9.2e9 m and win the z-buffer
+    dq = np.round(depths / DEPTH_TIE_QUANTUM)
 
     # last key is most significant: sort by target, depth bucket, tie chain
     order = np.lexsort((slot, spix, prox, dq, tgt))

@@ -233,6 +233,38 @@ def extract_features_bruteforce(image):
     return out
 
 
+# scalar forms of np.add, np.minimum, np.maximum and np.fmax: minimum and
+# maximum propagate NaN, fmax returns the other operand of a NaN
+_SCALAR_OPS = {
+    "add": lambda x, y: x + y,
+    "minimum": lambda x, y: x if x != x or x <= y else y,
+    "maximum": lambda x, y: x if x != x or x >= y else y,
+    "fmax": lambda x, y: y if x != x else x if y != y or x >= y else y,
+}
+
+
+def tile_fold_bruteforce(name: str, a, s: int):
+    """Scalar fold of the numpy op `name` over each s x s tile of a 2-D array.
+
+    Each tile row is folded from left to right, then the row results from
+    top to bottom, one Python float at a time.
+    """
+    op = _SCALAR_OPS[name]
+    rows = np.asarray(a, dtype=np.float64).tolist()
+    h, w = len(rows), len(rows[0])
+    out = np.zeros((h // s, w // s))
+    for ti in range(h // s):
+        for tj in range(w // s):
+            acc = None
+            for i in range(ti * s, ti * s + s):
+                row = rows[i][tj * s]
+                for j in range(tj * s + 1, tj * s + s):
+                    row = op(row, rows[i][j])
+                acc = row if acc is None else op(acc, row)
+            out[ti, tj] = acc
+    return out
+
+
 def bilinear_bruteforce(field, u: float, v: float):
     """Scalar bilinear sample as a tent-filter sum over every pixel.
 

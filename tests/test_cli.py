@@ -165,6 +165,28 @@ class TestWarp:
         assert err == "error: target index -1 outside pose file (26 lines)\n"
         assert not out.exists()
 
+    def test_more_sources_than_the_index_map_names_is_one_line_error(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # source_index.pgm is 8-bit with 255 for "no source": 256 sources cannot
+        # be named, and the command stops before it splats
+        frames = tmp_path / "many"
+        image, depth = np.full((8, 8, 3), 0.5), np.full((8, 8), 3.0)
+        dataio.write_frame_sequence(
+            frames, [FrameBundle(image, depth, Se3Pose.identity(), i) for i in range(256)]
+        )
+
+        def no_splat(*args, **kwargs):
+            raise AssertionError("splat reached")
+
+        monkeypatch.setattr(cli, "compose_pseudo_future", no_splat)
+        out = tmp_path / "warp_many"
+        code, _, err = run(capsys, "warp", "--frames-dir", str(frames), "--interval", "1",
+                           "--out-dir", str(out))
+        assert code == 1
+        assert err == "error: warp takes at most 255 source frames, got 256\n"
+        assert not out.exists()
+
     def test_outputs_match_single_splats(self, small_frames_dir, tmp_path, capsys):
         # one splat gives the image, mask and sources; coverage row m is the
         # hit count of splatting the first m sources alone

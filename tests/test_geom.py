@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bilinear_bruteforce
+from oracles import bilinear_bruteforce, tile_fold_bruteforce
 from scenecast.geom import (
     CameraIntrinsics,
     Se3Pose,
@@ -14,6 +14,7 @@ from scenecast.geom import (
     relative_pose,
     se3_exp,
     se3_log,
+    tile_reduce,
 )
 from scenecast.warp import FrameBundle, reprojection_flow
 
@@ -265,3 +266,36 @@ class TestBilinearSample:
                     assert not ok[i] and np.all(vals[i] == 0.0)
                 else:
                     assert ok[i] and np.allclose(vals[i], ref, rtol=0.0, atol=1e-12)
+
+
+def tile_values(rng, shape, name):
+    """Magnitudes over six decades with both signs, so the sums round at
+    almost every step. min and max also meet NaN, but only +0.0 zeros:
+    numpy's choice between signed zeros of equal value is not an order
+    property."""
+    a = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+    flat = a.reshape(-1)
+    if name == "add":
+        flat[rng.integers(0, flat.size, 3)] = -0.0
+        flat[rng.integers(0, flat.size, 3)] = 0.0
+    else:
+        flat[rng.integers(0, flat.size, 3)] = 0.0
+        flat[rng.integers(0, flat.size, 3)] = np.nan
+    return a
+
+
+class TestTileReduce:
+    @pytest.mark.parametrize("name", ["add", "minimum", "maximum", "fmax"])
+    @pytest.mark.parametrize("s", [4, 8])
+    def test_matches_scalar_fold_bit_for_bit(self, name, s):
+        rng = np.random.default_rng(70 + s)
+        # one tile, one tile tall, one tile wide, several of each, and a strided
+        # channel view like the ones extract_features passes
+        arrays = [tile_values(rng, shape, name) for shape in
+                  ((s, s), (s, 5 * s), (5 * s, s), (3 * s, 7 * s))]
+        arrays.append(tile_values(rng, (2 * s, 3 * s, 3), name)[:, :, 1])
+        for a in arrays:
+            got = tile_reduce(getattr(np, name), a, s)
+            ref = tile_fold_bruteforce(name, a, s)
+            assert got.shape == ref.shape == (a.shape[0] // s, a.shape[1] // s)
+            assert np.array_equal(np.ascontiguousarray(got).view(np.int64), ref.view(np.int64))

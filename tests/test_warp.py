@@ -126,6 +126,16 @@ class TestForwardSplat:
         assert np.all(result.image == 0.25)
         assert np.all(result.source_index == 1)
 
+    def test_huge_finite_depth_does_not_win(self):
+        # read_depth accepts any finite float32, e.g. 1e30 m; its tie bucket
+        # lies far beyond int64 and must still sort behind a 2 m surface
+        near = flat_frame(2.0, color=0.25, index=0)
+        far = flat_frame(float(np.float32(1e30)), color=0.75, index=1)
+        result = forward_splat([near, far], Se3Pose.identity(), K4, dst_frame_index=1)
+        assert np.all(result.depth == 2.0)
+        assert np.all(result.image == 0.25)
+        assert np.all(result.source_index == 0)
+
     def test_tie_breaks_prefer_temporally_closest(self):
         a = flat_frame(5.0, color=0.2, index=0)
         b = flat_frame(5.0, color=0.8, index=10)
