@@ -215,6 +215,8 @@ def cmd_synth(args) -> int:
 
 def cmd_forecast(args) -> int:
     interval = args.interval
+    if interval < 1:
+        raise ValueError(f"frame_interval must be >= 1, got {interval}")
     # pose files carry one line per raw frame; the forecaster consumes every
     # interval-th line
     poses = dataio.read_poses(args.poses)[::interval]
@@ -296,8 +298,8 @@ def _fusion_range(args) -> SceneRange:
 def cmd_fuse(args) -> int:
     check_theta_d(args.theta_d)
     out_dir = Path(args.out_dir)
-    frames, k = _load_frames(args.frames_dir, args.interval)
     rng = _fusion_range(args)
+    frames, k = _load_frames(args.frames_dir, args.interval)
     selected, current, _ = _frame_set(
         frames, args.past, args.future, k, REFINERS[args.refiner], args.window, args.interval
     )
@@ -311,11 +313,10 @@ def cmd_eval(args) -> int:
     pred = dataio.read_grid(args.pred)
     gt = dataio.read_grid(args.gt)
     cm = confusion(pred, gt, args.num_classes)
-    geo = iou_geometry(cm)
     sem = miou_semantic(cm)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("metric", "value"))
-    writer.writerow(("iou", repr(geo.value)))
+    writer.writerow(("iou", repr(iou_geometry(cm))))
     writer.writerow(("miou", repr(sem.value)))
     for ci in range(1, cm.num_classes):
         v = sem.per_class[ci]
@@ -409,20 +410,18 @@ def demo_pipeline(
             {
                 "set": name,
                 "union_blocks": cov.union,
-                "iou": iou_geometry(cm).value,
+                "iou": iou_geometry(cm),
                 "miou": miou_semantic(cm).value,
             }
         )
         outputs[name] = (fused, bv, completed, cov)
     return {
-        "spec": spec,
         "grid": grid,
         "bundles": bundles,
         "pseudo": pseudo,
         "predicted_pose": predicted_pose,
         "pose_mse": mse,
         "gt_range": gt_range,
-        "range": rng,
         "sets": outputs,
         "summary": summary,
     }

@@ -354,7 +354,7 @@ def load_frame_sequence(directory, frame_interval: int) -> List[FrameBundle]:
     """Load every frame_interval-th frame (by naming convention) from a directory."""
     directory = Path(directory)
     if frame_interval < 1:
-        raise ValueError("frame_interval must be >= 1")
+        raise ValueError(f"frame_interval must be >= 1, got {frame_interval}")
     indices = sorted(
         int(p.stem)
         for p in directory.glob("*.ppm")

@@ -61,8 +61,8 @@ class SceneRange:
     def __post_init__(self):
         origin = np.array(self.origin, dtype=np.float64).reshape(3)
         extents = np.array(self.extents, dtype=np.float64).reshape(3)
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
+        if not (np.isfinite(self.voxel_size) and self.voxel_size > 0):
+            raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size}")
         if not (np.all(np.isfinite(origin)) and np.all(extents > 0)):
             raise ValueError("origin must be finite and extents positive")
         n = np.round(extents / self.voxel_size)
@@ -407,7 +407,7 @@ def _frame_features(
     uv = block_mean[block_vis][:, :2]
     uf = (uv[:, 0] + 0.5) * (fw / k.width) - 0.5
     vf = (uv[:, 1] + 0.5) * (fh / k.height) - 0.5
-    out[block_vis] = bilinear_sample_many(fmap, np.stack([uf, vf], axis=1))[0]
+    out[block_vis] = bilinear_sample_many(fmap, np.stack([uf, vf], axis=1))
     return out
 
 

@@ -244,10 +244,9 @@ def _inside(a: np.ndarray, n: int) -> np.ndarray:
 def bilinear_sample_many(field: np.ndarray, uv: np.ndarray):
     """Vectorized bilinear sampling of an HxWxC field at (N, 2) pixel locations.
 
-    Returns (N, C) values and an (N,) in-bounds mask; out-of-bounds samples
-    are flagged False and zeroed. Integer coordinates reproduce pixel values
-    exactly, including the last row/column (the upper neighbor then carries
-    full weight).
+    Returns (N, C) values; out-of-bounds samples are zeroed. Integer
+    coordinates reproduce pixel values exactly, including the last row/column
+    (the upper neighbor then carries full weight).
     """
     f = np.asarray(field, dtype=np.float64)
     if f.ndim != 3 or f.size == 0:
@@ -271,7 +270,7 @@ def bilinear_sample_many(field: np.ndarray, uv: np.ndarray):
         + f[y1, x1] * fx * fy
     )
     vals[~ok] = 0.0
-    return vals, ok
+    return vals
 
 
 def tile_reduce(op, a: np.ndarray, s: int) -> np.ndarray:

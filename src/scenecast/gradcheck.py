@@ -22,10 +22,13 @@ from .losses import (
 
 FD_STEP = 1e-5
 REL_TOLERANCE = 1e-4
+# largest (X, Y, Z, C) of a `run_gradient_checks` volume
+CHECK_DIMS = (8, 8, 4, 4)
 
 
-def random_volume_pair(rng: np.random.Generator, max_dims=(8, 8, 4, 4)):
-    """A strictly-positive probability volume plus labels with some invalids."""
+def random_volume_pair(rng: np.random.Generator, max_dims):
+    """A strictly-positive probability volume plus labels with some invalids;
+    each of X, Y, Z, C is drawn from 2 to its entry of `max_dims`."""
     mx, my, mz, mc = max_dims
     shape = (
         int(rng.integers(2, mx + 1)),
@@ -44,10 +47,8 @@ def random_volume_pair(rng: np.random.Generator, max_dims=(8, 8, 4, 4)):
     return ProbVolume(probs), LabelVolume(labels)
 
 
-def finite_difference(
-    loss_fn: Callable[[np.ndarray], float], probs: np.ndarray, h: float = FD_STEP
-) -> np.ndarray:
-    """Central-difference gradient of a scalar loss over every volume entry.
+def finite_difference(loss_fn: Callable[[np.ndarray], float], probs: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar loss over every volume entry, at FD_STEP.
 
     Each entry of `probs` is moved in place and restored exactly, so
     `loss_fn` may read the array through a validated volume that holds it.
@@ -57,12 +58,12 @@ def finite_difference(
     gflat = grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         hi = loss_fn(probs)
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         lo = loss_fn(probs)
         flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * h)
+        gflat[i] = (hi - lo) / (2.0 * FD_STEP)
     return grad
 
 
@@ -73,14 +74,14 @@ def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(rel.max()) if rel.size else 0.0
 
 
-def run_gradient_checks(
-    num_volumes: int = 50, seed: int = 0, max_dims=(8, 8, 4, 4)
-) -> List[Tuple[str, float]]:
+def run_gradient_checks(num_volumes: int = 50, seed: int = 0) -> List[Tuple[str, float]]:
     """Worst relative FD-vs-analytic error per loss over random volumes."""
+    if num_volumes < 1:
+        raise ValueError(f"num_volumes must be >= 1, got {num_volumes}")
     rng = np.random.default_rng(seed)
     worst = {"scal_sem": 0.0, "scal_geo": 0.0, "weighted_ce": 0.0}
     for _ in range(num_volumes):
-        pred, gt = random_volume_pair(rng, max_dims)
+        pred, gt = random_volume_pair(rng, CHECK_DIMS)
         weights = inverse_frequency_weights(gt, pred.num_classes)
         cases = [
             ("scal_sem", scal_sem),

@@ -132,8 +132,9 @@ def _scal_core(p: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
     grad = np.zeros_like(p)
     inv_k = 1.0 / kcount
     for ci in np.flatnonzero(contributing):
-        pc = _safe_log(num_p[ci]) - _safe_log(den_p[ci])
-        rc = _safe_log(num_p[ci]) - _safe_log(den_r[ci])
+        log_num = _safe_log(num_p[ci])
+        pc = log_num - _safe_log(den_p[ci])
+        rc = log_num - _safe_log(den_r[ci])
         sc = _safe_log(num_s[ci]) - _safe_log(den_s[ci])
         total -= inv_k * (pc + rc + sc)
         # d log(max(x, CLAMP))/dx is 1/x above the clamp and 0 inside it

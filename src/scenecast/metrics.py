@@ -1,12 +1,12 @@
 """Scene-completion evaluation: geometric IoU, semantic mIoU, coverage stats.
 
-Class 0 is empty space and is excluded from the semantic mean; degenerate
-0/0 ratios evaluate to 1 with an explicit flag so aggregate math stays total.
+Class 0 is empty space and is excluded from the semantic mean. 0/0
+evaluates to 1; `per_class` is NaN for a class absent from both grids.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -51,28 +51,20 @@ def confusion(pred: SceneGrid, gt: SceneGrid, num_classes: int | None = None) ->
     return ConfusionMatrix(counts)
 
 
-class GeometryIou(NamedTuple):
-    value: float
-    degenerate: bool
-
-
-def iou_geometry(cm: ConfusionMatrix) -> GeometryIou:
+def iou_geometry(cm: ConfusionMatrix) -> float:
     """Binary occupied-vs-empty IoU; occupied means any class != 0."""
     c = cm.counts
     tp = int(c[1:, 1:].sum())
     fp = int(c[0, 1:].sum())
     fn = int(c[1:, 0].sum())
     union = tp + fp + fn
-    if union == 0:
-        return GeometryIou(1.0, True)
-    return GeometryIou(tp / union, False)
+    return tp / union if union else 1.0
 
 
 @dataclass
 class MiouResult:
     value: float
     per_class: np.ndarray  # length C, NaN where the class is excluded
-    degenerate: bool
 
 
 def miou_semantic(cm: ConfusionMatrix) -> MiouResult:
@@ -86,9 +78,8 @@ def miou_semantic(cm: ConfusionMatrix) -> MiouResult:
         if union > 0:
             per_class[ci] = tp / union
     included = ~np.isnan(per_class)
-    if not included.any():
-        return MiouResult(1.0, per_class, True)
-    return MiouResult(float(per_class[included].mean()), per_class, False)
+    value = float(per_class[included].mean()) if included.any() else 1.0
+    return MiouResult(value, per_class)
 
 
 @dataclass

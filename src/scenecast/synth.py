@@ -85,6 +85,9 @@ class SceneSpec:
             raise ValueError(f"num_classes must be in [2, {len(PALETTE)}]")
         if any(d <= 0 for d in self.dims):
             raise ValueError("dims must be positive")
+        if self.box_count < 0:
+            raise ValueError(f"box_count must be >= 0, got {self.box_count}")
+        self.scene_range()  # raises on a bad voxel size or origin
 
     def scene_range(self) -> SceneRange:
         ex = tuple(d * self.voxel_size for d in self.dims)
@@ -115,7 +118,7 @@ class TrajectorySpec:
         if self.frames < 1:
             raise ValueError("need at least one frame")
         if self.frame_interval < 1:
-            raise ValueError("frame_interval must be >= 1")
+            raise ValueError(f"frame_interval must be >= 1, got {self.frame_interval}")
 
 
 def build_scene(spec: SceneSpec) -> SceneGrid:
@@ -333,14 +336,10 @@ def _cast(rng: SceneRange, o, d, d_max, cells, pdims, depth, cls) -> None:
 
 
 def render_frame(
-    grid: SceneGrid,
-    pose: Se3Pose,
-    k: CameraIntrinsics,
-    frame_index: int = 0,
-    d_max: float = defaults.D_MAX,
+    grid: SceneGrid, pose: Se3Pose, k: CameraIntrinsics, frame_index: int = 0
 ) -> FrameBundle:
-    """Render image and depth with a single traversal and bundle them."""
-    depth, cls = _raycast(grid, pose, k, d_max)
+    """Render image and depth with one traversal to `defaults.D_MAX` and bundle them."""
+    depth, cls = _raycast(grid, pose, k, defaults.D_MAX)
     shade = np.where(cls > 0, 1.0 / (1.0 + SHADE_FALLOFF * depth), 0.0)
     return FrameBundle(PALETTE[cls] * shade[..., None], depth, pose, frame_index)
 

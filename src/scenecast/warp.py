@@ -53,12 +53,16 @@ class FrameBundle:
 
 @dataclass
 class WarpResult:
-    """Splatted image/depth plus per-pixel hit mask and winning source slot."""
+    """Splatted image/depth plus the winning source slot per pixel (-1: no hit)."""
 
     image: np.ndarray
     depth: np.ndarray
-    hit_mask: np.ndarray
     source_index: np.ndarray
+
+    @property
+    def hit_mask(self) -> np.ndarray:
+        """Pixels some source splatted into."""
+        return self.source_index >= 0
 
 
 RefinerHook = Callable[[WarpResult], Tuple[np.ndarray, np.ndarray]]
@@ -154,13 +158,11 @@ def forward_splat(
     t = tgt[winners]
     image = np.zeros((h, w, channels))
     depth = np.zeros((h, w))
-    hit = np.zeros((h, w), dtype=bool)
     source_index = np.full((h, w), -1, dtype=np.int64)
     image.reshape(-1, channels)[t] = colors[winners]
     depth.reshape(-1)[t] = depths[winners]
-    hit.reshape(-1)[t] = True
     source_index.reshape(-1)[t] = slot[winners]
-    return WarpResult(image, depth, hit, source_index)
+    return WarpResult(image, depth, source_index)
 
 
 def compose_pseudo_future(

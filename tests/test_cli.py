@@ -405,6 +405,40 @@ class TestNonFiniteInput:
         assert err == "error: theta_d must be finite and positive, got nan\n"
 
 
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["grad-check", "--volumes", "0"], "num_volumes must be >= 1, got 0"),
+            (["grad-check", "--volumes", "-1"], "num_volumes must be >= 1, got -1"),
+            (["synth", "--box-count", "-3", "--out-dir", "{tmp}/o"], "box_count must be >= 0, got -3"),
+            (["demo", "--box-count", "-1", "--out-dir", "{tmp}/o"], "box_count must be >= 0, got -1"),
+            (["synth", "--voxel-size", "nan", "--out-dir", "{tmp}/o"],
+             "voxel_size must be finite and positive, got nan"),
+            (["forecast", "--poses", "{tmp}/poses.txt", "--interval", "0"],
+             "frame_interval must be >= 1, got 0"),
+            (["forecast", "--poses", "{tmp}/poses.txt", "--interval", "-1"],
+             "frame_interval must be >= 1, got -1"),
+            (["demo", "--interval", "0", "--out-dir", "{tmp}/o"], "frame_interval must be >= 1, got 0"),
+            # the frames dir does not exist: the range is checked before any load
+            (["fuse", "--frames-dir", "{tmp}/none", "--range-voxel-size", "nan", "--out-dir", "{tmp}/o"],
+             "voxel_size must be finite and positive, got nan"),
+            (["fuse", "--frames-dir", "{tmp}/none", "--range-voxel-size", "inf", "--out-dir", "{tmp}/o"],
+             "voxel_size must be finite and positive, got inf"),
+        ],
+        ids=["volumes_0", "volumes_neg", "synth_box_count", "demo_box_count", "synth_voxel_nan",
+             "forecast_interval_0", "forecast_interval_neg", "demo_interval_0",
+             "fuse_range_voxel_nan", "fuse_range_voxel_inf"],
+    )
+    def test_one_error_line_naming_the_value(self, tmp_path, capsys, argv, message):
+        # the pose file is valid, so forecast's interval is the only fault
+        dataio.write_poses(tmp_path / "poses.txt", [Se3Pose.identity()] * 12)
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestGradCheck:
     def test_passes_at_tolerance(self, capsys):
         code, out, err = run(capsys, "grad-check", "--volumes", "3", "--seed", "1")
@@ -544,7 +578,7 @@ def _hand_wired_corridor_run(seed: int):
         _, bv = fuse_pipeline(frames, rng, k, defaults.THETA_D, extract_features, ci)
         unions.append(coverage(bv).union)
         completed = majority_complete(bv, gt_range)
-        ious.append(iou_geometry(confusion(completed, gt_range, spec.num_classes)).value)
+        ious.append(iou_geometry(confusion(completed, gt_range, spec.num_classes)))
     return unions, ious
 
 
@@ -574,7 +608,7 @@ class TestDemo:
             speed=defaults.DEMO_SPEED, theta_d=theta_d, box_count=defaults.DEMO_BOX_COUNT,
             refiner_name="fill", future_mode="pseudo",
         )
-        bundles, rng, k = result["bundles"], result["range"], desk_intrinsics()
+        bundles, rng, k = result["bundles"], result["gt_range"].range, desk_intrinsics()
         separate = {
             "current": fuse_pipeline([bundles[past]], rng, k, theta_d, extract_features, 0),
             "past_current": fuse_pipeline(bundles[: past + 1], rng, k, theta_d, extract_features, past),

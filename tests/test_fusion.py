@@ -53,6 +53,12 @@ class TestVoxelCenters:
         with pytest.raises(ValueError):
             SceneRange((0, 0, 0), (1.0, 1.0, 0.9), 0.4)
 
+    @pytest.mark.parametrize("voxel", [float("nan"), float("inf"), 0.0, -0.4])
+    def test_bad_voxel_size_named_first(self, voxel):
+        # the extents are scaled by the same voxel size, as the CLI builds them
+        with pytest.raises(ValueError, match=f"^voxel_size must be finite and positive, got {voxel}$"):
+            SceneRange((0.0, 0.0, 0.0), (voxel, voxel, voxel), voxel)
+
 
 class TestVisibility:
     def test_inside_band(self):

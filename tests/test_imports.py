@@ -2,8 +2,9 @@
 
 No module under src/ or tests/ imports a name it never uses; a package
 `__init__.py` is exempt. Every public function, class and method defined
-under src/scenecast is used somewhere in src/, so no public API exists for
-the tests alone.
+under src/scenecast is used somewhere in src/, and every defaulted parameter
+of a public function is passed by some call in src/, so no public API and no
+parameter exists for the tests alone.
 """
 import ast
 from collections import Counter
@@ -18,6 +19,16 @@ ENTRY_POINTS = {
     "dataio.read_blockvis",
     "losses.total_ssc_loss",
     "losses.total_synth_loss",
+}
+
+# defaulted parameters no src/ call passes, with the reason each stays
+UNPASSED_DEFAULTS = {
+    "cli.main.argv": "None parses sys.argv; the console script calls main() bare",
+    "dataio.read_fused.channels_per_frame": "entry point: the reader's caller knows the "
+    "channels per frame, which the file does not store",
+    "losses.total_ssc_loss.class_weights": "entry point: None weighs by the inverse class "
+    "frequency of the ground truth",
+    "losses.total_synth_loss.w": "entry point: None gives the paper's term weights",
 }
 
 
@@ -72,6 +83,61 @@ def unreferenced_definitions(sources: dict) -> list:
     )
 
 
+def _defaulted_parameters(node):
+    """(name, position) of a function's parameters that have defaults; the
+    position counts from the first argument a call passes, and is None for
+    keyword-only parameters."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether a call passes the parameter `name` at `position`."""
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(x, ast.Starred) for x in call.args)
+
+
+def unpassed_defaults(sources: dict) -> list:
+    """'module.qualname.param' of each defaulted parameter of a public function
+    that no call in `sources` passes.
+
+    Calls match by callee name, as `f(...)` or `x.f(...)`. A call inside the
+    function itself does not count. A method's position skips `self`.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+    def callee(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+    found = []
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            mine = [c for c in calls if callee(c) == node.name and id(c) not in inside]
+            method = "." in qualname and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            for name, position in _defaulted_parameters(node):
+                if position is not None and method:
+                    position -= 1
+                if not any(_passes(c, name, position) for c in mine):
+                    found.append(f"{module}.{qualname}.{name}")
+    return sorted(found)
+
+
 def test_checker_flags_only_unused_names():
     source = "import os\nimport numpy as np\nfrom a.b import c, d\nnp.zeros(c)\n"
     assert unused_imports(source) == [(1, "os"), (3, "d")]
@@ -91,6 +157,29 @@ def test_scanner_flags_only_unreferenced_definitions():
     assert unreferenced_definitions({"a": a, "b": b}) == ["a.Box.idle", "a.recursive"]
 
 
+def test_parameter_scanner_flags_only_unpassed_defaults():
+    a = (
+        "def f(x, by_pos=1, by_kw=2, unset=3, *, kw=4, kw_unset=5, req):\n"
+        "    return f(x, 0, 0, 0, kw_unset=0, req=0)\n"
+        "def g(x=1, y=2):\n    pass\n"
+        "def _private(x=1):\n    pass\n"
+        "class Box:\n"
+        "    def m(self, x=1, y=2):\n        return self\n"
+        "    @staticmethod\n"
+        "    def s(x=1):\n        pass\n"
+    )
+    b = (
+        "from a import f, g, Box\n"
+        "f(0, 1, by_kw=0, kw=0, req=0)\n"
+        "g(*args)\n"
+        "Box().m(0)\n"
+        "Box.s(0)\n"
+    )
+    assert unpassed_defaults({"a": a, "b": b}) == [
+        "a.Box.m.y", "a.f.kw_unset", "a.f.unset",
+    ]
+
+
 def test_no_unused_imports():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
@@ -102,12 +191,21 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
-def test_no_test_only_public_api():
+def _package_sources() -> dict:
+    """Module name -> source text of every module under src/scenecast."""
     package = ROOT / "src" / "scenecast"
-    sources = {
+    return {
         path.stem: path.read_text()
         for path in sorted(package.glob("*.py"))
         if path.name != "__init__.py"
     }
-    found = [name for name in unreferenced_definitions(sources) if name not in ENTRY_POINTS]
+
+
+def test_no_test_only_public_api():
+    found = [name for name in unreferenced_definitions(_package_sources()) if name not in ENTRY_POINTS]
     assert not found, "public names used by no src/ code:\n" + "\n".join(found)
+
+
+def test_no_test_only_parameters():
+    found = [name for name in unpassed_defaults(_package_sources()) if name not in UNPASSED_DEFAULTS]
+    assert not found, "defaulted parameters no src/ call passes:\n" + "\n".join(found)

@@ -102,6 +102,14 @@ class TestScalSem:
         assert np.isfinite(loss)
         assert np.all(np.isfinite(grad))
 
+    def test_one_warning_per_clamped_value(self):
+        # num_s of class 0 and num_p, den_p of class 1 are 0: three clamped values
+        probs = np.array([[[[1.0, 0.0]]], [[[1.0, 0.0]]]])
+        labels = np.array([[[0]], [[1]]])
+        with pytest.warns(DegenerateInputWarning) as record:
+            scal_sem(ProbVolume(probs), LabelVolume(labels))
+        assert len(record) == 3
+
     def test_nonnegative(self):
         rng = np.random.default_rng(23)
         for _ in range(10):

@@ -73,27 +73,24 @@ class TestConfusion:
 class TestIouGeometry:
     def test_perfect(self):
         g = grid_from(np.array([[[0, 1], [2, 0]]]))
-        res = iou_geometry(confusion(g, g, 3))
-        assert res.value == 1.0 and not res.degenerate
+        assert iou_geometry(confusion(g, g, 3)) == 1.0
 
     def test_set_iou_third(self):
         # pred occupies {a, b}, gt occupies {b, c}: intersection 1, union 3
         pred = grid_from(np.array([[[1, 1, 0]]]))
         gt = grid_from(np.array([[[0, 1, 1]]]))
-        res = iou_geometry(confusion(pred, gt, 2))
-        assert res.value == pytest.approx(1 / 3)
+        assert iou_geometry(confusion(pred, gt, 2)) == pytest.approx(1 / 3)
 
     def test_empty_vs_empty_degenerate(self):
         g = grid_from(np.zeros((2, 2, 1)))
-        res = iou_geometry(confusion(g, g, 2))
-        assert res.value == 1.0 and res.degenerate
+        assert iou_geometry(confusion(g, g, 2)) == 1.0
 
 
 class TestMiouSemantic:
     def test_perfect_labels(self):
         g = grid_from(np.array([[[1, 2, 1, 0]]]))
         res = miou_semantic(confusion(g, g, 3))
-        assert res.value == 1.0 and not res.degenerate
+        assert res.value == 1.0
 
     def test_mean_of_two_classes(self):
         # class 1: IoU 0.5 (1 of 2); class 2: IoU 0.25 (1 of 4)
@@ -171,10 +168,10 @@ class TestMajorityComplete:
         vis = np.zeros((2, 2, 1), dtype=bool)
         vis[0] = True  # first half of the x-extent
         out = majority_complete(block_vis(vis), gt)
-        res = iou_geometry(confusion(out, gt, 4))
+        iou = iou_geometry(confusion(out, gt, 4))
         occupied = gt.labels > 0
         expect = occupied[:4].sum() / occupied.sum()
-        assert res.value == pytest.approx(expect)
+        assert iou == pytest.approx(expect)
 
     def test_dims_checked(self):
         gt = self._gt(dims=(8, 8, 8))

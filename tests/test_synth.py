@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import classify_palette, extract_features_bruteforce, raycast_bruteforce
-from scenecast import synth
+from scenecast import defaults, synth
 from scenecast.fusion import SceneGrid, SceneRange
 from scenecast.geom import CameraIntrinsics, compose, inverse, se3_exp, se3_log
 from scenecast.synth import (
@@ -47,6 +47,15 @@ class TestBuildScene:
     def test_invalid_layout_rejected(self):
         with pytest.raises(ValueError):
             SceneSpec(layout="sphere")
+
+    def test_negative_box_count_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^box_count must be >= 0, got -3$"):
+            SceneSpec(box_count=-3)
+
+    @pytest.mark.parametrize("voxel", [float("nan"), float("inf")])
+    def test_bad_voxel_size_rejected_on_construction(self, voxel):
+        with pytest.raises(ValueError, match="^voxel_size must be finite and positive"):
+            SceneSpec(voxel_size=voxel)
 
 
 class TestMakeTrajectory:
@@ -120,19 +129,21 @@ class TestRenderDepth:
             assert np.abs(frame.depth - ref_depth).max() < 1e-9
             assert np.array_equal(classify_palette(frame.image), ref_cls)
 
-    def test_depth_capped_at_range(self):
+    def test_depth_capped_at_range(self, monkeypatch):
+        monkeypatch.setattr(defaults, "D_MAX", 1.0)
         labels = np.zeros((8, 8, 4), dtype=np.uint8)
         labels[:, 7, :] = 1  # surface beyond the cap
         grid = SceneGrid(SceneRange((-1.6, 0.0, -0.8), (3.2, 3.2, 1.6), 0.4), labels)
         k = desk_intrinsics()
-        depth = render_frame(grid, canonical_camera_pose(), k, d_max=1.0).depth
+        depth = render_frame(grid, canonical_camera_pose(), k).depth
         assert not depth.any()
 
 
-def _matches_oracle(grid, pose, k, d_max=80.0):
-    """Render and compare with the brute-force oracle; returns the oracle classes."""
-    frame = render_frame(grid, pose, k, d_max=d_max)
-    ref_depth, ref_cls = raycast_bruteforce(grid, pose, k, d_max)
+def _matches_oracle(grid, pose, k):
+    """Render and compare with the brute-force oracle at `defaults.D_MAX`;
+    returns the oracle classes."""
+    frame = render_frame(grid, pose, k)
+    ref_depth, ref_cls = raycast_bruteforce(grid, pose, k, defaults.D_MAX)
     assert np.array_equal(classify_palette(frame.image), ref_cls)
     assert np.abs(frame.depth - ref_depth).max() < 1e-9
     return ref_cls
@@ -191,11 +202,12 @@ class TestRaycastTraversal:
             cls = _matches_oracle(grid, canonical_camera_pose(position), k)
             assert cls[4].any() and cls[:, 6].any()
 
-    def test_d_max_cuts_rays_mid_scene(self):
+    def test_d_max_cuts_rays_mid_scene(self, monkeypatch):
         grid = _sparse_grid((10, 12, 6), seed=63, cameras=[(1.93, 0.29, 1.17)], fill=0.05)
         pose = _looking((1.93, 0.29, 1.17), (0.2, 0.1, 0.0))
         uncapped = _matches_oracle(grid, pose, self.K)
-        capped = _matches_oracle(grid, pose, self.K, d_max=2.3)
+        monkeypatch.setattr(defaults, "D_MAX", 2.3)
+        capped = _matches_oracle(grid, pose, self.K)
         assert capped.any() and (capped != uncapped).any()
 
     @pytest.mark.parametrize("axis", [0, 1, 2], ids=["x_face", "y_face", "z_face"])

@@ -269,17 +269,15 @@ class TestRefiners:
         image = np.zeros((1, 3, 1))
         image[0, 0, 0] = 0.4
         depth = np.array([[2.0, 0.0, 0.0]])
-        hit = np.array([[True, False, False]])
         src = np.array([[0, -1, -1]])
-        filled_img, filled_depth = fill_refiner(WarpResult(image, depth, hit, src))
+        filled_img, filled_depth = fill_refiner(WarpResult(image, depth, src))
         assert np.all(filled_depth == 2.0)
         assert np.all(filled_img == 0.4)
 
     def test_fill_refiner_all_miss_unchanged(self):
         from scenecast.warp import WarpResult
 
-        empty = WarpResult(np.zeros((2, 2, 3)), np.zeros((2, 2)),
-                           np.zeros((2, 2), dtype=bool), np.full((2, 2), -1))
+        empty = WarpResult(np.zeros((2, 2, 3)), np.zeros((2, 2)), np.full((2, 2), -1))
         image, depth = fill_refiner(empty)
         assert np.all(image == 0.0) and np.all(depth == 0.0)
 
