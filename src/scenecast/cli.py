@@ -43,15 +43,18 @@ REFINERS = {"identity": identity_refiner, "fill": fill_refiner}
 
 
 def _number_list(cast):
-    """Parser type for a comma-separated list of `cast` values, as a tuple."""
+    """Parser type for an x,y,z triple of `cast` values, as a tuple."""
 
     def parse(text: str):
         try:
-            return tuple(cast(x) for x in text.split(","))
+            values = tuple(cast(x) for x in text.split(","))
         except ValueError:
+            values = ()
+        if len(values) != 3:
             raise argparse.ArgumentTypeError(
-                f"expected comma-separated {cast.__name__} values, got {text!r}"
-            ) from None
+                f"expected 3 comma-separated {cast.__name__} values, got {text!r}"
+            )
+        return values
 
     return parse
 
@@ -113,6 +116,21 @@ def _load_frames(frames_dir, interval: int):
     frames = dataio.load_frame_sequence(frames_dir, interval)
     h, w = frames[0].shape
     return frames, desk_intrinsics(w, h)
+
+
+def _check_past(past: int, forecast: bool) -> None:
+    """Reject a `past` that leaves no frame, or no step to forecast the next
+    pose from when `forecast`, before any frame is rendered or loaded."""
+    lowest = 1 if forecast else 0
+    if past < lowest:
+        reason = " to forecast a pose" if forecast else ""
+        raise ValueError(f"past must be >= {lowest}{reason}, got {past}")
+
+
+def _check_window(window) -> None:
+    """Reject a forecast window below 1 before any frame is rendered or loaded."""
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
 
 
 def _pseudo_future(frames, k, refiner, window, interval, pose=None):
@@ -217,6 +235,7 @@ def cmd_forecast(args) -> int:
     interval = args.interval
     if interval < 1:
         raise ValueError(f"frame_interval must be >= 1, got {interval}")
+    _check_window(args.window)
     # pose files carry one line per raw frame; the forecaster consumes every
     # interval-th line
     poses = dataio.read_poses(args.poses)[::interval]
@@ -241,6 +260,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_warp(args) -> int:
+    _check_window(args.window)
     out_dir = Path(args.out_dir)
     frames, k = _load_frames(args.frames_dir, args.interval)
     sources, target_pose, interval = frames, None, args.interval
@@ -289,6 +309,10 @@ def _fusion_range(args) -> SceneRange:
     if dims is None:
         paper = voxel == defaults.VOXEL_SIZE
         dims = SceneRange.default().dims if paper else defaults.DESK_SCENE_DIMS
+    elif any(d < 1 or d % defaults.BLOCK_EDGE for d in dims):
+        raise ValueError(
+            f"range_dims must be positive multiples of {defaults.BLOCK_EDGE}, got {dims}"
+        )
     extents = tuple(d * voxel for d in dims)
     if args.range_origin is None:
         return SceneRange.ahead_of_camera(extents, voxel)
@@ -297,6 +321,8 @@ def _fusion_range(args) -> SceneRange:
 
 def cmd_fuse(args) -> int:
     check_theta_d(args.theta_d)
+    _check_past(args.past, args.future == "pseudo")
+    _check_window(args.window)
     out_dir = Path(args.out_dir)
     rng = _fusion_range(args)
     frames, k = _load_frames(args.frames_dir, args.interval)
@@ -351,6 +377,8 @@ def demo_pipeline(
 ):
     """Full synthetic pipeline; returns artifacts and the per-set summary."""
     check_theta_d(theta_d)
+    _check_past(past, True)
+    _check_window(window)
     voxel = defaults.DESK_VOXEL_SIZE
     k = desk_intrinsics()
     start_y = 2.0

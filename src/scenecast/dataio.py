@@ -29,8 +29,7 @@ from typing import List
 import numpy as np
 
 from .fusion import BlockVisibility, FusedVolume, SceneGrid, SceneRange
-from .geom import Se3Pose
-from .warp import FrameBundle
+from .geom import FrameBundle, Se3Pose
 
 MAGIC_GRID = b"VXG1"
 MAGIC_DEPTH = b"DPT1"

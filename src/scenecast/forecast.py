@@ -55,9 +55,9 @@ def forecast_next(seq: PoseSequence, window: int | None = None) -> Se3Pose:
     close to pi for a stable log raises ValueError naming its two frames.
     """
     if window is None:
-        window = min(len(seq) - 1, DEFAULT_WINDOW_CAP)
+        window = max(1, min(len(seq) - 1, DEFAULT_WINDOW_CAP))
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise ValueError(f"window must be >= 1, got {window}")
     if len(seq) < window + 1:
         raise ValueError(
             f"need at least {window + 1} poses for window {window}, got {len(seq)}"

@@ -40,6 +40,7 @@ from . import defaults
 from .geom import (
     LEVEL_CAMERA_ROTATION,
     CameraIntrinsics,
+    FrameBundle,
     Se3Pose,
     Z_EPS,
     bilinear_sample_many,
@@ -48,7 +49,7 @@ from .geom import (
     rigid_transform,
     tile_reduce,
 )
-from .warp import FrameBundle
+
 
 @dataclass(frozen=True)
 class SceneRange:
@@ -63,8 +64,10 @@ class SceneRange:
         extents = np.array(self.extents, dtype=np.float64).reshape(3)
         if not (np.isfinite(self.voxel_size) and self.voxel_size > 0):
             raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size}")
-        if not (np.all(np.isfinite(origin)) and np.all(extents > 0)):
-            raise ValueError("origin must be finite and extents positive")
+        if not np.all(np.isfinite(origin)):
+            raise ValueError(f"origin must be finite, got {origin.tolist()}")
+        if not np.all(extents > 0):
+            raise ValueError(f"extents must be positive, got {extents.tolist()}")
         n = np.round(extents / self.voxel_size)
         if np.any(np.abs(n * self.voxel_size - extents) > 1e-9):
             raise ValueError(

@@ -1,4 +1,5 @@
-"""Rigid-body pose algebra, pinhole camera projection and image tile reduction.
+"""Rigid-body pose algebra, the camera and the frame every stage passes
+(`FrameBundle`), pinhole projection and image tile reduction.
 
 Conventions used throughout the package:
   - camera axes: x right, y down, z forward (KITTI camera frame)
@@ -196,6 +197,36 @@ class CameraIntrinsics:
             raise ValueError("image size must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
+
+
+@dataclass
+class FrameBundle:
+    """One frame: image in [0,1], depth in meters (0 = invalid), pose, index."""
+
+    image: np.ndarray
+    depth: np.ndarray
+    pose: Se3Pose
+    frame_index: int
+
+    def __post_init__(self):
+        self.image = np.asarray(self.image, dtype=np.float64)
+        self.depth = np.asarray(self.depth, dtype=np.float64)
+        if self.image.ndim != 3:
+            raise ValueError(f"image must be HxWxC, got shape {self.image.shape}")
+        if self.depth.shape != self.image.shape[:2]:
+            raise ValueError(
+                f"depth shape {self.depth.shape} does not match image {self.image.shape[:2]}"
+            )
+        if not np.all(np.isfinite(self.image)):
+            raise ValueError("image entries must be finite")
+        if self.image.min() < 0.0 or self.image.max() > 1.0:
+            raise ValueError("image entries must lie in [0, 1]")
+        if not np.all(np.isfinite(self.depth)) or self.depth.min() < 0.0:
+            raise ValueError("depth entries must be finite and >= 0")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.depth.shape
 
 
 def rigid_transform(r: np.ndarray, t: np.ndarray, x, y, z):

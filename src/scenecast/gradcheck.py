@@ -78,6 +78,8 @@ def run_gradient_checks(num_volumes: int = 50, seed: int = 0) -> List[Tuple[str,
     """Worst relative FD-vs-analytic error per loss over random volumes."""
     if num_volumes < 1:
         raise ValueError(f"num_volumes must be >= 1, got {num_volumes}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     worst = {"scal_sem": 0.0, "scal_geo": 0.0, "weighted_ce": 0.0}
     for _ in range(num_volumes):

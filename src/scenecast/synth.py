@@ -18,8 +18,8 @@ from scipy import ndimage
 from . import defaults
 from .forecast import PoseSequence
 from .fusion import SceneGrid, SceneRange
-from .geom import LEVEL_CAMERA_ROTATION, CameraIntrinsics, Se3Pose, compose, se3_exp, tile_reduce
-from .warp import FrameBundle
+from .geom import (LEVEL_CAMERA_ROTATION, CameraIntrinsics, FrameBundle, Se3Pose, compose,
+                   rigid_transform, se3_exp, tile_reduce)
 
 LAYOUTS = ("corridor", "intersection", "random_boxes", "empty")
 TRAJECTORY_KINDS = ("straight", "constant_turn", "piecewise")
@@ -81,10 +81,12 @@ class SceneSpec:
     def __post_init__(self):
         if self.layout not in LAYOUTS:
             raise ValueError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (2 <= self.num_classes <= len(PALETTE)):
-            raise ValueError(f"num_classes must be in [2, {len(PALETTE)}]")
+            raise ValueError(f"num_classes must be in [2, {len(PALETTE)}], got {self.num_classes}")
         if any(d <= 0 for d in self.dims):
-            raise ValueError("dims must be positive")
+            raise ValueError(f"dims must be positive, got {self.dims}")
         if self.box_count < 0:
             raise ValueError(f"box_count must be >= 0, got {self.box_count}")
         self.scene_range()  # raises on a bad voxel size or origin
@@ -116,7 +118,7 @@ class TrajectorySpec:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.frames < 1:
-            raise ValueError("need at least one frame")
+            raise ValueError(f"frames must be >= 1, got {self.frames}")
         if self.frame_interval < 1:
             raise ValueError(f"frame_interval must be >= 1, got {self.frame_interval}")
 
@@ -218,11 +220,8 @@ def _raycast(
     h, w = k.height, k.width
     xs = (np.arange(w, dtype=np.float64) - k.cx) / k.fx
     ys = (np.arange(h, dtype=np.float64) - k.cy) / k.fy
-    dirs = np.empty((h, w, 3))
-    dirs[..., 0] = xs[None, :]
-    dirs[..., 1] = ys[:, None]
-    dirs[..., 2] = 1.0
-    d = dirs.reshape(-1, 3) @ pose.rotation.T
+    dirs = rigid_transform(pose.rotation, np.zeros(3), xs[None, :], ys[:, None], 1.0)
+    d = np.stack([c.ravel() for c in dirs], axis=1)
 
     pdims = np.asarray(labels.shape, dtype=np.int64) + 2
     size = int(pdims.prod())

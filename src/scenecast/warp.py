@@ -1,11 +1,12 @@
 """Pseudo-future frame synthesis by forward splatting through depth and poses.
 
-Each valid source pixel is lifted with its depth, moved by the relative pose,
-and splatted onto the nearest destination pixel. Conflicts are settled by a
-z-buffer with a fully deterministic tie-break chain, so the result is
-independent of iteration order and of any parallel scheduling. The learned
-refinement stage is replaced by a pluggable hook; two built-ins are provided
-(identity, nearest-valid hole fill).
+Sources and results are `geom.FrameBundle`s. Each valid source pixel is
+lifted with its depth, moved by the relative pose, and splatted onto the
+nearest destination pixel. Conflicts are settled by a z-buffer with a fully
+deterministic tie-break chain, so the result is independent of iteration
+order and of any parallel scheduling. The learned refinement stage is
+replaced by a pluggable hook; two built-ins are provided (identity,
+nearest-valid hole fill). Only the command line imports this module.
 """
 from __future__ import annotations
 
@@ -15,40 +16,10 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 from scipy import ndimage
 
-from .geom import CameraIntrinsics, Se3Pose, project_pixels, relative_pose
+from .geom import CameraIntrinsics, FrameBundle, Se3Pose, project_pixels, relative_pose
 
 # depth ties are resolved within buckets of this size (meters)
 DEPTH_TIE_QUANTUM = 1e-9
-
-
-@dataclass
-class FrameBundle:
-    """One frame: image in [0,1], depth in meters (0 = invalid), pose, index."""
-
-    image: np.ndarray
-    depth: np.ndarray
-    pose: Se3Pose
-    frame_index: int
-
-    def __post_init__(self):
-        self.image = np.asarray(self.image, dtype=np.float64)
-        self.depth = np.asarray(self.depth, dtype=np.float64)
-        if self.image.ndim != 3:
-            raise ValueError(f"image must be HxWxC, got shape {self.image.shape}")
-        if self.depth.shape != self.image.shape[:2]:
-            raise ValueError(
-                f"depth shape {self.depth.shape} does not match image {self.image.shape[:2]}"
-            )
-        if not np.all(np.isfinite(self.image)):
-            raise ValueError("image entries must be finite")
-        if self.image.min() < 0.0 or self.image.max() > 1.0:
-            raise ValueError("image entries must lie in [0, 1]")
-        if not np.all(np.isfinite(self.depth)) or self.depth.min() < 0.0:
-            raise ValueError("depth entries must be finite and >= 0")
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.depth.shape
 
 
 @dataclass

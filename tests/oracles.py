@@ -13,9 +13,8 @@ import math
 import numpy as np
 
 from scenecast.fusion import SceneRange
-from scenecast.geom import CameraIntrinsics, Se3Pose, relative_pose
+from scenecast.geom import CameraIntrinsics, FrameBundle, Se3Pose, relative_pose
 from scenecast.synth import PALETTE
-from scenecast.warp import FrameBundle
 
 
 def visibility_bruteforce(

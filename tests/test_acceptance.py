@@ -13,7 +13,7 @@ from scenecast import dataio, defaults
 from scenecast.cli import demo_pipeline, main
 from scenecast.forecast import PoseSequence, forecast_next, pose_mse
 from scenecast.fusion import SceneRange, visibility
-from scenecast.geom import Se3Pose, compose, se3_exp
+from scenecast.geom import FrameBundle, Se3Pose, compose, se3_exp
 from scenecast.gradcheck import random_volume_pair, run_gradient_checks
 from scenecast.losses import (
     LabelVolume,
@@ -30,7 +30,7 @@ from scenecast.synth import (
     make_trajectory,
     render_frame,
 )
-from scenecast.warp import FrameBundle, forward_splat
+from scenecast.warp import forward_splat
 from oracles import scal_bruteforce
 
 

@@ -8,7 +8,7 @@ from scenecast import cli, dataio, defaults
 from scenecast.cli import demo_pipeline, main
 from scenecast.forecast import PoseSequence, forecast_next
 from scenecast.fusion import SceneRange, fuse_pipeline, resample_to_range
-from scenecast.geom import CameraIntrinsics, Se3Pose
+from scenecast.geom import CameraIntrinsics, FrameBundle, Se3Pose
 from scenecast.metrics import confusion, coverage, iou_geometry, majority_complete
 from scenecast.synth import (
     SceneSpec,
@@ -20,7 +20,7 @@ from scenecast.synth import (
     make_trajectory,
     render_frame,
 )
-from scenecast.warp import FrameBundle, compose_pseudo_future, fill_refiner, forward_splat
+from scenecast.warp import compose_pseudo_future, fill_refiner, forward_splat
 
 
 def run(capsys, *argv):
@@ -185,6 +185,17 @@ class TestWarp:
                            "--out-dir", str(out))
         assert code == 1
         assert err == "error: warp takes at most 255 source frames, got 256\n"
+        assert not out.exists()
+
+    def test_one_frame_names_the_poses_a_forecast_needs(self, tmp_path, capsys):
+        # no --window is passed: the error names the default window and the poses it needs
+        frames = tmp_path / "one"
+        image, depth = np.full((8, 8, 3), 0.5), np.full((8, 8), 3.0)
+        dataio.write_frame_sequence(frames, [FrameBundle(image, depth, Se3Pose.identity(), 0)])
+        out = tmp_path / "warp_one"
+        code, _, err = run(capsys, "warp", "--frames-dir", str(frames), "--out-dir", str(out))
+        assert code == 1
+        assert err == "error: need at least 2 poses for window 1, got 1\n"
         assert not out.exists()
 
     def test_outputs_match_single_splats(self, small_frames_dir, tmp_path, capsys):
@@ -425,17 +436,76 @@ class TestOutOfRangeFlags:
              "voxel_size must be finite and positive, got nan"),
             (["fuse", "--frames-dir", "{tmp}/none", "--range-voxel-size", "inf", "--out-dir", "{tmp}/o"],
              "voxel_size must be finite and positive, got inf"),
+            (["fuse", "--frames-dir", "{tmp}/none", "--past", "-1", "--out-dir", "{tmp}/o"],
+             "past must be >= 0, got -1"),
+            (["fuse", "--frames-dir", "{tmp}/none", "--past", "0", "--future", "pseudo",
+              "--out-dir", "{tmp}/o"], "past must be >= 1 to forecast a pose, got 0"),
+            (["demo", "--past", "-1", "--out-dir", "{tmp}/o"],
+             "past must be >= 1 to forecast a pose, got -1"),
+            (["demo", "--past", "0", "--out-dir", "{tmp}/o"],
+             "past must be >= 1 to forecast a pose, got 0"),
+            # the pose file does not exist: the window is checked before any read
+            (["forecast", "--poses", "{tmp}/none", "--window", "0"], "window must be >= 1, got 0"),
+            (["warp", "--frames-dir", "{tmp}/none", "--window", "0", "--out-dir", "{tmp}/o"],
+             "window must be >= 1, got 0"),
+            (["fuse", "--frames-dir", "{tmp}/none", "--window", "0", "--out-dir", "{tmp}/o"],
+             "window must be >= 1, got 0"),
+            (["demo", "--window", "0", "--out-dir", "{tmp}/o"], "window must be >= 1, got 0"),
+            (["synth", "--frames", "0", "--out-dir", "{tmp}/o"], "frames must be >= 1, got 0"),
+            (["synth", "--dims", "0,4,4", "--out-dir", "{tmp}/o"], "dims must be positive, got (0, 4, 4)"),
+            (["synth", "--num-classes", "1", "--out-dir", "{tmp}/o"],
+             "num_classes must be in [2, 16], got 1"),
+            (["synth", "--seed", "-1", "--out-dir", "{tmp}/o"], "seed must be >= 0, got -1"),
+            (["demo", "--seed", "-1", "--out-dir", "{tmp}/o"], "seed must be >= 0, got -1"),
+            (["grad-check", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["fuse", "--frames-dir", "{tmp}/none", "--range-dims", "0,4,4", "--out-dir", "{tmp}/o"],
+             "range_dims must be positive multiples of 4, got (0, 4, 4)"),
+            (["fuse", "--frames-dir", "{tmp}/none", "--range-dims", "5,4,4", "--out-dir", "{tmp}/o"],
+             "range_dims must be positive multiples of 4, got (5, 4, 4)"),
+            (["fuse", "--frames-dir", "{tmp}/none", "--range-dims", "5,4,4", "--future", "pseudo",
+              "--out-dir", "{tmp}/o"], "range_dims must be positive multiples of 4, got (5, 4, 4)"),
+            (["fuse", "--frames-dir", "{tmp}/none", "--range-origin", "nan,0,0", "--out-dir", "{tmp}/o"],
+             "origin must be finite, got [nan, 0.0, 0.0]"),
+            (["synth", "--origin", "0,inf,0", "--out-dir", "{tmp}/o"],
+             "origin must be finite, got [0.0, inf, 0.0]"),
         ],
         ids=["volumes_0", "volumes_neg", "synth_box_count", "demo_box_count", "synth_voxel_nan",
              "forecast_interval_0", "forecast_interval_neg", "demo_interval_0",
-             "fuse_range_voxel_nan", "fuse_range_voxel_inf"],
+             "fuse_range_voxel_nan", "fuse_range_voxel_inf", "fuse_past_neg", "fuse_pseudo_past_0",
+             "demo_past_neg", "demo_past_0", "forecast_window_0", "warp_window_0", "fuse_window_0",
+             "demo_window_0", "synth_frames_0", "synth_dims_0", "synth_num_classes_1",
+             "synth_seed_neg", "demo_seed_neg", "grad_check_seed_neg", "fuse_range_dims_0",
+             "fuse_range_dims_5", "fuse_pseudo_range_dims_5", "fuse_range_origin_nan",
+             "synth_origin_inf"],
     )
-    def test_one_error_line_naming_the_value(self, tmp_path, capsys, argv, message):
+    def test_one_error_line_naming_the_value(self, monkeypatch, tmp_path, capsys, argv, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("rendered a frame")
+
+        monkeypatch.setattr(cli, "render_frame", unreachable)
         # the pose file is valid, so forecast's interval is the only fault
         dataio.write_poses(tmp_path / "poses.txt", [Se3Pose.identity()] * 12)
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (["synth", "--dims", "4,4"], "--dims", "4,4"),
+            (["synth", "--origin", "1,2,3,4"], "--origin", "1,2,3,4"),
+            (["fuse", "--frames-dir", "none", "--range-dims", "4,4"], "--range-dims", "4,4"),
+            (["fuse", "--frames-dir", "none", "--range-origin", "1"], "--range-origin", "1"),
+        ],
+        ids=["synth_dims", "synth_origin", "fuse_range_dims", "fuse_range_origin"],
+    )
+    def test_triple_flags_take_three_values(self, tmp_path, capsys, argv, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected 3 comma-separated" in err and repr(text) in err
         assert not (tmp_path / "o").exists()
 
 

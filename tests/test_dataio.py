@@ -6,8 +6,7 @@ import pytest
 from scenecast import dataio
 from scenecast.dataio import FormatError
 from scenecast.fusion import BlockVisibility, FusedVolume, SceneGrid, SceneRange
-from scenecast.geom import Se3Pose, se3_exp
-from scenecast.warp import FrameBundle
+from scenecast.geom import FrameBundle, Se3Pose, se3_exp
 
 
 def random_grid(rng, dims=(8, 8, 4)):

@@ -11,7 +11,14 @@ from scenecast.fusion import (
     resample_to_range,
     visibility,
 )
-from scenecast.geom import LEVEL_CAMERA_ROTATION, CameraIntrinsics, Se3Pose, compose, se3_exp
+from scenecast.geom import (
+    LEVEL_CAMERA_ROTATION,
+    CameraIntrinsics,
+    FrameBundle,
+    Se3Pose,
+    compose,
+    se3_exp,
+)
 from scenecast.synth import (
     SceneSpec,
     TrajectorySpec,
@@ -22,7 +29,6 @@ from scenecast.synth import (
     make_trajectory,
     render_frame,
 )
-from scenecast.warp import FrameBundle
 
 K = CameraIntrinsics(40.0, 40.0, 19.5, 14.5, 40, 30)
 

@@ -6,6 +6,7 @@ import pytest
 from oracles import bilinear_bruteforce, tile_fold_bruteforce
 from scenecast.geom import (
     CameraIntrinsics,
+    FrameBundle,
     Se3Pose,
     bilinear_sample_many,
     compose,
@@ -16,7 +17,7 @@ from scenecast.geom import (
     se3_log,
     tile_reduce,
 )
-from scenecast.warp import FrameBundle, reprojection_flow
+from scenecast.warp import reprojection_flow
 
 K = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
 

@@ -1,12 +1,17 @@
-"""Static checks over the source tree.
+"""Checks over the source tree and what importing it loads.
 
 No module under src/ or tests/ imports a name it never uses; a package
 `__init__.py` is exempt. Every public function, class and method defined
 under src/scenecast is used somewhere in src/, and every defaulted parameter
 of a public function is passed by some call in src/, so no public API and no
-parameter exists for the tests alone.
+parameter exists for the tests alone. Only the command line imports the
+synthesis module `warp`, and the modules that neither splat nor render load
+no scipy.
 """
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -209,3 +214,33 @@ def test_no_test_only_public_api():
 def test_no_test_only_parameters():
     found = [name for name in unpassed_defaults(_package_sources()) if name not in UNPASSED_DEFAULTS]
     assert not found, "defaulted parameters no src/ call passes:\n" + "\n".join(found)
+
+
+def _package_imports(source: str) -> set:
+    """Package modules a module imports as `from .x import ...` or `from . import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_only_cli_imports_warp():
+    importers = [m for m, text in _package_sources().items() if "warp" in _package_imports(text)]
+    assert importers == ["cli"]
+
+
+CORE_MODULES = ("geom", "forecast", "fusion", "metrics", "losses", "gradcheck", "dataio")
+
+
+def test_core_modules_load_neither_warp_nor_scipy():
+    code = (
+        f"import sys, {', '.join('scenecast.' + m for m in CORE_MODULES)}; "
+        "print(*(m for m in sys.modules if m == 'scenecast.warp' or m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == []
