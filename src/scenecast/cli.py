@@ -35,6 +35,7 @@ from .synth import (
 from .warp import (
     compose_pseudo_future,
     fill_refiner,
+    forward_splat,
     identity_refiner,
     reprojection_flow,
 )
@@ -133,43 +134,12 @@ def _check_window(window) -> None:
         raise ValueError(f"window must be >= 1, got {window}")
 
 
-def _pseudo_future(frames, k, refiner, window, interval, pose=None):
-    """Splat `frames` to `pose`, forecast from them when not given.
-
-    Returns (pose, pseudo-future frame).
-    """
-    if pose is None:
-        seq = PoseSequence(
-            tuple(f.pose for f in frames), tuple(f.frame_index for f in frames), interval
-        )
-        pose = forecast_next(seq, window)
-    return pose, compose_pseudo_future(frames, pose, k, refiner=refiner, frame_interval=interval)
-
-
-def _frame_set(frames, past, future, k, refiner, window, interval, forecast=False):
-    """The fusion frame set: up to `past` frames, the current frame, the future frame.
-
-    The last of `frames` is current, except with future 'gt', where it is
-    the ground-truth future and the one before it is current; 'pseudo'
-    appends the pseudo-future frame and 'none' adds no future. Returns
-    (frame set, position of current, forecast); the forecast is (pose,
-    pseudo-future frame) when 'pseudo' or `forecast` asks for it, else None.
-    """
-    n = len(frames)
-    if future == "gt":
-        if n < 2:
-            raise ValueError("future=gt needs the future frame in the sequence")
-        n -= 1
-    selected = list(frames[max(0, n - 1 - past): n])
-    current = len(selected) - 1
-    prediction = None
-    if future == "pseudo" or forecast:
-        prediction = _pseudo_future(selected, k, refiner, window, interval)
-    if future == "gt":
-        selected.append(frames[n])
-    elif future == "pseudo":
-        selected.append(prediction[1])
-    return selected, current, prediction
+def _forecast(frames, window, interval):
+    """The pose one `interval` after the last of `frames`, forecast from theirs."""
+    seq = PoseSequence(
+        tuple(f.pose for f in frames), tuple(f.frame_index for f in frames), interval
+    )
+    return forecast_next(seq, window)
 
 
 def _write_fusion(out_dir, suffix, fused, bv, cov) -> None:
@@ -263,33 +233,28 @@ def cmd_warp(args) -> int:
     _check_window(args.window)
     out_dir = Path(args.out_dir)
     frames, k = _load_frames(args.frames_dir, args.interval)
-    sources, target_pose, interval = frames, None, args.interval
-    if args.target_index is not None:
+    if args.target_index is None:
+        sources = frames
+        target_pose = _forecast(frames, args.window, args.interval)
+        target_index = frames[-1].frame_index + args.interval
+    else:
         poses = dataio.read_poses(Path(args.frames_dir) / "poses.txt")
         if not 0 <= args.target_index < len(poses):
             raise ValueError(
                 f"target index {args.target_index} outside pose file ({len(poses)} lines)"
             )
-        target_pose = poses[args.target_index]
-        sources = [f for f in frames if f.frame_index != args.target_index]
+        target_pose, target_index = poses[args.target_index], args.target_index
+        sources = [f for f in frames if f.frame_index != target_index]
         if not sources:
-            raise ValueError(f"no source frame besides target index {args.target_index}")
-        # the pseudo-future frame is the target frame, so the splat breaks depth
-        # ties toward it, also when it lies inside the sequence
-        interval = args.target_index - sources[-1].frame_index
+            raise ValueError(f"no source frame besides target index {target_index}")
     if len(sources) > 255:
         # source_index.pgm is 8-bit and 255 means "no source"
         raise ValueError(f"warp takes at most 255 source frames, got {len(sources)}")
-    splats = []
-
-    def refiner(result):
-        splats.append(result)
-        return REFINERS[args.refiner](result)
-
-    target_pose, pseudo = _pseudo_future(sources, k, refiner, args.window, interval, target_pose)
-    result = splats[0]
-    dataio.write_image(out_dir / "warped.ppm", pseudo.image)
-    dataio.write_depth(out_dir / "warped.dpt", pseudo.depth)
+    # depth ties go to the source nearest the target, also inside the sequence
+    result = forward_splat(sources, target_pose, k, target_index)
+    image, depth = REFINERS[args.refiner](result)
+    dataio.write_image(out_dir / "warped.ppm", image)
+    dataio.write_depth(out_dir / "warped.dpt", depth)
     dataio.write_pgm(out_dir / "hit_mask.pgm", result.hit_mask)
     src_vis = np.where(result.source_index < 0, 255, result.source_index).astype(np.uint8)
     dataio.write_pgm(out_dir / "source_index.pgm", src_vis)
@@ -326,10 +291,21 @@ def cmd_fuse(args) -> int:
     out_dir = Path(args.out_dir)
     rng = _fusion_range(args)
     frames, k = _load_frames(args.frames_dir, args.interval)
-    selected, current, _ = _frame_set(
-        frames, args.past, args.future, k, REFINERS[args.refiner], args.window, args.interval
+    # the last loaded frame is current, or with future 'gt' the ground-truth future
+    future = []
+    if args.future == "gt":
+        if len(frames) < 2:
+            raise ValueError("future=gt needs the future frame in the sequence")
+        frames, future = frames[:-1], frames[-1:]
+    past_current = frames[-1 - args.past:]
+    if args.future == "pseudo":
+        pose = _forecast(past_current, args.window, args.interval)
+        future = [compose_pseudo_future(
+            past_current, pose, k, REFINERS[args.refiner], frame_interval=args.interval
+        )]
+    fused, bv = fuse_pipeline(
+        past_current + future, rng, k, args.theta_d, extract_features, len(past_current) - 1
     )
-    fused, bv = fuse_pipeline(selected, rng, k, args.theta_d, extract_features, current)
     _write_fusion(out_dir, "", fused, bv, coverage(bv))
     print(f"wrote fused volume ({fused.features.shape}) to {out_dir}")
     return 0
@@ -378,7 +354,6 @@ def demo_pipeline(
     """Full synthetic pipeline; returns artifacts and the per-set summary."""
     check_theta_d(theta_d)
     _check_past(past, True)
-    _check_window(window)
     voxel = defaults.DESK_VOXEL_SIZE
     k = desk_intrinsics()
     start_y = 2.0
@@ -391,6 +366,10 @@ def demo_pipeline(
             frame_interval=interval,
             start=canonical_camera_pose((0.0, start_y, 0.0)),
         )
+    )
+    # the past and current poses give the future pose before any frame is rendered
+    predicted_pose = forecast_next(
+        PoseSequence(traj.poses[: past + 1], traj.frame_indices[: past + 1], interval), window
     )
     step = speed * interval
     ahead = defaults.DESK_SCENE_DIMS[1] * voxel
@@ -408,11 +387,13 @@ def demo_pipeline(
         render_frame(grid, pose, k, idx)
         for pose, idx in zip(traj.poses, traj.frame_indices)
     ]
-    # the last rendered frame is the ground-truth future, fused only with future 'gt'
-    seen = bundles if future_mode == "gt" else bundles[:-1]
-    frames, current, (predicted_pose, pseudo) = _frame_set(
-        seen, past, future_mode, k, REFINERS[refiner_name], window, interval, forecast=True
+    past_current = bundles[: past + 1]
+    pseudo = compose_pseudo_future(
+        past_current, predicted_pose, k, REFINERS[refiner_name], frame_interval=interval
     )
+    # the last rendered frame is the ground-truth future, fused only with future 'gt'
+    frames = past_current + [bundles[-1] if future_mode == "gt" else pseudo]
+    current = past
     mse = pose_mse(predicted_pose, bundles[-1].pose)
 
     rng = SceneRange.ahead_of_camera(tuple(d * voxel for d in defaults.DESK_SCENE_DIMS), voxel)

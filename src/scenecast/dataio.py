@@ -141,8 +141,8 @@ def read_grid(path) -> SceneGrid:
 
 def write_depth(path, depth: np.ndarray) -> None:
     d = np.asarray(depth, dtype="<f4")
-    if d.ndim != 2:
-        raise ValueError(f"depth must be HxW, got shape {d.shape}")
+    if d.ndim != 2 or d.size == 0:
+        raise ValueError(f"depth must be HxW with H, W >= 1, got shape {d.shape}")
     if not (np.all(np.isfinite(d)) and np.all(d >= 0.0)):
         raise ValueError("depth entries must be finite and >= 0 (invalid is exactly 0)")
     _write_record(path, MAGIC_DEPTH, "<II", d.shape, d)
@@ -151,6 +151,9 @@ def write_depth(path, depth: np.ndarray) -> None:
 def read_depth(path) -> np.ndarray:
     cur = _Cursor(path, MAGIC_DEPTH)
     h, w = cur.header("<II", "depth header")
+    for i, n in enumerate((h, w)):
+        if n == 0:
+            raise cur.fail(f"zero depth dim at offset {4 + 4 * i}")
     start = cur.offset
     d = cur.array("<f4", h * w, "depth payload")
     cur.end()
@@ -224,7 +227,10 @@ def _pnm_tokens(cur: _Cursor, count: int) -> list:
 
 def read_image(path) -> np.ndarray:
     cur = _Cursor(path, b"P6")
-    (w, _), (h, _), (maxval, at) = _pnm_tokens(cur, 3)
+    (w, w_at), (h, h_at), (maxval, at) = _pnm_tokens(cur, 3)
+    for n, n_at in ((w, w_at), (h, h_at)):
+        if n == 0:
+            raise cur.fail(f"zero image dim at offset {n_at}")
     if maxval != 255:
         raise cur.fail(f"unsupported maxval {maxval} at offset {at} (only 255)")
     pix = cur.array(np.uint8, w * h * 3, "pixel payload")

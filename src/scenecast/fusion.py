@@ -66,8 +66,8 @@ class SceneRange:
             raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size}")
         if not np.all(np.isfinite(origin)):
             raise ValueError(f"origin must be finite, got {origin.tolist()}")
-        if not np.all(extents > 0):
-            raise ValueError(f"extents must be positive, got {extents.tolist()}")
+        if not np.all(np.isfinite(extents) & (extents > 0)):
+            raise ValueError(f"extents must be finite and positive, got {extents.tolist()}")
         n = np.round(extents / self.voxel_size)
         if np.any(np.abs(n * self.voxel_size - extents) > 1e-9):
             raise ValueError(

@@ -52,7 +52,8 @@ class Se3Pose:
     """Rigid transform: 3x3 rotation plus translation in meters.
 
     The rotation is re-orthonormalized on construction when its drift from
-    orthonormality exceeds ORTHO_DRIFT; grossly invalid input raises.
+    orthonormality exceeds ORTHO_DRIFT; grossly invalid input and a
+    determinant <= 0 raise.
     Instances are immutable and safe to share across threads.
     """
 
@@ -67,10 +68,11 @@ class Se3Pose:
         drift = _rotation_drift(r)
         if drift > _ORTHO_REJECT:
             raise ValueError(f"rotation drift {drift:.3e} exceeds {_ORTHO_REJECT:.0e}")
-        if drift > ORTHO_DRIFT:
-            r = _closest_rotation(r)
+        # before the projection, which would turn a near-reflection into a rotation
         if np.linalg.det(r) <= 0.0:
             raise ValueError("rotation must have determinant +1")
+        if drift > ORTHO_DRIFT:
+            r = _closest_rotation(r)
         r.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)

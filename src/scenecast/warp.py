@@ -148,7 +148,7 @@ def compose_pseudo_future(
 
     Sources must be ordered by ascending frame index. The result carries
     frame_index = last source + frame_interval, the index the splat breaks
-    depth ties toward; a negative interval names a frame inside the sources.
+    depth ties toward.
     """
     frames = list(past_and_current)
     if not frames:

@@ -179,7 +179,7 @@ class TestWarp:
         def no_splat(*args, **kwargs):
             raise AssertionError("splat reached")
 
-        monkeypatch.setattr(cli, "compose_pseudo_future", no_splat)
+        monkeypatch.setattr(cli, "forward_splat", no_splat)
         out = tmp_path / "warp_many"
         code, _, err = run(capsys, "warp", "--frames-dir", str(frames), "--interval", "1",
                            "--out-dir", str(out))
@@ -349,6 +349,18 @@ def _bad_ppm_header_tree(tmp_path):
             "--out-dir", str(tmp_path / "out")]
 
 
+def _zero_size_tree(tmp_path, name, data):
+    """A two-frame warp tree whose frame 1 file `name` holds `data`."""
+    frames = [
+        FrameBundle(np.zeros((1, 1, 3)), np.ones((1, 1)), Se3Pose.identity(), i)
+        for i in range(2)
+    ]
+    dataio.write_frame_sequence(tmp_path / "frames", frames)
+    (tmp_path / "frames" / name).write_bytes(data)
+    return ["warp", "--frames-dir", str(tmp_path / "frames"), "--interval", "1",
+            "--out-dir", str(tmp_path / "out")]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "make_argv, expected",
@@ -365,9 +377,14 @@ class TestMalformedInput:
              "g.vxg: zero grid dim at offset 12"),
             (_negative_depth_tree, "000001.dpt: depth value -1.0 at offset 20"),
             (_bad_ppm_header_tree, "000001.ppm: expected whitespace after header at offset 10"),
+            (lambda d: _zero_size_tree(d, "000001.ppm", b"P6\n0 0\n255\n"),
+             "000001.ppm: zero image dim at offset 3"),
+            (lambda d: _zero_size_tree(d, "000001.dpt", b"DPT1" + struct.pack("<II", 1, 0)),
+             "000001.dpt: zero depth dim at offset 8"),
         ],
         ids=["reflected_rotation", "zero_rotation", "non_utf8_pose", "nan_origin",
-             "zero_dim", "negative_depth", "ppm_maxval_separator"],
+             "zero_dim", "negative_depth", "ppm_maxval_separator", "zero_image_size",
+             "zero_depth_size"],
     )
     def test_one_error_line_naming_offset_or_line(self, tmp_path, capsys, make_argv, expected):
         code, out, err = run(capsys, *make_argv(tmp_path))
@@ -488,6 +505,24 @@ class TestOutOfRangeFlags:
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--voxel-size", "1e308", "--origin", "0,0,0"],
+            ["fuse", "--frames-dir", "{tmp}/none", "--range-voxel-size", "1e308",
+             "--range-origin", "0,0,0"],
+        ],
+        ids=["synth", "fuse"],
+    )
+    def test_overflowing_voxel_size_is_one_error_line(self, tmp_path, capsys, recwarn, argv):
+        # 1e308 m voxels overflow the box extents before any numpy arithmetic warns
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--out-dir", str(tmp_path / "o")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: extents must be finite and positive, got [inf, inf, inf]\n"
+        assert not recwarn.list
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -669,6 +704,20 @@ class TestDemo:
         for name in ("scene.vxg", "gt_range.vxg", "pseudo_future.ppm",
                      "predicted_pose.txt", "pose_error.csv"):
             assert (out / name).exists(), name
+
+    def test_window_above_past_fails_before_any_render(self, monkeypatch, tmp_path, capsys):
+        # past 4 gives 5 poses to forecast from: the forecast rejects window 5
+        # before the scene is built or a frame rendered
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a scene or rendered a frame")
+
+        monkeypatch.setattr(cli, "build_scene", unreachable)
+        monkeypatch.setattr(cli, "render_frame", unreachable)
+        out = tmp_path / "demo"
+        code, stdout, err = run(capsys, "demo", "--window", "5", "--out-dir", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "error: need at least 6 poses for window 5, got 5\n"
+        assert not out.exists()
 
     def test_sets_are_slices_of_separate_fusions(self):
         past = defaults.PAST_FRAMES

@@ -100,6 +100,12 @@ class TestDepthFile:
             dataio.write_depth(tmp_path / "d.dpt", np.full((2, 2), -1.0))
         assert not (tmp_path / "d.dpt").exists()
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_zero_size_rejected_on_write(self, tmp_path, shape):
+        with pytest.raises(ValueError, match="H, W >= 1"):
+            dataio.write_depth(tmp_path / "d.dpt", np.zeros(shape))
+        assert not (tmp_path / "d.dpt").exists()
+
     def test_negative_rejected_on_read(self, tmp_path):
         path = tmp_path / "d.dpt"
         dataio.write_depth(path, np.zeros((2, 2)))

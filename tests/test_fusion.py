@@ -65,6 +65,12 @@ class TestVoxelCenters:
         with pytest.raises(ValueError, match=f"^voxel_size must be finite and positive, got {voxel}$"):
             SceneRange((0.0, 0.0, 0.0), (voxel, voxel, voxel), voxel)
 
+    def test_overflowing_extents_are_rejected(self):
+        # 128 or 16 voxels of 1e308 m overflow to inf
+        message = r"^extents must be finite and positive, got \[inf, 1e\+308, inf\]$"
+        with pytest.raises(ValueError, match=message):
+            SceneRange((0.0, 0.0, 0.0), (128 * 1e308, 1e308, 16 * 1e308), 1e308)
+
 
 class TestVisibility:
     def test_inside_band(self):

@@ -20,6 +20,8 @@ from scenecast.geom import (
 from scenecast.warp import reprojection_flow
 
 K = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
+# a reflection whose 1e-10 drift passes the reject bound but not ORTHO_DRIFT
+NEAR_REFLECTION = np.diag([1.0, 1.0, -1.0]) + np.diag([1e-10, 0.0], 1)
 
 
 def rot_z(deg: float) -> np.ndarray:
@@ -109,10 +111,16 @@ class TestPoseAlgebra:
         assert np.abs(sloppy.rotation @ sloppy.rotation.T - np.eye(3)).max() < 1e-12
         assert np.abs(sloppy.rotation - r).max() < 2e-3
 
-    @pytest.mark.parametrize("block", [np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3))])
+    @pytest.mark.parametrize(
+        "block", [np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3)), NEAR_REFLECTION]
+    )
     def test_from_rt_rejects_nonpositive_determinant(self, block):
         with pytest.raises(ValueError, match="determinant"):
             Se3Pose.from_rt(block, np.zeros(3))
+        # the constructor names the zero block's drift first; a reflection
+        # within the drift bound is rejected, not projected onto a rotation
+        with pytest.raises(ValueError, match="determinant" if block.any() else "drift"):
+            Se3Pose(block, np.zeros(3))
 
     def test_immutability(self):
         p = translate(1, 2, 3)
