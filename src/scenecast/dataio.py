@@ -177,8 +177,10 @@ def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
 def write_image(path, image: np.ndarray) -> None:
     """Write an HxWx3 image in [0, 1] as binary PPM (P6)."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected HxWx3 image, got shape {img.shape}")
+    if img.ndim != 3 or img.shape[2] != 3 or img.size == 0:
+        raise ValueError(f"expected HxWx3 image with H, W >= 1, got shape {img.shape}")
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image values must be finite")
     _write_pnm(path, "P6", np.floor(img * 255.0 + 0.5).clip(0, 255).astype(np.uint8))
 
 
@@ -188,8 +190,8 @@ def write_pgm(path, values: np.ndarray) -> None:
     if v.dtype == bool:
         v = v.astype(np.uint8) * 255
     v = v.astype(np.uint8)
-    if v.ndim != 2:
-        raise ValueError(f"expected HxW map, got shape {v.shape}")
+    if v.ndim != 2 or v.size == 0:
+        raise ValueError(f"expected HxW map with H, W >= 1, got shape {v.shape}")
     _write_pnm(path, "P5", v)
 
 

@@ -7,12 +7,13 @@ Every voxel center is carried through the relative pose into each temporal
 frame, projected, and tested against that frame's depth map: a voxel is
 visible when its projected depth lies within theta_d of the depth sampled at
 the nearest pixel. Most voxels of a frame cannot pass, so a conservative cull
-over 4x4x4 blocks runs first: a block is dropped when its 8 extreme centers
-show that every member lies behind the camera, off the image, or outside the
-depth band of its pixel rectangle (read from min/max tables over 8x8-pixel
-depth tiles). Only the members of the kept blocks are projected, with the
-same elementwise arithmetic, so the result is the exhaustive test's bit for
-bit.
+runs first, in two levels: over super-blocks of 4x4x2 blocks, then over the
+4x4x4 blocks of the super-blocks it keeps. A box is dropped when its 8
+extreme centers show that every member lies behind the camera, off the
+image, or outside the depth band of its pixel rectangle (read from min/max
+tables over 8x8-pixel depth tiles). Only the members of the kept blocks are
+projected, with the same elementwise arithmetic, so the result is the
+exhaustive test's bit for bit.
 
 Voxels are grouped into 4x4x4 blocks (visible if any member voxel is, with
 projection coordinates averaged over the visible members); per-frame 2D
@@ -262,33 +263,37 @@ def _floor_index(a: np.ndarray, n: int) -> np.ndarray:
     return np.floor(np.clip(a, -2.0, n + 2.0)).astype(np.int64)
 
 
-def _kept_blocks(axes, r, t, k: CameraIntrinsics, depth, theta_d: float) -> np.ndarray:
-    """Mask of the 4x4x4 blocks the cull keeps, shaped (ceil(X/4), ceil(Y/4),
-    ceil(Z/4)) for center axes of lengths X, Y and Z.
+# super-blocks the cull tests first, in 4x4x4 blocks along x, y and z (16x16x8 voxels)
+_SUPER_BLOCK = (4, 4, 2)
 
-    The centers of a block fill the box spanned by its 8 extreme centers (a
-    partial block at the far end of an axis is clamped to the last center).
-    A rigid motion keeps that box convex, and so does projection in front of
-    the camera, so the extreme centers bound the depth and the pixel
-    rectangle of every member. A block is dropped when all of them lie
-    behind Z_EPS; or all lie in front and the rectangle, padded by 1 px,
-    misses the image; or [zmin - theta_d, zmax + theta_d] misses the range
-    of positive depth over the rectangle. Blocks straddling the near plane
-    are kept. A relative epsilon covers rounding in every bound.
+
+def _box_ends(c: np.ndarray, first: np.ndarray, edge: int) -> np.ndarray:
+    """The first and last centers, stacked on a new leading axis, of the boxes
+    of `edge` centers that start at the indices `first` of the center axis
+    `c`; a box that runs past the end of the axis is clamped to its last
+    center."""
+    return np.stack([c[first], c[np.minimum(first + edge - 1, c.size - 1)]])
+
+
+def _kept_boxes(ends, r, t, k: CameraIntrinsics, table, theta_d: float, eps: float):
+    """Mask of the boxes the cull keeps, in the broadcast shape of the boxes.
+
+    `ends` holds one array per axis, shaped (2,) + a shape that broadcasts
+    with the other two: the first and last member center of each box along
+    that axis. The centers of a box fill the box spanned by its 8 extreme
+    centers. A rigid motion keeps that box convex, and so does projection in
+    front of the camera, so the extreme centers bound the depth and the pixel
+    rectangle of every member. A box is dropped when all of them lie behind
+    Z_EPS; or all lie in front and the rectangle, padded by 1 px, misses the
+    image; or [zmin - theta_d, zmax + theta_d] misses the range of positive
+    depth over the rectangle, read from the depth table `table`. Boxes
+    straddling the near plane are kept. `eps` widens the depth bounds.
     """
-    e = defaults.BLOCK_EDGE
-    nb = tuple(-(-c.size // e) for c in axes)
-    # per axis, the first and last member center of each block, shaped so the
-    # three broadcast to (2, 2, 2, BX, BY, BZ): the 8 corners of every block
-    ends = []
-    for a, c in enumerate(axes):
-        first = np.arange(nb[a]) * e
-        shape = [1] * 6
-        shape[a], shape[3 + a] = 2, nb[a]
-        ends.append(np.stack([c[first], c[np.minimum(first + e - 1, c.size - 1)]]).reshape(shape))
-    xc, yc, zc = (c.reshape(8, -1) for c in rigid_transform(r, t, *ends))
-    scale = 3.0 * max(np.abs(c[[0, -1]]).max() for c in axes) + np.abs(t).max() + theta_d
-    eps = 1e-9 * (1.0 + scale)
+    # the 8 corners of every box, broadcast to (2, 2, 2) + the box shape
+    x, y, z = ends
+    xc, yc, zc = rigid_transform(r, t, x[:, None, None], y[None, :, None], z[None, None])
+    shape = zc.shape[3:]
+    xc, yc, zc = (c.reshape(8, -1) for c in (xc, yc, zc))
     zmin, zmax = zc.min(axis=0), zc.max(axis=0)
     front = zmin > Z_EPS + eps
     kept = ~front & (zmax > Z_EPS - eps)  # straddling the near plane
@@ -303,9 +308,45 @@ def _kept_blocks(axes, r, t, k: CameraIntrinsics, depth, theta_d: float) -> np.n
     v1 = np.minimum(_floor_index(v.max(axis=0) + 1.5, k.height), k.height - 1)
     on = np.flatnonzero((u0 <= u1) & (v0 <= v1))
     f = f[on]
-    dmin, dmax = _depth_range(_depth_table(depth), u0[on], u1[on], v0[on], v1[on])
+    dmin, dmax = _depth_range(table, u0[on], u1[on], v0[on], v1[on])
     kept[f[(zmax[f] + theta_d + eps >= dmin) & (zmin[f] - theta_d - eps <= dmax)]] = True
-    return kept.reshape(nb)
+    return kept.reshape(shape)
+
+
+def _kept_blocks(axes, r, t, k: CameraIntrinsics, depth, theta_d: float) -> np.ndarray:
+    """Mask of the 4x4x4 blocks the cull keeps, shaped (ceil(X/4), ceil(Y/4),
+    ceil(Z/4)) for center axes of lengths X, Y and Z.
+
+    Two levels of the same box test (`_kept_boxes`): first on the
+    super-blocks of 4x4x2 blocks, then on the member blocks of the
+    super-blocks that survive. A block or super-block that runs past the far
+    end of an axis is clamped to the last center. A super-block's extreme
+    centers bound those of its members, so a super-block it drops holds no
+    visible voxel. Every corner at both levels is a voxel center, so one
+    relative epsilon, taken from the largest center coordinate, the
+    translation and theta_d, covers the rounding of every depth bound.
+    """
+    e = defaults.BLOCK_EDGE
+    nb = tuple(-(-c.size // e) for c in axes)
+    scale = 3.0 * max(np.abs(c[[0, -1]]).max() for c in axes) + np.abs(t).max() + theta_d
+    eps = 1e-9 * (1.0 + scale)
+    table = _depth_table(depth)
+    # the super-blocks, as a grid of (SX, 1, 1), (1, SY, 1) and (1, 1, SZ) indices
+    edges = [m * e for m in _SUPER_BLOCK]
+    grid = np.ix_(*(np.arange(-(-c.size // s)) for c, s in zip(axes, edges)))
+    ends = [_box_ends(c, g * s, s) for c, g, s in zip(axes, grid, edges)]
+    supers = np.nonzero(_kept_boxes(ends, r, t, k, table, theta_d, eps))
+    # the member blocks of the kept super-blocks, as (n, 4, 4, 2) block indices; an
+    # index past the last block repeats the last block, with the same result
+    offsets = np.ix_(*(np.arange(m) for m in _SUPER_BLOCK))
+    blocks = tuple(
+        np.minimum(s.reshape(-1, 1, 1, 1) * m + o, n - 1)
+        for s, m, o, n in zip(supers, _SUPER_BLOCK, offsets, nb)
+    )
+    ends = [_box_ends(c, b * e, e) for c, b in zip(axes, blocks)]
+    kept = np.zeros(nb, dtype=bool)
+    kept[blocks] = _kept_boxes(ends, r, t, k, table, theta_d, eps)
+    return kept
 
 
 def check_theta_d(theta_d: float) -> None:
@@ -328,12 +369,13 @@ def visibility(
     D is read at the nearest integer pixel: bilinear interpolation across
     depth discontinuities would fabricate depths and corrupt the band test.
 
-    A conservative cull over 4x4x4 blocks (`_kept_blocks`) first drops the
-    blocks that cannot hold a visible voxel, using the block corners and a
-    min/max depth table over 8x8-pixel tiles. Only the members of the kept
-    blocks go through `project_pixels`, whose elementwise arithmetic is the
-    same for any subset, so the result equals testing every voxel bit for
-    bit. Dims need not be multiples of 4.
+    A conservative cull (`_kept_blocks`) first drops the 16x16x8-voxel
+    super-blocks, then the 4x4x4 blocks inside the kept ones, that cannot
+    hold a visible voxel, using their corner centers and a min/max depth
+    table over 8x8-pixel tiles. Only the members of the kept blocks go
+    through `project_pixels`, whose elementwise arithmetic is the same for
+    any subset, so the result equals testing every voxel bit for bit. Dims
+    need not be multiples of 4 or of the super-block.
 
     Returns (idx, uvd): the ascending flat C-order indices of the visible
     voxels and their (n, 3) rows of (u, v, d).
@@ -430,10 +472,11 @@ def fuse_pipeline(
     `frames` must be ordered by ascending frame index (pseudo-future last);
     `current_index` designates the frame whose camera anchors the range.
     Each frame is one pass: its visible voxels are reduced to its block
-    slice, then its feature map is sampled at those blocks, so peak memory
-    is one pass plus the block arrays. `feature_extractor` must return an
-    HxWxC map with the same C for every frame; anything else raises
-    ValueError naming the shape.
+    slice, then its feature map is sampled at those blocks into the frame's
+    channels of the fused array (allocated once the first map gives C), so
+    peak memory is one pass plus the block arrays. `feature_extractor` must
+    return an HxWxC map with the same C for every frame; anything else
+    raises ValueError naming the shape.
     """
     frames = list(frames)
     if not frames:
@@ -446,21 +489,24 @@ def fuse_pipeline(
     current_pose = frames[current_index].pose
     visible = np.zeros((len(frames),) + rng.block_dims, dtype=bool)
     means = np.zeros(visible.shape + (3,))
-    features = []
+    features = None
     for fi, frame in enumerate(frames):
         idx, uvd = visibility(rng, frame, current_pose, k, theta_d)
         visible[fi], means[fi] = downsample_blocks(rng.dims, idx, uvd)
         fmap = np.asarray(feature_extractor(frame.image))
-        if fmap.ndim != 3 or (features and fmap.shape[2] != features[0].shape[-1]):
+        if fmap.ndim != 3 or (features is not None and fmap.shape[2] != c):
             raise ValueError(
                 f"feature map of frame {frame.frame_index} has shape {fmap.shape}; "
                 "the extractor must return HxWxC with one C for every frame"
             )
-        features.append(_frame_features(fmap, visible[fi], means[fi], k))
+        if features is None:
+            c = fmap.shape[2]
+            features = np.zeros(rng.block_dims + (len(frames) * c,))
+        features[..., fi * c:(fi + 1) * c] = _frame_features(fmap, visible[fi], means[fi], k)
     bv = BlockVisibility(
         visible, means, tuple(f.frame_index for f in frames), k.width, k.height
     )
-    return FusedVolume(np.concatenate(features, axis=-1), features[0].shape[-1]), bv
+    return FusedVolume(features, c), bv
 
 
 def resample_to_range(

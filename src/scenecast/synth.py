@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from . import defaults
 from .forecast import PoseSequence
@@ -347,7 +346,9 @@ def extract_features(image: np.ndarray) -> np.ndarray:
     """Deterministic stride-4 feature stand-in for a learned 2D encoder.
 
     Channels: 4x4 block means of R, G, B, gray; block means of horizontal and
-    vertical Sobel magnitudes of gray; block min and max of gray.
+    vertical Sobel magnitudes of gray; block min and max of gray. For a
+    finite image the Sobel values are those of scipy's `ndimage.sobel`, bit
+    for bit.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
@@ -358,8 +359,15 @@ def extract_features(image: np.ndarray) -> np.ndarray:
     r, g, b = img[:, :, 0], img[:, :, 1], img[:, :, 2]
     # the sum a mean over the 3-long channel axis takes, in its order
     gray = (r + g + b) / 3.0
-    sob_x = np.abs(ndimage.sobel(gray, axis=1))
-    sob_y = np.abs(ndimage.sobel(gray, axis=0))
-    means = [tile_reduce(np.add, x, 4) / 16.0 for x in (r, g, b, gray, sob_x, sob_y)]
+    means = [tile_reduce(np.add, x, 4) / 16.0 for x in (r, g, b, gray)]
+    # Sobel over gray padded by its edge row and column (scipy's "reflect"), summed
+    # in ndimage.sobel's order: the central difference, then 2 * middle +
+    # (before + after) across it; each magnitude is reduced to its tile means
+    # before the next one is formed
+    p = np.pad(gray, 1, mode="symmetric")
+    d = p[:, 2:] - p[:, :-2]
+    means.append(tile_reduce(np.add, np.abs(d[1:-1] * 2.0 + (d[:-2] + d[2:])), 4) / 16.0)
+    d = p[2:] - p[:-2]
+    means.append(tile_reduce(np.add, np.abs(d[:, 1:-1] * 2.0 + (d[:, :-2] + d[:, 2:])), 4) / 16.0)
     extremes = [tile_reduce(op, gray, 4) for op in (np.minimum, np.maximum)]
     return np.stack(means + extremes, axis=-1)

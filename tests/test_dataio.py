@@ -169,6 +169,32 @@ class TestImageFile:
         with pytest.raises(FormatError, match=f"i.ppm: {message}"):
             dataio.read_image(path)
 
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3), (0, 0, 3)])
+    def test_zero_size_image_not_written(self, tmp_path, shape):
+        # read_image rejects a zero width or height, so the writer refuses it
+        path = tmp_path / "i.ppm"
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}, 3\)"):
+            dataio.write_image(path, np.zeros(shape))
+        assert not path.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_not_written(self, tmp_path, bad):
+        # refused before any cast, so no numpy RuntimeWarning either
+        img = np.zeros((2, 3, 3))
+        img[1, 2, 0] = bad
+        path = tmp_path / "i.ppm"
+        with pytest.raises(ValueError, match="finite"):
+            dataio.write_image(path, img)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_zero_size_pgm_not_written(self, tmp_path, shape):
+        path = tmp_path / "m.pgm"
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
+            dataio.write_pgm(path, np.zeros(shape, np.uint8))
+        assert not path.exists()
+
     def test_pgm_mask(self, tmp_path):
         path = tmp_path / "m.pgm"
         dataio.write_pgm(path, np.array([[True, False]]))

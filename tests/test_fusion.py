@@ -211,6 +211,31 @@ class TestVisibilityCull:
             current = se3_exp(rng_gen.normal(scale=0.8, size=6))
             self.check(srange, frame, current, theta_d=float(rng_gen.choice([0.05, 0.5, 3.0])))
 
+    @pytest.mark.parametrize("dims", [(36, 20, 10), (38, 21, 11)])
+    @pytest.mark.parametrize("k", [K, CameraIntrinsics(160.0, 160.0, 79.5, 59.5, 160, 120)])
+    def test_ranges_spanning_several_super_blocks(self, dims, k):
+        # the cull tests 16x16x8-voxel super-blocks before their blocks; both dims
+        # end every axis in a partial super-block, (36, 20, 10) ends z in a partial
+        # block and (38, 21, 11) every axis; some visible voxel must lie in the
+        # last, partial super-block of each axis
+        rng_gen = np.random.default_rng(35)
+        dims = np.array(dims)
+        srange = SceneRange((-dims[0] * 0.125, 1.0, -dims[2] * 0.125), dims * 0.25, 0.25)
+        edge = np.array((16, 16, 8))
+        far_end = np.zeros(3, dtype=int)
+        for trial in range(12):
+            rows, cols = np.mgrid[: k.height, : k.width]
+            # a tilted plane of depth, holed and speckled with random depths
+            depth = 2.0 + 4.0 * rng_gen.random() * (rows + cols) / (k.height + k.width)
+            depth[rng_gen.random(depth.shape) < 0.3] = 0.0
+            speckle = rng_gen.random(depth.shape) < 0.2
+            depth[speckle] = rng_gen.uniform(0.5, 9.0, size=np.count_nonzero(speckle))
+            frame = frame_with_depth(depth, se3_exp(rng_gen.normal(scale=0.15, size=6)))
+            idx, _ = self.check(srange, frame, Se3Pose.identity(), theta_d=[0.05, 0.5][trial % 2], k=k)
+            ijk = np.stack(np.unravel_index(idx, srange.dims))
+            far_end += (ijk >= (dims // edge * edge)[:, None]).any(axis=1)
+        assert np.all(far_end > 0)
+
 
 class TestDownsampleBlocks:
     def test_single_visible_voxel(self):

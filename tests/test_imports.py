@@ -5,8 +5,8 @@ No module under src/ or tests/ imports a name it never uses; a package
 under src/scenecast is used somewhere in src/, and every defaulted parameter
 of a public function is passed by some call in src/, so no public API and no
 parameter exists for the tests alone. Only the command line imports the
-synthesis module `warp`, and the modules that neither splat nor render load
-no scipy.
+synthesis module `warp`, and every other module, the renderer and feature
+extractor `synth` included, loads no scipy.
 """
 import ast
 import os
@@ -230,7 +230,7 @@ def test_only_cli_imports_warp():
     assert importers == ["cli"]
 
 
-CORE_MODULES = ("geom", "forecast", "fusion", "metrics", "losses", "gradcheck", "dataio")
+CORE_MODULES = ("geom", "forecast", "fusion", "metrics", "losses", "gradcheck", "dataio", "synth")
 
 
 def test_core_modules_load_neither_warp_nor_scipy():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from oracles import classify_palette, extract_features_bruteforce, raycast_bruteforce
 from scenecast import defaults, synth
 from scenecast.fusion import SceneGrid, SceneRange
-from scenecast.geom import CameraIntrinsics, compose, inverse, se3_exp, se3_log
+from scenecast.geom import CameraIntrinsics, compose, inverse, se3_exp, se3_log, tile_reduce
 from scenecast.synth import (
     LAYOUTS,
     PALETTE,
@@ -354,6 +355,35 @@ class TestExtractFeatures:
         assert got.shape == ref.shape
         assert np.array_equal(got[..., 6:], ref[..., 6:])  # min and max are exact
         assert np.abs(got[..., :6] - ref[..., :6]).max() <= 1e-12
+
+    @staticmethod
+    def scipy_reference(img):
+        # extract_features with scipy's ndimage.sobel for the two gradients and every
+        # other step in the same order
+        r, g, b = img[:, :, 0], img[:, :, 1], img[:, :, 2]
+        gray = (r + g + b) / 3.0
+        sob_x = np.abs(ndimage.sobel(gray, axis=1))
+        sob_y = np.abs(ndimage.sobel(gray, axis=0))
+        means = [tile_reduce(np.add, x, 4) / 16.0 for x in (r, g, b, gray, sob_x, sob_y)]
+        extremes = [tile_reduce(op, gray, 4) for op in (np.minimum, np.maximum)]
+        return np.stack(means + extremes, axis=-1)
+
+    @pytest.mark.parametrize("kind", ["random", "quantized", "flat"])
+    @pytest.mark.parametrize("shape", [(96, 128), (368, 1216), (4, 4), (8, 12)])
+    def test_equals_scipy_sobel_bit_for_bit(self, shape, kind):
+        rng = np.random.default_rng(55)
+        if kind == "random":
+            img = rng.random(shape + (3,))
+        elif kind == "quantized":
+            img = rng.integers(0, 256, size=shape + (3,)) / 255.0
+        else:
+            # constant 3x3 patches of three levels: zero differences inside them
+            levels = rng.integers(0, 3, size=(shape[0] // 3 + 1, shape[1] // 3 + 1, 3)) / 2.0
+            img = levels.repeat(3, axis=0).repeat(3, axis=1)[: shape[0], : shape[1]]
+        got = extract_features(img)
+        ref = self.scipy_reference(img)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_stride_shift_covariance(self):
         rng = np.random.default_rng(52)
