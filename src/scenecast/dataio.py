@@ -185,14 +185,19 @@ def write_image(path, image: np.ndarray) -> None:
 
 
 def write_pgm(path, values: np.ndarray) -> None:
-    """Write an HxW uint8 map (e.g. a mask scaled to 0/255) as PGM (P5)."""
+    """Write an HxW map of values in 0..255 as 8-bit PGM (P5); a bool mask
+    is written as 0/255. Non-finite or out-of-range values raise ValueError
+    before any file is written."""
     v = np.asarray(values)
-    if v.dtype == bool:
-        v = v.astype(np.uint8) * 255
-    v = v.astype(np.uint8)
     if v.ndim != 2 or v.size == 0:
         raise ValueError(f"expected HxW map with H, W >= 1, got shape {v.shape}")
-    _write_pnm(path, "P5", v)
+    if v.dtype == bool:
+        v = v.astype(np.uint8) * 255
+    elif not np.all(np.isfinite(v)):
+        raise ValueError("map values must be finite")
+    elif v.min() < 0 or v.max() > 255:
+        raise ValueError(f"map values must lie in 0..255, got {v.min()}..{v.max()}")
+    _write_pnm(path, "P5", v.astype(np.uint8))
 
 
 def _pnm_tokens(cur: _Cursor, count: int) -> list:

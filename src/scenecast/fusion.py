@@ -22,16 +22,20 @@ frame-major, zero-padded wherever a frame contributed nothing.
 
 Fusion is one pass per frame: visibility returns only the visible voxels
 (flat indices and projections), they are reduced to the frame's block slice,
-and the frame's feature map is sampled at those blocks before the next frame
-starts, so peak memory is one pass's temporaries plus the block-level
-arrays. The feature extractor maps an image to an HxWxC array with the same
-C for every frame. A frame's blocks and feature channels depend only on
-that frame and the anchoring current pose, so the result for a subset of
-frames is a frame-axis slice of the result for the whole set
-(`BlockVisibility.frames`, `FusedVolume.frames`).
+and the frame's feature map is extracted. Visibility projects its kept
+blocks in fixed-size batches, so a pass's temporaries stay small whatever
+the frame. Two passes run at once on worker threads, and the calling thread
+samples each feature map at its frame's blocks in frame order, so peak
+memory is two passes' temporaries plus the block-level arrays. The feature
+extractor maps an image to an HxWxC array with the same C for every frame.
+A frame's blocks and feature channels depend only on that frame and the
+anchoring current pose, so the result for a subset of frames is a
+frame-axis slice of the result for the whole set (`BlockVisibility.frames`,
+`FusedVolume.frames`), and it does not depend on which thread ran a pass.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -266,6 +270,10 @@ def _floor_index(a: np.ndarray, n: int) -> np.ndarray:
 # super-blocks the cull tests first, in 4x4x4 blocks along x, y and z (16x16x8 voxels)
 _SUPER_BLOCK = (4, 4, 2)
 
+# blocks the cull tests, or `visibility` projects, at once: a batch's temporaries,
+# not the frame's, bound the memory of a visibility pass
+_BATCH = 1024
+
 
 def _box_ends(c: np.ndarray, first: np.ndarray, edge: int) -> np.ndarray:
     """The first and last centers, stacked on a new leading axis, of the boxes
@@ -336,16 +344,19 @@ def _kept_blocks(axes, r, t, k: CameraIntrinsics, depth, theta_d: float) -> np.n
     grid = np.ix_(*(np.arange(-(-c.size // s)) for c, s in zip(axes, edges)))
     ends = [_box_ends(c, g * s, s) for c, g, s in zip(axes, grid, edges)]
     supers = np.nonzero(_kept_boxes(ends, r, t, k, table, theta_d, eps))
-    # the member blocks of the kept super-blocks, as (n, 4, 4, 2) block indices; an
-    # index past the last block repeats the last block, with the same result
+    # the member blocks of the kept super-blocks, as (n, 4, 4, 2) block indices, up
+    # to _BATCH blocks at a time; an index past the last block repeats the last
+    # block of its own super-block, with the same result
     offsets = np.ix_(*(np.arange(m) for m in _SUPER_BLOCK))
-    blocks = tuple(
-        np.minimum(s.reshape(-1, 1, 1, 1) * m + o, n - 1)
-        for s, m, o, n in zip(supers, _SUPER_BLOCK, offsets, nb)
-    )
-    ends = [_box_ends(c, b * e, e) for c, b in zip(axes, blocks)]
+    step = max(_BATCH // int(np.prod(_SUPER_BLOCK)), 1)
     kept = np.zeros(nb, dtype=bool)
-    kept[blocks] = _kept_boxes(ends, r, t, k, table, theta_d, eps)
+    for s in range(0, supers[0].size, step):
+        blocks = tuple(
+            np.minimum(sb[s:s + step].reshape(-1, 1, 1, 1) * m + o, n - 1)
+            for sb, m, o, n in zip(supers, _SUPER_BLOCK, offsets, nb)
+        )
+        ends = [_box_ends(c, b * e, e) for c, b in zip(axes, blocks)]
+        kept[blocks] = _kept_boxes(ends, r, t, k, table, theta_d, eps)
     return kept
 
 
@@ -373,9 +384,10 @@ def visibility(
     super-blocks, then the 4x4x4 blocks inside the kept ones, that cannot
     hold a visible voxel, using their corner centers and a min/max depth
     table over 8x8-pixel tiles. Only the members of the kept blocks go
-    through `project_pixels`, whose elementwise arithmetic is the same for
-    any subset, so the result equals testing every voxel bit for bit. Dims
-    need not be multiples of 4 or of the super-block.
+    through `project_pixels`, in batches of _BATCH blocks; its elementwise
+    arithmetic is the same for any subset, so the result equals testing
+    every voxel bit for bit. Dims need not be multiples of 4 or of the
+    super-block.
 
     Returns (idx, uvd): the ascending flat C-order indices of the visible
     voxels and their (n, 3) rows of (u, v, d).
@@ -388,25 +400,33 @@ def visibility(
     axes = _center_axes(rng)
     e = defaults.BLOCK_EDGE
     blocks = np.nonzero(_kept_blocks(axes, r, t, k, frame.depth, theta_d))
-    # member centers of the kept blocks, broadcast to (n, 4, 4, 4); centers past
-    # a partial block's end are NaN, which project_pixels drops (NaN > Z_EPS is false)
+    # member indices of the kept blocks along each axis, (n, 4); centers past a
+    # partial block's end are NaN, which project_pixels drops (NaN > Z_EPS is false)
     o = np.arange(e)
     members = [b[:, None] * e + o for b in blocks]
-    centers = [
-        np.append(c, np.full(-c.size % e, np.nan))[m].reshape(shape)
-        for c, m, shape in zip(axes, members, ((-1, e, 1, 1), (-1, 1, e, 1), (-1, 1, 1, e)))
-    ]
-    sel, pix, u, v, z = project_pixels(r, t, *centers, k)
-    d_map = frame.depth.ravel()[pix]
-    keep = np.flatnonzero((d_map > 0.0) & (np.abs(z - d_map) <= theta_d))
-    block, a, b, c = np.unravel_index(sel[keep], (blocks[0].size, e, e, e))
-    idx = np.ravel_multi_index(
-        (members[0][block, a], members[1][block, b], members[2][block, c]), rng.dims
-    )
+    padded = [np.append(c, np.full(-c.size % e, np.nan)) for c in axes]
+    depth = frame.depth.ravel()
+    # an empty part first, so a frame with no kept block concatenates too
+    found = [(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))]
+    for s in range(0, blocks[0].size, _BATCH):
+        batch = [m[s:s + _BATCH] for m in members]
+        # the batch's member centers, broadcast to (n, 4, 4, 4)
+        centers = [
+            c[m].reshape(shape)
+            for c, m, shape in zip(padded, batch, ((-1, e, 1, 1), (-1, 1, e, 1), (-1, 1, 1, e)))
+        ]
+        sel, pix, u, v, z = project_pixels(r, t, *centers, k)
+        d_map = depth[pix]
+        keep = np.flatnonzero((d_map > 0.0) & (np.abs(z - d_map) <= theta_d))
+        block, a, b, c = np.unravel_index(sel[keep], (batch[0].shape[0], e, e, e))
+        idx = np.ravel_multi_index(
+            (batch[0][block, a], batch[1][block, b], batch[2][block, c]), rng.dims
+        )
+        found.append((idx, np.stack([u[keep], v[keep], z[keep]], axis=1)))
+    idx, uvd = (np.concatenate(f) for f in zip(*found))
     # members come block by block: restore C order over the visible voxels only
     order = np.argsort(idx)
-    keep = keep[order]
-    return idx[order], np.stack([u[keep], v[keep], z[keep]], axis=1)
+    return idx[order], uvd[order]
 
 
 def downsample_blocks(dims, idx: np.ndarray, uvd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -458,6 +478,9 @@ def _frame_features(
 
 FeatureExtractor = Callable[[np.ndarray], np.ndarray]
 
+# threads that run fuse_pipeline's frame passes, two at a time
+_WORKERS = 2
+
 
 def fuse_pipeline(
     frames: Sequence[FrameBundle],
@@ -471,12 +494,19 @@ def fuse_pipeline(
 
     `frames` must be ordered by ascending frame index (pseudo-future last);
     `current_index` designates the frame whose camera anchors the range.
-    Each frame is one pass: its visible voxels are reduced to its block
-    slice, then its feature map is sampled at those blocks into the frame's
-    channels of the fused array (allocated once the first map gives C), so
-    peak memory is one pass plus the block arrays. `feature_extractor` must
-    return an HxWxC map with the same C for every frame; anything else
-    raises ValueError naming the shape.
+    Each frame is one pass, run on one of two worker threads: its visible
+    voxels are reduced to its block slice and its feature map is extracted.
+    The calling thread takes the passes in frame order and samples each
+    map at its frame's blocks into the frame's channels of the fused array
+    (allocated once the first map gives C), so peak memory is two passes
+    plus the block arrays. A pass writes only its own frame's slices, so
+    the result does not depend on which thread runs it or when.
+
+    `feature_extractor` is called from the worker threads, in no set order,
+    so it must be a pure function of the image. It must return an HxWxC map
+    with the same C for every frame; anything else raises ValueError naming
+    the shape. An error in a pass is raised in frame order: the first bad
+    frame's error is the one raised, and every worker has stopped by then.
     """
     frames = list(frames)
     if not frames:
@@ -489,20 +519,49 @@ def fuse_pipeline(
     current_pose = frames[current_index].pose
     visible = np.zeros((len(frames),) + rng.block_dims, dtype=bool)
     means = np.zeros(visible.shape + (3,))
-    features = None
-    for fi, frame in enumerate(frames):
-        idx, uvd = visibility(rng, frame, current_pose, k, theta_d)
-        visible[fi], means[fi] = downsample_blocks(rng.dims, idx, uvd)
-        fmap = np.asarray(feature_extractor(frame.image))
-        if fmap.ndim != 3 or (features is not None and fmap.shape[2] != c):
-            raise ValueError(
-                f"feature map of frame {frame.frame_index} has shape {fmap.shape}; "
-                "the extractor must return HxWxC with one C for every frame"
-            )
-        if features is None:
-            c = fmap.shape[2]
-            features = np.zeros(rng.block_dims + (len(frames) * c,))
-        features[..., fi * c:(fi + 1) * c] = _frame_features(fmap, visible[fi], means[fi], k)
+    # each frame's feature map, or the exception its pass raised
+    fmaps = [None] * len(frames)
+    done = [threading.Event() for _ in frames]
+    stop = threading.Event()
+
+    def work(first: int) -> None:
+        for fi in range(first, len(frames), _WORKERS):
+            if stop.is_set():
+                return
+            frame = frames[fi]
+            try:
+                idx, uvd = visibility(rng, frame, current_pose, k, theta_d)
+                visible[fi], means[fi] = downsample_blocks(rng.dims, idx, uvd)
+                fmaps[fi] = np.asarray(feature_extractor(frame.image))
+            except BaseException as exc:  # re-raised by the calling thread
+                fmaps[fi] = exc
+            done[fi].set()
+
+    workers = []
+    try:
+        for first in range(min(_WORKERS, len(frames))):
+            worker = threading.Thread(target=work, args=(first,))
+            worker.start()
+            workers.append(worker)
+        features = None
+        for fi, frame in enumerate(frames):
+            done[fi].wait()
+            fmap, fmaps[fi] = fmaps[fi], None
+            if isinstance(fmap, BaseException):
+                raise fmap
+            if fmap.ndim != 3 or (features is not None and fmap.shape[2] != c):
+                raise ValueError(
+                    f"feature map of frame {frame.frame_index} has shape {fmap.shape}; "
+                    "the extractor must return HxWxC with one C for every frame"
+                )
+            if features is None:
+                c = fmap.shape[2]
+                features = np.zeros(rng.block_dims + (len(frames) * c,))
+            features[..., fi * c:(fi + 1) * c] = _frame_features(fmap, visible[fi], means[fi], k)
+    finally:
+        stop.set()
+        for worker in workers:
+            worker.join()
     bv = BlockVisibility(
         visible, means, tuple(f.frame_index for f in frames), k.width, k.height
     )

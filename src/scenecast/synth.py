@@ -342,32 +342,50 @@ def render_frame(
     return FrameBundle(PALETTE[cls] * shade[..., None], depth, pose, frame_index)
 
 
+# image rows per band of extract_features, a multiple of the 4-row tile: a band's
+# temporaries, not the whole image's, bound the call's memory
+_FEATURE_BAND = 64
+
+
 def extract_features(image: np.ndarray) -> np.ndarray:
     """Deterministic stride-4 feature stand-in for a learned 2D encoder.
 
     Channels: 4x4 block means of R, G, B, gray; block means of horizontal and
     vertical Sobel magnitudes of gray; block min and max of gray. For a
     finite image the Sobel values are those of scipy's `ndimage.sobel`, bit
-    for bit.
+    for bit. The image is processed in bands of _FEATURE_BAND rows, each
+    read with one halo row above and below for the Sobel; tile rows reduce
+    independently and the Sobel is elementwise, so the bits do not depend on
+    the band size.
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected HxWx3 image, got shape {img.shape}")
     h, w = img.shape[:2]
     if h % 4 or w % 4:
         raise ValueError(f"image dims {w}x{h} must be divisible by 4")
-    r, g, b = img[:, :, 0], img[:, :, 1], img[:, :, 2]
-    # the sum a mean over the 3-long channel axis takes, in its order
-    gray = (r + g + b) / 3.0
-    means = [tile_reduce(np.add, x, 4) / 16.0 for x in (r, g, b, gray)]
-    # Sobel over gray padded by its edge row and column (scipy's "reflect"), summed
-    # in ndimage.sobel's order: the central difference, then 2 * middle +
-    # (before + after) across it; each magnitude is reduced to its tile means
-    # before the next one is formed
-    p = np.pad(gray, 1, mode="symmetric")
-    d = p[:, 2:] - p[:, :-2]
-    means.append(tile_reduce(np.add, np.abs(d[1:-1] * 2.0 + (d[:-2] + d[2:])), 4) / 16.0)
-    d = p[2:] - p[:-2]
-    means.append(tile_reduce(np.add, np.abs(d[:, 1:-1] * 2.0 + (d[:, :-2] + d[:, 2:])), 4) / 16.0)
-    extremes = [tile_reduce(op, gray, 4) for op in (np.minimum, np.maximum)]
-    return np.stack(means + extremes, axis=-1)
+    out = np.empty((h // 4, w // 4, 8))
+    for y0 in range(0, h, _FEATURE_BAND):
+        y1 = min(y0 + _FEATURE_BAND, h)
+        # the band's rows and the halo rows next to it that lie inside the image
+        top, bottom = max(y0 - 1, 0), min(y1 + 1, h)
+        x = np.asarray(img[top:bottom], dtype=np.float64)
+        r, g, b = x[:, :, 0], x[:, :, 1], x[:, :, 2]
+        # the sum a mean over the 3-long channel axis takes, in its order
+        gray = (r + g + b) / 3.0
+        rows = slice(y0 - top, y1 - top)
+        band = out[y0 // 4:y1 // 4]
+        for ch, v in enumerate((r, g, b, gray)):
+            band[..., ch] = tile_reduce(np.add, v[rows], 4) / 16.0
+        # Sobel over gray padded by its edge row and column (scipy's "reflect") at
+        # the image's own edges only, summed in ndimage.sobel's order: the central
+        # difference, then 2 * middle + (before + after) across it; each magnitude
+        # is reduced to its tile means before the next one is formed
+        p = np.pad(gray, ((int(top == y0), int(bottom == y1)), (1, 1)), mode="symmetric")
+        d = p[:, 2:] - p[:, :-2]
+        band[..., 4] = tile_reduce(np.add, np.abs(d[1:-1] * 2.0 + (d[:-2] + d[2:])), 4) / 16.0
+        d = p[2:] - p[:-2]
+        band[..., 5] = tile_reduce(np.add, np.abs(d[:, 1:-1] * 2.0 + (d[:, :-2] + d[:, 2:])), 4) / 16.0
+        band[..., 6] = tile_reduce(np.minimum, gray[rows], 4)
+        band[..., 7] = tile_reduce(np.maximum, gray[rows], 4)
+    return out

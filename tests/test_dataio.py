@@ -202,6 +202,29 @@ class TestImageFile:
         assert data.startswith(b"P5\n2 1\n255\n")
         assert data[-2:] == b"\xff\x00"
 
+    def test_pgm_values_at_both_ends(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        dataio.write_pgm(path, np.array([[0.0, 255.0, 7.0]]))
+        assert path.read_bytes() == b"P5\n3 1\n255\n\x00\xff\x07"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([[np.nan, 300.0]], "^map values must be finite$"),
+            ([[0.0, np.inf]], "^map values must be finite$"),
+            ([[0.0, 300.0]], r"^map values must lie in 0\.\.255, got 0\.0\.\.300\.0$"),
+            ([[-1, 5]], r"^map values must lie in 0\.\.255, got -1\.\.5$"),
+            ([[0, 256]], r"^map values must lie in 0\.\.255, got 0\.\.256$"),
+        ],
+    )
+    def test_pgm_refuses_values_a_byte_cannot_hold(self, tmp_path, values, message):
+        # refused before any cast, so nothing wraps and no file is written
+        path = tmp_path / "m.pgm"
+        with pytest.raises(ValueError, match=message):
+            dataio.write_pgm(path, np.array(values))
+        assert not path.exists()
+
 
 class TestPoseFile:
     def test_kitti_identity_line(self):

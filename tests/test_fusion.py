@@ -1,7 +1,12 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from oracles import downsample_bruteforce, resample_bruteforce, visibility_bruteforce
+from scenecast import fusion
 from scenecast.fusion import (
     SceneGrid,
     SceneRange,
@@ -237,6 +242,15 @@ class TestVisibilityCull:
         assert np.all(far_end > 0)
 
 
+class TestVisibilityCullSmallBatches(TestVisibilityCull):
+    """Every cull case with 3-block batches: several batches per frame, a
+    partial last batch, and frames that keep no block at all."""
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(fusion, "_BATCH", 3)
+
+
 class TestDownsampleBlocks:
     def test_single_visible_voxel(self):
         idx = [np.ravel_multi_index((1, 2, 3), (4, 4, 4))]
@@ -315,20 +329,27 @@ class TestSampleFuse:
         ], axis=-1)
         assert np.allclose(feats[0, 0, 0], [5.0, 0.0])
 
-    def _fuse(self, extractor):
-        # one 4x4x4 voxel block 10 m ahead of two identical frames
-        frames = [frame_with_depth(np.full((30, 40), 10.0), index=i) for i in range(2)]
+    @staticmethod
+    def _frames(n=2):
+        # n identical frames with 10 m of depth everywhere
+        return [frame_with_depth(np.full((30, 40), 10.0), index=i) for i in range(n)]
+
+    def _fuse(self, extractor, frames=None):
+        # one 4x4x4 voxel block 10 m ahead of the frames
+        frames = self._frames() if frames is None else frames
         rng = SceneRange((-0.8, 9.2, -0.8), (1.6, 1.6, 1.6), 0.4)
         return fuse_pipeline(frames, rng, K, 0.5, extractor, 1)
 
     def test_channel_mismatch_rejected(self):
-        channels = iter([1, 2])
+        # the extractor runs on worker threads in no set order, so C is a
+        # function of the image it is given: 1 for the first frame, 2 after
+        frames = self._frames()
 
         def extractor(image):
-            return np.zeros((8, 8, next(channels)))
+            return np.zeros((8, 8, 1 if image is frames[0].image else 2))
 
         with pytest.raises(ValueError, match=r"shape \(8, 8, 2\)"):
-            self._fuse(extractor)
+            self._fuse(extractor, frames)
 
     def test_extractor_without_channel_axis_rejected(self):
         def gray(image):
@@ -336,6 +357,47 @@ class TestSampleFuse:
 
         with pytest.raises(ValueError, match=r"shape \(30, 40\)"):
             self._fuse(gray)
+
+    @pytest.mark.parametrize("bad", [0, 1, 4])
+    def test_first_bad_frame_error_is_raised(self, bad):
+        # frame `bad` fails late and frame bad + 1, on the other worker, fails at
+        # once; the error raised is still frame `bad`'s
+        frames = self._frames(6)
+
+        def extractor(image):
+            fi = next(i for i, f in enumerate(frames) if f.image is image)
+            if fi == bad:
+                time.sleep(0.05)
+            if fi in (bad, bad + 1):
+                raise ValueError(f"bad frame {fi}")
+            return np.zeros((8, 8, 2))
+
+        with pytest.raises(ValueError, match=f"^bad frame {bad}$"):
+            self._fuse(extractor, frames)
+
+    def test_visibility_error_comes_before_a_later_extractor_error(self):
+        frames = self._frames(4)
+        frames[1] = frame_with_depth(np.full((20, 40), 10.0), index=1)
+
+        def extractor(image):
+            if image is frames[3].image:
+                raise ValueError("bad frame 3")
+            return np.zeros((8, 8, 2))
+
+        with pytest.raises(ValueError, match=r"^frame is 40x20 but intrinsics expect 40x30$"):
+            self._fuse(extractor, frames)
+
+    def test_no_worker_outlives_the_call(self):
+        before = threading.active_count()
+        self._fuse(lambda image: np.zeros((8, 8, 2)), self._frames(5))
+        assert threading.active_count() == before
+
+        def extractor(image):
+            raise ValueError("no features")
+
+        with pytest.raises(ValueError, match="no features"):
+            self._fuse(extractor, self._frames(5))
+        assert threading.active_count() == before
 
     def test_out_of_bounds_sample_zeroed(self):
         # maps past the 2x2 map's hull
@@ -351,13 +413,13 @@ class TestSampleFuse:
 
 
 class TestFusePipeline:
-    def _scene(self, seed=0):
+    def _scene(self, seed=0, frames=4):
         spec = SceneSpec(seed=seed, layout="corridor", dims=(64, 96, 16),
                          origin=(-12.8, 0.0, -2.0), box_count=10)
         grid = build_scene(spec)
         k = desk_intrinsics()
         traj = make_trajectory(
-            TrajectorySpec(frames=4, speed=1.0, frame_interval=5,
+            TrajectorySpec(frames=frames, speed=1.0, frame_interval=5,
                            start=canonical_camera_pose((0.0, 1.0, 0.0)))
         )
         frames = [render_frame(grid, p, k, i) for p, i in zip(traj.poses, traj.frame_indices)]
@@ -385,6 +447,55 @@ class TestFusePipeline:
         assert bv.frame_indices == tuple(f.frame_index for f in frame_set)
         assert np.array_equal(bv.visible, vis_blocks)
         assert np.array_equal(bv.proj_uv_d, proj_blocks)
+
+    @staticmethod
+    def _serial_features(frames, rng, k, current):
+        """Each frame's channels, one frame after another on this thread."""
+        out = []
+        for frame in frames:
+            block_vis, block_mean = downsample_blocks(
+                rng.dims, *visibility(rng, frame, current.pose, k, 0.5)
+            )
+            out.append(_frame_features(extract_features(frame.image), block_vis, block_mean, k))
+        return out
+
+    def test_pool_matches_serial_passes_and_oracle(self):
+        _, k, frames, rng = self._scene(5, frames=6)
+        current = frames[4]
+        fused, bv = fuse_pipeline(frames, rng, k, 0.5, extract_features, 4)
+        c = fused.channels_per_frame
+        for fi, ref in enumerate(self._serial_features(frames, rng, k, current)):
+            assert np.array_equal(fused.features[..., fi * c:(fi + 1) * c], ref)
+        refs = [visibility_bruteforce(rng, f, current.pose, k, 0.5) for f in frames]
+        vis_blocks, proj_blocks = downsample_bruteforce(
+            np.stack([v for v, _ in refs]), np.stack([p for _, p in refs])
+        )
+        assert bv.visible.any(axis=(1, 2, 3)).all()
+        assert np.array_equal(bv.visible, vis_blocks)
+        assert np.array_equal(bv.proj_uv_d, proj_blocks)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # three workers and a 1 us switch interval interleave the passes as
+        # finely as the interpreter allows; a pass that wrote outside its own
+        # frame's slices would show as a mismatch with the serial passes
+        _, k, frames, rng = self._scene(6, frames=7)
+        monkeypatch.setattr(fusion, "_WORKERS", 3)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: result.append(fuse_pipeline(frames, rng, k, 0.5, extract_features, 5))
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(result) == 1
+        fused, _ = result[0]
+        c = fused.channels_per_frame
+        for fi, ref in enumerate(self._serial_features(frames, rng, k, frames[5])):
+            assert np.array_equal(fused.features[..., fi * c:(fi + 1) * c], ref)
 
     def test_coverage_monotone_in_frames(self):
         _, k, frames, rng = self._scene(1)

@@ -368,8 +368,15 @@ class TestExtractFeatures:
         extremes = [tile_reduce(op, gray, 4) for op in (np.minimum, np.maximum)]
         return np.stack(means + extremes, axis=-1)
 
+    # the image is read in bands of synth._FEATURE_BAND rows: a last band of one
+    # tile row, a height of exactly two bands, and images shorter than one band
+    BAND = synth._FEATURE_BAND
+
     @pytest.mark.parametrize("kind", ["random", "quantized", "flat"])
-    @pytest.mark.parametrize("shape", [(96, 128), (368, 1216), (4, 4), (8, 12)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(96, 128), (368, 1216), (4, 4), (8, 12), (BAND + 4, 20), (2 * BAND, 8), (BAND - 4, 16)],
+    )
     def test_equals_scipy_sobel_bit_for_bit(self, shape, kind):
         rng = np.random.default_rng(55)
         if kind == "random":
