@@ -43,16 +43,17 @@ import numpy as np
 
 from . import defaults
 from .geom import (
+    DEPTH_TILE,
     LEVEL_CAMERA_ROTATION,
     CameraIntrinsics,
     FrameBundle,
     Se3Pose,
-    Z_EPS,
     bilinear_sample_many,
+    box_footprint,
+    depth_tiles,
     project_pixels,
     relative_pose,
     rigid_transform,
-    tile_reduce,
 )
 
 
@@ -212,26 +213,15 @@ def scene_to_frame_transform(current_pose: Se3Pose, frame_pose: Se3Pose):
     return rel.rotation[:, axes] * signs, rel.translation.copy()
 
 
-# edge in pixels of the depth tiles the block cull reads
-_DEPTH_TILE = 8
-
-
 def _depth_table(depth: np.ndarray) -> np.ndarray:
-    """2-D sparse table over 8x8-pixel tiles of the min positive depth and the
-    negated max depth.
+    """2-D sparse table over the depth tiles (`geom.depth_tiles`) of the min
+    positive depth and the negated max depth.
 
     Entry (a, b, :, r, c) covers tiles r..r+2^a-1 x c..c+2^b-1: slot 0 holds
     the min over their positive depths (inf if none), slot 1 minus their max
-    depth, so one np.minimum builds both. NaN is neither positive nor a max.
-    Edge padding fills the last partial tiles with copies of their own
-    pixels, which min and max ignore.
+    depth, so one np.minimum builds both.
     """
-    s = _DEPTH_TILE
-    h, w = depth.shape
-    if h % s or w % s:
-        depth = np.pad(depth, ((0, -h % s), (0, -w % s)), mode="edge")
-    lo = tile_reduce(np.minimum, np.where(depth > 0.0, depth, np.inf), s)
-    hi = tile_reduce(np.fmax, depth, s)
+    lo, hi = depth_tiles(depth)
     th, tw = lo.shape
     st = np.full((th.bit_length(), tw.bit_length(), 2, th, tw), np.inf)
     st[0, 0, 0], st[0, 0, 1] = lo, -hi
@@ -249,7 +239,7 @@ def _depth_table(depth: np.ndarray) -> np.ndarray:
 def _depth_range(st: np.ndarray, u0, u1, v0, v1):
     """(min, max) of the positive depths over the tiles holding pixels u0..u1 x
     v0..v1 (inclusive, inside the image), from four overlapping table entries."""
-    s = _DEPTH_TILE
+    s = DEPTH_TILE
     _, lb, _, th, tw = st.shape
     r0, r1, c0, c1 = v0 // s, v1 // s, u0 // s, u1 // s
     a = np.frexp(r1 - r0 + 1)[1] - 1  # floor(log2(n)), exact for integers
@@ -260,11 +250,6 @@ def _depth_range(st: np.ndarray, u0, u1, v0, v1):
     q = np.stack([at + r0 * tw + c0, at + r2 * tw + c0, at + r0 * tw + c2, at + r2 * tw + c2])
     flat = st.ravel()
     return flat[q].min(axis=0), -flat[q + th * tw].min(axis=0)
-
-
-def _floor_index(a: np.ndarray, n: int) -> np.ndarray:
-    """floor(a) as int64 for an n-pixel axis; a is clipped to -2..n+2 first so any float fits."""
-    return np.floor(np.clip(a, -2.0, n + 2.0)).astype(np.int64)
 
 
 # super-blocks the cull tests first, in 4x4x4 blocks along x, y and z (16x16x8 voxels)
@@ -289,35 +274,22 @@ def _kept_boxes(ends, r, t, k: CameraIntrinsics, table, theta_d: float, eps: flo
     `ends` holds one array per axis, shaped (2,) + a shape that broadcasts
     with the other two: the first and last member center of each box along
     that axis. The centers of a box fill the box spanned by its 8 extreme
-    centers. A rigid motion keeps that box convex, and so does projection in
-    front of the camera, so the extreme centers bound the depth and the pixel
-    rectangle of every member. A box is dropped when all of them lie behind
-    Z_EPS; or all lie in front and the rectangle, padded by 1 px, misses the
-    image; or [zmin - theta_d, zmax + theta_d] misses the range of positive
-    depth over the rectangle, read from the depth table `table`. Boxes
-    straddling the near plane are kept. `eps` widens the depth bounds.
+    centers, and a rigid motion keeps that box convex, so `box_footprint`
+    bounds every member by them. A box is dropped when all of them lie
+    behind Z_EPS; or all lie in front and the rectangle, padded by 1 px,
+    misses the image; or [zmin - theta_d, zmax + theta_d] misses the range
+    of positive depth over the rectangle, read from the depth table `table`.
+    Boxes straddling the near plane are kept. `eps` widens the depth bounds.
     """
     # the 8 corners of every box, broadcast to (2, 2, 2) + the box shape
     x, y, z = ends
     xc, yc, zc = rigid_transform(r, t, x[:, None, None], y[None, :, None], z[None, None])
     shape = zc.shape[3:]
     xc, yc, zc = (c.reshape(8, -1) for c in (xc, yc, zc))
-    zmin, zmax = zc.min(axis=0), zc.max(axis=0)
-    front = zmin > Z_EPS + eps
-    kept = ~front & (zmax > Z_EPS - eps)  # straddling the near plane
-    f = np.flatnonzero(front)
+    kept, f, u0, u1, v0, v1 = box_footprint(xc, yc, zc, k, eps)
     zf = zc.take(f, axis=1)
-    u = k.fx * xc.take(f, axis=1) / zf + k.cx
-    v = k.fy * yc.take(f, axis=1) / zf + k.cy
-    # the nearest pixels floor(u + 0.5) of the extremes, padded by 1 px, clipped to the image
-    u0 = np.maximum(_floor_index(u.min(axis=0) - 0.5, k.width), 0)
-    u1 = np.minimum(_floor_index(u.max(axis=0) + 1.5, k.width), k.width - 1)
-    v0 = np.maximum(_floor_index(v.min(axis=0) - 0.5, k.height), 0)
-    v1 = np.minimum(_floor_index(v.max(axis=0) + 1.5, k.height), k.height - 1)
-    on = np.flatnonzero((u0 <= u1) & (v0 <= v1))
-    f = f[on]
-    dmin, dmax = _depth_range(table, u0[on], u1[on], v0[on], v1[on])
-    kept[f[(zmax[f] + theta_d + eps >= dmin) & (zmin[f] - theta_d - eps <= dmax)]] = True
+    dmin, dmax = _depth_range(table, u0, u1, v0, v1)
+    kept[f[(zf.max(axis=0) + theta_d + eps >= dmin) & (zf.min(axis=0) - theta_d - eps <= dmax)]] = True
     return kept.reshape(shape)
 
 
@@ -580,10 +552,16 @@ def resample_to_range(
     """
     r, t = scene_to_frame_transform(current_pose, Se3Pose.identity())
     cx, cy, cz = _center_axes(rng)
-    w = np.stack(rigid_transform(r, t, cx[:, None, None], cy[:, None], cz), axis=-1)
-    idx = np.floor((w - world.range.origin) / world.range.voxel_size).astype(np.int64)
-    inside = np.all((idx >= 0) & (idx < world.range.dims), axis=-1)
+    world_axes = rigid_transform(r, t, cx[:, None, None], cy[:, None], cz)
+    # each axis's world voxel index, bounds-tested as a float, folded into one
+    # C-order flat index that is exact wherever all three are inside
+    inside = np.ones(rng.dims, dtype=bool)
+    flat = np.zeros(rng.dims)
+    for c, o, n in zip(world_axes, world.range.origin, world.range.dims):
+        f = np.floor((c - o) / world.range.voxel_size)
+        inside &= (f >= 0) & (f < n)
+        flat *= n
+        flat += f
     labels = np.zeros(rng.dims, dtype=np.uint8)
-    sel = idx[inside]
-    labels[inside] = world.labels[sel[:, 0], sel[:, 1], sel[:, 2]]
+    labels[inside] = world.labels.ravel()[flat[inside].astype(np.int64)]
     return SceneGrid(rng, labels)

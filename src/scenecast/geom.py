@@ -274,6 +274,45 @@ def _inside(a: np.ndarray, n: int) -> np.ndarray:
     return (a >= 0) & (a < n)
 
 
+def _floor_index(a: np.ndarray, n: int) -> np.ndarray:
+    """floor(a) as int64 for an n-pixel axis; a is clipped to -2..n+2 first so any float fits."""
+    return np.floor(np.clip(a, -2.0, n + 2.0)).astype(np.int64)
+
+
+def box_footprint(xc, yc, zc, k: CameraIntrinsics, eps):
+    """Which of n convex boxes can project a point into the image, from their corners.
+
+    xc, yc, zc are (8, n) camera coordinates of the 8 corners of each box,
+    and every point of a box lies in the convex hull of its corners.
+    Projection in front of the camera keeps a convex set convex, so the
+    corners bound the depth and the pixel rectangle of every point of the
+    box. `eps` (a scalar, or one value per box) widens the depth bounds to
+    cover how far a point's rounding can stray from its corners'.
+
+    Returns (kept, f, u0, u1, v0, v1). `kept` marks the boxes that straddle
+    the near plane Z_EPS, and those with a corner that is not finite, whose
+    bounds say nothing. `f` holds the indices of the boxes with every corner
+    in front whose rectangle of nearest pixels, padded by 1 px, meets the
+    image, and u0..u1 x v0..v1 that rectangle clipped to the image
+    (inclusive). No point of any other box projects into the image: all its
+    corners lie behind Z_EPS, or all in front and the rectangle misses.
+    """
+    finite = np.isfinite(xc + yc + zc).all(axis=0)
+    front = finite & (zc.min(axis=0) > Z_EPS + eps)
+    kept = ~finite | (~front & (zc.max(axis=0) > Z_EPS - eps))
+    f = np.flatnonzero(front)
+    zf = zc.take(f, axis=1)
+    u = k.fx * xc.take(f, axis=1) / zf + k.cx
+    v = k.fy * yc.take(f, axis=1) / zf + k.cy
+    # the nearest pixels floor(u + 0.5) of the corners, padded by 1 px, clipped to the image
+    u0 = np.maximum(_floor_index(u.min(axis=0) - 0.5, k.width), 0)
+    u1 = np.minimum(_floor_index(u.max(axis=0) + 1.5, k.width), k.width - 1)
+    v0 = np.maximum(_floor_index(v.min(axis=0) - 0.5, k.height), 0)
+    v1 = np.minimum(_floor_index(v.max(axis=0) + 1.5, k.height), k.height - 1)
+    on = np.flatnonzero((u0 <= u1) & (v0 <= v1))
+    return kept, f[on], u0[on], u1[on], v0[on], v1[on]
+
+
 def bilinear_sample_many(field: np.ndarray, uv: np.ndarray):
     """Vectorized bilinear sampling of an HxWxC field at (N, 2) pixel locations.
 
@@ -325,3 +364,26 @@ def tile_reduce(op, a: np.ndarray, s: int) -> np.ndarray:
     for q in range(2, s):
         op(out, rows[:, q], out=out)
     return out
+
+
+# edge in pixels of the depth tiles the visibility and splat culls read
+DEPTH_TILE = 8
+
+
+def depth_tiles(depth: np.ndarray):
+    """(lo, hi) over the DEPTH_TILE x DEPTH_TILE tiles of a depth map: the min
+    positive depth of each tile (inf if none) and its max depth.
+
+    NaN is neither positive nor a max. Edge padding fills the last partial
+    tiles with copies of their own pixels, which min and max ignore. Min
+    and max do not depend on the order of the fold, so the tiles are
+    reduced on the transpose, where the first fold runs along whole rows
+    in memory order rather than down strided columns.
+    """
+    s = DEPTH_TILE
+    h, w = depth.shape
+    if h % s or w % s:
+        depth = np.pad(depth, ((0, -h % s), (0, -w % s)), mode="edge")
+    lo = tile_reduce(np.minimum, np.where(depth > 0.0, depth, np.inf).T, s).T
+    hi = tile_reduce(np.fmax, depth.T, s).T
+    return lo, hi

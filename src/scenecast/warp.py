@@ -16,7 +16,17 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 from scipy import ndimage
 
-from .geom import CameraIntrinsics, FrameBundle, Se3Pose, project_pixels, relative_pose
+from .geom import (
+    DEPTH_TILE,
+    CameraIntrinsics,
+    FrameBundle,
+    Se3Pose,
+    box_footprint,
+    depth_tiles,
+    project_pixels,
+    relative_pose,
+    rigid_transform,
+)
 
 # depth ties are resolved within buckets of this size (meters)
 DEPTH_TIE_QUANTUM = 1e-9
@@ -48,13 +58,17 @@ def fill_refiner(result: WarpResult) -> Tuple[np.ndarray, np.ndarray]:
     """Fill holes from the nearest hit pixel (Euclidean pixel distance).
 
     Guarantees full coverage whenever at least one pixel was hit; an all-miss
-    input is returned unchanged.
+    input is returned unchanged. Only the nearest hit's index is computed,
+    never the distance to it, and both maps are gathered through one flat
+    index.
     """
     hit = result.hit_mask
     if not hit.any() or hit.all():
         return result.image.copy(), result.depth.copy()
-    _, (iy, ix) = ndimage.distance_transform_edt(~hit, return_indices=True)
-    return result.image[iy, ix], result.depth[iy, ix]
+    channels = result.image.shape[2]
+    iy, ix = ndimage.distance_transform_edt(~hit, return_distances=False, return_indices=True)
+    nearest = iy.astype(np.int64) * hit.shape[1] + ix
+    return result.image.reshape(-1, channels).take(nearest, axis=0), result.depth.take(nearest)
 
 
 def reprojection_flow(
@@ -67,6 +81,14 @@ def reprojection_flow(
     inside the image. Returns the ascending row-major indices of the valid
     source pixels, the row-major index of each one's nearest destination
     pixel, and their (n, 3) rows of destination (u', v', d').
+
+    A conservative cull runs before any pixel is lifted. The pixels of a
+    depth tile (`geom.depth_tiles`) lift into the frustum segment spanned by
+    its first and last pixel columns and rows at its least positive and its
+    greatest depth, so `box_footprint` on those 8 corners finds the tiles
+    none of whose pixels can land in the image. Only the other tiles' pixels
+    go through `project_pixels`, whose elementwise arithmetic is the same
+    for any subset, so the result is the exhaustive one bit for bit.
     """
     h, w = src.shape
     if (w, h) != (k.width, k.height):
@@ -74,13 +96,34 @@ def reprojection_flow(
             f"frame is {w}x{h} but intrinsics expect {k.width}x{k.height}"
         )
     rel = relative_pose(src.pose, dst_pose)
-    d = src.depth.ravel()
-    spix = np.flatnonzero(d > 0.0)
+    r, t = rel.rotation, rel.translation
+    s = DEPTH_TILE
+    lo, hi = depth_tiles(src.depth)
+    tiles = np.flatnonzero(lo <= hi)  # the tiles holding a positive depth
+    tr, tc = np.divmod(tiles, lo.shape[1])
+    # corner columns (2, 1, 1, n), rows (2, 1, n) and depths (2, n), lifted and
+    # moved as the pixels are: the 8 corners of each tile broadcast to (2, 2, 2, n)
+    uc = np.stack([tc * s, np.minimum(tc * s + s - 1, w - 1)])[:, None, None]
+    vc = np.stack([tr * s, np.minimum(tr * s + s - 1, h - 1)])[:, None]
+    dc = np.stack([lo.ravel()[tiles], hi.ravel()[tiles]])
+    xc = (uc - k.cx) * dc / k.fx
+    yc = (vc - k.cy) * dc / k.fy
+    # one relative epsilon per tile, from its largest lifted coordinate and the
+    # translation, covers the rounding of every pixel against its corners
+    big = np.maximum.reduce([np.abs(xc).max(axis=(0, 1, 2)), np.abs(yc).max(axis=(0, 1)), dc[1]])
+    eps = 1e-9 * (1.0 + 3.0 * big + np.abs(t).max())
+    corners = (c.reshape(8, -1) for c in rigid_transform(r, t, xc, yc, dc))
+    kept, on, *_ = box_footprint(*corners, k, eps)
+    kept[on] = True
+    mask = np.zeros(lo.shape, dtype=bool)
+    mask.ravel()[tiles[kept]] = True
+    mask = mask.repeat(s, axis=0).repeat(s, axis=1)[:h, :w]
+    spix = np.flatnonzero(mask & (src.depth > 0.0))
     v, u = np.divmod(spix, w)
-    d = d[spix]
+    d = src.depth.ravel()[spix]
     x = (u - k.cx) * d / k.fx
     y = (v - k.cy) * d / k.fy
-    idx, pix, up, vp, zp = project_pixels(rel.rotation, rel.translation, x, y, d, k)
+    idx, pix, up, vp, zp = project_pixels(r, t, x, y, d, k)
     return spix[idx], pix, np.stack([up, vp, zp], axis=1)
 
 
@@ -95,6 +138,9 @@ def forward_splat(
     Conflicts: smallest destination depth wins; ties within DEPTH_TIE_QUANTUM
     go to the source temporally closest to dst_frame_index, then to the
     smaller source linear pixel index, then to the earlier source slot.
+    That tie chain is one int64 key, so the sources' count squared times
+    the pixel count must fit in 63 bits; a larger set raises ValueError
+    before any pixel is splatted.
     """
     sources = list(sources)
     if not sources:
@@ -104,35 +150,44 @@ def forward_splat(
     for s in sources:
         if s.shape != (h, w) or s.image.shape[2] != channels:
             raise ValueError("all sources must share image dimensions")
+    n, pixels = len(sources), h * w
+    if n * n * pixels > 2**63:
+        raise ValueError(
+            f"{n} sources of {w}x{h} pixels overflow the splat's int64 tie key "
+            "(sources squared times pixels must not exceed 2**63)"
+        )
 
-    # one (target, depth, proximity, source pixel, slot, color) tuple per source
+    # the key (proximity rank, source pixel, slot): the rank among the sources'
+    # distinct proximities orders like the proximity, however far apart the indices
+    proximity = [abs(s.frame_index - dst_frame_index) for s in sources]
+    rank = {p: i for i, p in enumerate(sorted(set(proximity)))}
+    # one (target, depth, key, color) tuple per source
     parts = []
     for slot, src in enumerate(sources):
         spix, tgt, uvd = reprojection_flow(src, dst_pose, k)
-        n = len(spix)
-        prox = abs(src.frame_index - dst_frame_index)
-        parts.append((
-            tgt, uvd[:, 2], np.full(n, prox, dtype=np.int64), spix,
-            np.full(n, slot, dtype=np.int64), src.image.reshape(-1, channels)[spix],
-        ))
-    tgt, depths, prox, spix, slot, colors = (np.concatenate(p) for p in zip(*parts))
+        key = (rank[proximity[slot]] * pixels + spix) * n + slot
+        parts.append((tgt, uvd[:, 2], key, src.image.reshape(-1, channels).take(spix, axis=0)))
+    tgt, depths, key, colors = (np.concatenate(p) for p in zip(*parts))
     # float, not int64: a cast would wrap above ~9.2e9 m and win the z-buffer
     dq = np.round(depths / DEPTH_TIE_QUANTUM)
 
-    # last key is most significant: sort by target, depth bucket, tie chain
-    order = np.lexsort((slot, spix, prox, dq, tgt))
-    tgt_sorted = tgt[order]
-    first = np.ones(tgt_sorted.shape, dtype=bool)
-    first[1:] = tgt_sorted[1:] != tgt_sorted[:-1]
-    winners = order[first]
+    # the z-buffer: per target, the least depth bucket, then the least key among
+    # the candidates that reach it; keys are unique, so one candidate wins
+    least_dq = np.full(pixels, np.inf)
+    np.minimum.at(least_dq, tgt, dq)
+    near = np.flatnonzero(dq == least_dq[tgt])
+    near_tgt, near_key = tgt[near], key[near]
+    least_key = np.full(pixels, np.iinfo(np.int64).max)
+    np.minimum.at(least_key, near_tgt, near_key)
+    winners = near[near_key == least_key[near_tgt]]
 
     t = tgt[winners]
     image = np.zeros((h, w, channels))
     depth = np.zeros((h, w))
     source_index = np.full((h, w), -1, dtype=np.int64)
-    image.reshape(-1, channels)[t] = colors[winners]
+    image.reshape(-1, channels)[t] = colors.take(winners, axis=0)
     depth.reshape(-1)[t] = depths[winners]
-    source_index.reshape(-1)[t] = slot[winners]
+    source_index.reshape(-1)[t] = key[winners] % n
     return WarpResult(image, depth, source_index)
 
 

@@ -75,7 +75,9 @@ def reprojection_bruteforce(src: FrameBundle, dst_pose: Se3Pose, k: CameraIntrin
     Pixel (u, v) with depth d lifts to ((u - cx) d / fx, (v - cy) d / fy, d),
     moves through the relative pose (products summed in x, y, z order) and
     projects; it is kept when d > 0, the moved depth exceeds 1e-6 and the
-    nearest pixel floor(u' + 0.5), floor(v' + 0.5) is inside the image.
+    nearest pixel floor(u' + 0.5), floor(v' + 0.5) is inside the image. A
+    point whose arithmetic overflows is dropped: a NaN moved depth as
+    behind, a non-finite u' or v' as off the image.
     Returns (idx, pix, uvd, drops): the row-major indices of the kept source
     pixels, their nearest destination pixels, their (n, 3) rows of
     (u', v', d'), and a dict counting the dropped pixels by reason.
@@ -100,11 +102,14 @@ def reprojection_bruteforce(src: FrameBundle, dst_pose: Se3Pose, k: CameraIntrin
             xp = r[0][0] * x + r[0][1] * y + r[0][2] * d + t[0]
             yp = r[1][0] * x + r[1][1] * y + r[1][2] * d + t[1]
             zp = r[2][0] * x + r[2][1] * y + r[2][2] * d + t[2]
-            if zp <= 1e-6:
+            if not zp > 1e-6:  # a NaN moved depth is not in front either
                 drops["behind"] += 1
                 continue
             up = fx * xp / zp + cx
             vp = fy * yp / zp + cy
+            if not (math.isfinite(up) and math.isfinite(vp)):
+                drops["off_image"] += 1
+                continue
             ui = math.floor(up + 0.5)
             vi = math.floor(vp + 0.5)
             if ui < 0 or ui > w - 1 or vi < 0 or vi > h - 1:
@@ -119,6 +124,56 @@ def reprojection_bruteforce(src: FrameBundle, dst_pose: Se3Pose, k: CameraIntrin
         np.array(uvd, dtype=np.float64).reshape(-1, 3),
         drops,
     )
+
+
+def splat_bruteforce(sources, dst_pose: Se3Pose, k: CameraIntrinsics, dst_frame_index: int):
+    """Scalar z-buffer over `reprojection_bruteforce`.
+
+    Every kept source pixel bids for its nearest destination pixel with the
+    tuple (round(d' / 1e-9), |frame index - dst_frame_index|, source pixel,
+    slot), and the least bid wins: the depth bucket, then proximity, then the
+    source pixel, then the slot. Python's round, like numpy's, rounds half
+    to even, and a Python int holds any finite bucket exactly. Returns
+    (image, depth, source_index): zeros and -1 where no bid landed.
+    """
+    h, w = k.height, k.width
+    channels = sources[0].image.shape[2]
+    best = {}
+    for slot, src in enumerate(sources):
+        idx, pix, uvd, _ = reprojection_bruteforce(src, dst_pose, k)
+        proximity = abs(src.frame_index - dst_frame_index)
+        for i, p, (_, _, d) in zip(idx.tolist(), pix.tolist(), uvd.tolist()):
+            bucket = d / 1e-9
+            bid = (round(bucket) if math.isfinite(bucket) else bucket, proximity, i, slot)
+            if p not in best or bid < best[p][0]:
+                best[p] = (bid, d, src.image[i // w, i % w])
+    image = np.zeros((h, w, channels))
+    depth = np.zeros((h, w))
+    source_index = np.full((h, w), -1, dtype=np.int64)
+    for p, (bid, d, color) in best.items():
+        image[p // w, p % w] = color
+        depth[p // w, p % w] = d
+        source_index[p // w, p % w] = bid[3]
+    return image, depth, source_index
+
+
+def nearest_hit_bruteforce(hit):
+    """Scalar nearest-hit map of a boolean mask with at least one hit.
+
+    Each pixel takes the hit pixel at the least squared pixel distance; ties
+    go to the smallest column, then the smallest row. Returns (rows, cols),
+    two int arrays shaped like `hit`.
+    """
+    h, w = hit.shape
+    hits = [(r, c) for r in range(h) for c in range(w) if hit[r, c]]
+    rows = np.zeros((h, w), dtype=np.int64)
+    cols = np.zeros((h, w), dtype=np.int64)
+    for r in range(h):
+        for c in range(w):
+            _, cols[r, c], rows[r, c] = min(
+                ((hr - r) ** 2 + (hc - c) ** 2, hc, hr) for hr, hc in hits
+            )
+    return rows, cols
 
 
 def resample_bruteforce(world, rng: SceneRange, pose: Se3Pose):

@@ -9,7 +9,9 @@ from scenecast.geom import (
     FrameBundle,
     Se3Pose,
     bilinear_sample_many,
+    box_footprint,
     compose,
+    depth_tiles,
     inverse,
     project_pixels,
     relative_pose,
@@ -306,3 +308,40 @@ class TestTileReduce:
             ref = tile_fold_bruteforce(name, a, s)
             assert got.shape == ref.shape == (a.shape[0] // s, a.shape[1] // s)
             assert np.array_equal(np.ascontiguousarray(got).view(np.int64), ref.view(np.int64))
+
+
+class TestDepthTiles:
+    def test_matches_scalar_min_positive_and_max(self):
+        # partial last tiles on both axes, zeros, NaN and a tile with no positive depth
+        rng = np.random.default_rng(71)
+        depth = rng.uniform(0.5, 40.0, size=(21, 19))
+        depth[rng.random(depth.shape) < 0.2] = 0.0
+        depth[rng.random(depth.shape) < 0.05] = np.nan
+        depth[:8, :8] = 0.0
+        lo, hi = depth_tiles(depth)
+        assert lo.shape == hi.shape == (3, 3)
+        for r in range(3):
+            for c in range(3):
+                tile = depth[8 * r:8 * r + 8, 8 * c:8 * c + 8].ravel().tolist()
+                assert lo[r, c] == min((x for x in tile if x > 0.0), default=math.inf)
+                assert hi[r, c] == max(x for x in tile if not math.isnan(x))
+
+
+class TestBoxFootprint:
+    def test_keeps_straddling_and_non_finite_boxes(self):
+        k = CameraIntrinsics(10.0, 10.0, 4.5, 4.5, 10, 10)
+        # one box per column: in view, behind, straddling the near plane, off
+        # the image to the right, a NaN depth and an infinite x in front
+        x = np.zeros((8, 6))
+        y = np.zeros((8, 6))
+        z = np.array([5.0, -5.0, 0.0, 5.0, 5.0, 5.0])[None].repeat(8, axis=0)
+        z[:4] += 1.0
+        z[4:, 2] = -1.0
+        x[:, 3] = 100.0
+        z[0, 4] = np.nan
+        x[0, 5] = np.inf
+        kept, f, u0, u1, v0, v1 = box_footprint(x, y, z, k, 1e-9)
+        assert kept.tolist() == [False, False, True, False, True, True]
+        assert f.tolist() == [0]
+        # the corners project to pixel 4.5, whose nearest pixel 5 is padded to 4..6
+        assert (u0.tolist(), u1.tolist(), v0.tolist(), v1.tolist()) == ([4], [6], [4], [6])

@@ -3,9 +3,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import classify_palette, reprojection_bruteforce
+from oracles import (
+    classify_palette,
+    nearest_hit_bruteforce,
+    reprojection_bruteforce,
+    splat_bruteforce,
+)
 from scenecast.forecast import PoseSequence, forecast_next
-from scenecast.geom import CameraIntrinsics, Se3Pose, compose, se3_exp
+from scenecast import warp
+from scenecast.geom import CameraIntrinsics, Se3Pose, compose, project_pixels, se3_exp
 from scenecast.synth import (
     SceneSpec,
     TrajectorySpec,
@@ -17,6 +23,7 @@ from scenecast.synth import (
 )
 from scenecast.warp import (
     FrameBundle,
+    WarpResult,
     compose_pseudo_future,
     fill_refiner,
     forward_splat,
@@ -108,6 +115,121 @@ class TestReprojectionFlow:
         assert min(drops[r] for r in ("zero_depth", "behind", "off_image")) > 100
 
 
+def banded_depth(gen, h, w, bands):
+    """Depths whose 8x8 tiles each draw from one (lo, hi) band of `bands`, 10% zero."""
+    pick = gen.integers(len(bands), size=(-(-h // 8), -(-w // 8)))
+    lo, hi = (np.array(b)[pick].repeat(8, axis=0).repeat(8, axis=1)[:h, :w] for b in zip(*bands))
+    depth = gen.uniform(lo, hi)
+    depth[gen.random((h, w)) < 0.1] = 0.0
+    return depth
+
+
+def turn_y(theta):
+    """A rotation about the camera y axis: x' = cos x + sin z, z' = -sin x + cos z."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def cull_case(name):
+    """(source, destination pose, camera) of a reprojection that exercises the tile cull."""
+    gen = np.random.default_rng(sum(map(ord, name)))
+    k = CameraIntrinsics(12.0, 11.0, 10.3, 6.6, 21, 13)  # partial last tiles on both axes
+    image = gen.random((k.height, k.width, 3))
+    if name == "behind_and_straddling":
+        # the destination sits 4 m ahead: tiles nearer are behind it, tiles
+        # around 4 m straddle its near plane, farther ones are in front
+        depth = banded_depth(gen, k.height, k.width,
+                             [(1.0, 2.0), (3.0, 5.0), (3.99, 4.01), (6.0, 9.0), (0.5, 12.0)])
+        return FrameBundle(image, depth, Se3Pose.identity(), 0), Se3Pose(turn_y(0.3), [0.5, 0.2, 4.0]), k
+    if name == "facing_back":
+        depth = banded_depth(gen, k.height, k.width, [(1.0, 2.0), (2.0, 30.0)])
+        return FrameBundle(image, depth, Se3Pose.identity(), 0), Se3Pose(turn_y(2.8), [0.0, 0.0, 3.0]), k
+    if name.startswith("edge"):
+        # a flat wall moved by `shift` px, so that the last column (row) of a
+        # tile lands 0.01 px inside or outside the left (top) edge, or the
+        # first column (row) of the partial last tile 0.01 px inside or
+        # outside the right (bottom) edge; outside, only the 1 px pad keeps
+        # the tile, and none of its pixels lands
+        axis, shift = {"edge_left": (0, 7.49), "edge_left_out": (0, 7.51),
+                       "edge_right": (0, -4.49), "edge_right_out": (0, -4.51),
+                       "edge_top": (1, 7.49), "edge_top_out": (1, 7.51),
+                       "edge_bottom": (1, -4.49), "edge_bottom_out": (1, -4.51)}[name]
+        depth = np.full((k.height, k.width), 4.0)
+        depth[gen.random(depth.shape) < 0.1] = 0.0
+        t = np.zeros(3)
+        t[axis] = shift * 4.0 / (k.fx, k.fy)[axis]
+        return FrameBundle(image, depth, Se3Pose.identity(), 0), Se3Pose(np.eye(3), t), k
+    if name == "turn_onto_edge":
+        # a pure turn takes column 7, the last of the first tile column, to
+        # u' = -0.5 - 1.5e-15. Depth does not move a turned pixel, so rounding
+        # alone scatters that column's nearest pixel between -1 and 0: a
+        # tile's corners can all round off the image while one of its pixels
+        # rounds onto it, and only the 1 px pad keeps such a tile
+        k = CameraIntrinsics(20.0, 20.0, 11.5, 79.5, 24, 160)
+        a, b = (7 - k.cx) / k.fx, (-0.5 - 1.5e-15 - k.cx) / k.fx
+        rot = turn_y(np.arctan((b - a) / (1.0 + a * b)))
+        depth = gen.uniform(1.0, 50.0, size=(k.height, k.width))
+        src = FrameBundle(gen.random((k.height, k.width, 3)), depth, Se3Pose.identity(), 0)
+        return src, Se3Pose(rot.T, np.zeros(3)), k
+    if name == "huge_depths":
+        # float32-range depths, and depths whose lifted corners overflow: a
+        # tile whose corner arithmetic is not finite must be kept
+        depth = banded_depth(gen, k.height, k.width, [(1.0, 20.0), (1e29, 3e38), (1e306, 1e307)])
+        depth[0, 0] = np.finfo(np.float64).max
+        pose = se3_exp(np.concatenate([gen.normal(scale=0.3, size=3), gen.normal(size=3)]))
+        return FrameBundle(image, depth, Se3Pose.identity(), 0), pose, k
+    assert name == "random_poses"
+    depth = banded_depth(gen, k.height, k.width, [(0.5, 3.0), (2.0, 10.0), (0.1, 40.0)])
+    src = FrameBundle(image, depth, se3_exp(gen.normal(scale=0.5, size=6)), 0)
+    move = np.concatenate([gen.normal(scale=0.3, size=3), gen.normal(scale=1.0, size=2),
+                           [gen.uniform(-3.0, 6.0)]])
+    return src, compose(src.pose, se3_exp(move)), k
+
+
+CULL_CASES = [
+    "behind_and_straddling", "facing_back", "edge_left", "edge_left_out", "edge_right",
+    "edge_right_out", "edge_top", "edge_top_out", "edge_bottom", "edge_bottom_out",
+    "turn_onto_edge", "huge_depths", "random_poses",
+]
+
+
+class TestReprojectionCull:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", CULL_CASES)
+    def test_matches_bruteforce_oracle(self, name):
+        src, dst_pose, k = cull_case(name)
+        idx, pix, uvd = reprojection_flow(src, dst_pose, k)
+        ref_idx, ref_pix, ref_uvd, drops = reprojection_bruteforce(src, dst_pose, k)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(pix, ref_pix)
+        assert np.array_equal(uvd.view(np.int64), ref_uvd.view(np.int64))
+        if name != "facing_back":
+            assert idx.size > 0
+        if name in ("behind_and_straddling", "facing_back"):
+            assert drops["behind"] > 0
+
+    def test_forward_motion_lifts_few_pixels(self, monkeypatch):
+        # 8 m toward a wall 10 m away magnifies the view 5x: about 1/25 of the
+        # source lands in the destination, and the cull lifts little more
+        k = CameraIntrinsics(40.0, 40.0, 39.5, 23.5, 80, 48)
+        src = flat_frame(10.0, k=k)
+        dst_pose = Se3Pose(np.eye(3), [0.0, 0.0, 8.0])
+        lifted = []
+
+        def counting(r, t, x, y, z, k):
+            lifted.append(np.size(x))
+            return project_pixels(r, t, x, y, z, k)
+
+        monkeypatch.setattr(warp, "project_pixels", counting)
+        idx, pix, uvd = reprojection_flow(src, dst_pose, k)
+        ref_idx, ref_pix, ref_uvd, _ = reprojection_bruteforce(src, dst_pose, k)
+        assert np.array_equal(idx, ref_idx) and np.array_equal(pix, ref_pix)
+        assert np.array_equal(uvd, ref_uvd)
+        assert lifted[0] <= 0.1 * src.depth.size
+        assert lifted[0] >= idx.size > 0
+
+
 class TestForwardSplat:
     def test_single_source_identity_is_bit_exact(self):
         _, k, _, frames = corridor_setup(0, past=0)
@@ -152,6 +274,51 @@ class TestForwardSplat:
         assert np.array_equal(fwd.image, rev.image)
         assert np.array_equal(fwd.depth, rev.depth)
         assert np.array_equal(fwd.hit_mask, rev.hit_mask)
+
+    @pytest.mark.parametrize("case", ["ties", "both_sides", "far_indices", "random_poses"])
+    def test_matches_bruteforce_oracle(self, case):
+        # 21x13 is no multiple of the 8 px tile. Flat walls at 2 or 4 m moved
+        # sideways by a quarter metre land on whole and half pixels, so many
+        # candidates share a target and a depth bucket and fall to the
+        # proximity, the source pixel and the slot
+        gen = np.random.default_rng(sum(map(ord, case)))
+        k = CameraIntrinsics(8.0, 8.0, 10.0, 6.0, 21, 13)
+        if case == "random_poses":
+            poses = [se3_exp(gen.normal(scale=0.2, size=6)) for _ in range(3)]
+            depths = [gen.uniform(0.5, 12.0, size=(13, 21)) for _ in range(3)]
+            dst_pose, indices, dst = se3_exp(gen.normal(scale=0.2, size=6)), (0, 5, 10), 15
+        else:
+            shifts = (0.0, 0.25, -0.25, 0.5)
+            poses = [Se3Pose(np.eye(3), [tx, 0.0, 0.0]) for tx in shifts]
+            depths = [gen.choice([2.0, 4.0, 0.0], size=(13, 21), p=[0.45, 0.45, 0.1])
+                      for _ in shifts]
+            dst_pose = Se3Pose.identity()
+            indices, dst = {
+                "ties": ((0, 4, 8, 8), 4),  # proximities 4, 0, 4, 4
+                "both_sides": ((1, 5, 9, 13), 7),  # 6, 2, 2, 6
+                # proximities up to 2**61: only their rank fits the key
+                "far_indices": ((0, 2**40, 2**61, 2**62), 2**61 + 2**40),
+            }[case]
+        sources = [FrameBundle(gen.random(d.shape + (3,)), d, pose, i)
+                   for d, pose, i in zip(depths, poses, indices)]
+        result = forward_splat(sources, dst_pose, k, dst_frame_index=dst)
+        image, depth, source_index = splat_bruteforce(sources, dst_pose, k, dst)
+        assert np.array_equal(result.image.view(np.int64), image.view(np.int64))
+        assert np.array_equal(result.depth.view(np.int64), depth.view(np.int64))
+        assert np.array_equal(result.source_index, source_index)
+        assert len(set(source_index[source_index >= 0].tolist())) == len(sources)
+
+    def test_tie_key_budget_rejected(self):
+        # sources squared times pixels must fit the int64 tie key; a 2**31 x
+        # 2**31 frame of broadcast views needs no memory, and the check runs
+        # before any pixel is lifted
+        big = FrameBundle.__new__(FrameBundle)
+        big.image = np.broadcast_to(np.zeros(1, dtype=bool), (2**31, 2**31, 1))
+        big.depth = np.broadcast_to(np.zeros(1, dtype=bool), (2**31, 2**31))
+        big.pose, big.frame_index = Se3Pose.identity(), 0
+        k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 2**31, 2**31)
+        with pytest.raises(ValueError, match=r"2 sources of 2147483648x2147483648 pixels overflow"):
+            forward_splat([big, big], Se3Pose.identity(), k, dst_frame_index=0)
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
@@ -264,8 +431,6 @@ class TestRefiners:
         assert image is result.image and depth is result.depth
 
     def test_fill_refiner_copies_nearest(self):
-        from scenecast.warp import WarpResult
-
         image = np.zeros((1, 3, 1))
         image[0, 0, 0] = 0.4
         depth = np.array([[2.0, 0.0, 0.0]])
@@ -274,9 +439,28 @@ class TestRefiners:
         assert np.all(filled_depth == 2.0)
         assert np.all(filled_img == 0.4)
 
-    def test_fill_refiner_all_miss_unchanged(self):
-        from scenecast.warp import WarpResult
+    @pytest.mark.parametrize("shape", [(1, 23), (23, 1), (9, 14), (16, 16)])
+    def test_fill_refiner_matches_nearest_hit_oracle(self, shape):
+        # sparse random hits and lattices of hits, whose holes are often
+        # equidistant from two or four of them
+        gen = np.random.default_rng(shape[0] * 31 + shape[1])
+        for trial in range(8):
+            if trial % 2:
+                hit = np.zeros(shape, dtype=bool)
+                a, b = gen.integers(2, 5, size=2)
+                hit[gen.integers(a)::a, gen.integers(b)::b] = True
+            else:
+                hit = gen.random(shape) < (0.05, 0.2, 0.5, 0.8)[trial // 2]
+            hit.flat[gen.integers(hit.size)] = True
+            image = np.where(hit[..., None], gen.random(shape + (3,)), 0.0)
+            depth = np.where(hit, gen.uniform(1.0, 9.0, size=shape), 0.0)
+            filled_image, filled_depth = fill_refiner(
+                WarpResult(image, depth, np.where(hit, 0, -1)))
+            rows, cols = nearest_hit_bruteforce(hit)
+            assert np.array_equal(filled_image, image[rows, cols])
+            assert np.array_equal(filled_depth, depth[rows, cols])
 
+    def test_fill_refiner_all_miss_unchanged(self):
         empty = WarpResult(np.zeros((2, 2, 3)), np.zeros((2, 2)), np.full((2, 2), -1))
         image, depth = fill_refiner(empty)
         assert np.all(image == 0.0) and np.all(depth == 0.0)
