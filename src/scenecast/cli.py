@@ -291,11 +291,16 @@ def cmd_fuse(args) -> int:
     out_dir = Path(args.out_dir)
     rng = _fusion_range(args)
     frames, k = _load_frames(args.frames_dir, args.interval)
+    gt = args.future == "gt"
+    need = args.past + 1 + gt
+    if len(frames) < need:
+        with_gt = " and future gt" if gt else ""
+        raise ValueError(
+            f"need {need} frames for past {args.past}{with_gt}, the tree has {len(frames)}"
+        )
     # the last loaded frame is current, or with future 'gt' the ground-truth future
     future = []
-    if args.future == "gt":
-        if len(frames) < 2:
-            raise ValueError("future=gt needs the future frame in the sequence")
+    if gt:
         frames, future = frames[:-1], frames[-1:]
     past_current = frames[-1 - args.past:]
     if args.future == "pseudo":

@@ -24,10 +24,12 @@ Fusion is one pass per frame: visibility returns only the visible voxels
 (flat indices and projections), they are reduced to the frame's block slice,
 and the frame's feature map is extracted. Visibility projects its kept
 blocks in fixed-size batches, so a pass's temporaries stay small whatever
-the frame. Two passes run at once on worker threads, and the calling thread
-samples each feature map at its frame's blocks in frame order, so peak
-memory is two passes' temporaries plus the block-level arrays. The feature
-extractor maps an image to an HxWxC array with the same C for every frame.
+the frame. A standard thread pool (`concurrent.futures`, imported on the
+first call) maps the passes two at a time; each writes its frame's block
+slices in place, and the calling thread samples each returned feature map
+at its frame's blocks in frame order, so peak memory is two passes'
+temporaries plus the block-level arrays. The feature extractor maps an
+image to an HxWxC array with the same C for every frame.
 A frame's blocks and feature channels depend only on that frame and the
 anchoring current pose, so the result for a subset of frames is a
 frame-axis slice of the result for the whole set (`BlockVisibility.frames`,
@@ -35,7 +37,6 @@ frame-axis slice of the result for the whole set (`BlockVisibility.frames`,
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -466,19 +467,21 @@ def fuse_pipeline(
 
     `frames` must be ordered by ascending frame index (pseudo-future last);
     `current_index` designates the frame whose camera anchors the range.
-    Each frame is one pass, run on one of two worker threads: its visible
-    voxels are reduced to its block slice and its feature map is extracted.
-    The calling thread takes the passes in frame order and samples each
-    map at its frame's blocks into the frame's channels of the fused array
-    (allocated once the first map gives C), so peak memory is two passes
-    plus the block arrays. A pass writes only its own frame's slices, so
-    the result does not depend on which thread runs it or when.
+    Each frame is one pass, mapped over the frames by a two-worker
+    `ThreadPoolExecutor`: its visible voxels are reduced in place into its
+    frame's slices of the block arrays, and its feature map is extracted
+    and returned. The calling thread takes the maps in frame order and
+    samples each at its frame's blocks into the frame's channels of the
+    fused array (allocated once the first map gives C), so peak memory is
+    two passes plus the block arrays. A pass writes only its own frame's
+    slices, so the result does not depend on which thread runs it or when.
 
     `feature_extractor` is called from the worker threads, in no set order,
     so it must be a pure function of the image. It must return an HxWxC map
     with the same C for every frame; anything else raises ValueError naming
     the shape. An error in a pass is raised in frame order: the first bad
-    frame's error is the one raised, and every worker has stopped by then.
+    frame's error is the one raised, the passes not yet started are
+    cancelled, and every worker has stopped by then.
     """
     frames = list(frames)
     if not frames:
@@ -491,49 +494,31 @@ def fuse_pipeline(
     current_pose = frames[current_index].pose
     visible = np.zeros((len(frames),) + rng.block_dims, dtype=bool)
     means = np.zeros(visible.shape + (3,))
-    # each frame's feature map, or the exception its pass raised
-    fmaps = [None] * len(frames)
-    done = [threading.Event() for _ in frames]
-    stop = threading.Event()
 
-    def work(first: int) -> None:
-        for fi in range(first, len(frames), _WORKERS):
-            if stop.is_set():
-                return
-            frame = frames[fi]
-            try:
-                idx, uvd = visibility(rng, frame, current_pose, k, theta_d)
-                visible[fi], means[fi] = downsample_blocks(rng.dims, idx, uvd)
-                fmaps[fi] = np.asarray(feature_extractor(frame.image))
-            except BaseException as exc:  # re-raised by the calling thread
-                fmaps[fi] = exc
-            done[fi].set()
+    def run_pass(fi: int) -> np.ndarray:
+        """Frame fi's pass: writes its block slices, returns its feature map."""
+        frame = frames[fi]
+        idx, uvd = visibility(rng, frame, current_pose, k, theta_d)
+        visible[fi], means[fi] = downsample_blocks(rng.dims, idx, uvd)
+        return np.asarray(feature_extractor(frame.image))
 
-    workers = []
-    try:
-        for first in range(min(_WORKERS, len(frames))):
-            worker = threading.Thread(target=work, args=(first,))
-            worker.start()
-            workers.append(worker)
+    # imported here, so importing the module does not load concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the map's iterator early cancels the passes not yet started, and
+    # leaving the pool joins its workers
+    with ThreadPoolExecutor(_WORKERS) as pool:
         features = None
-        for fi, frame in enumerate(frames):
-            done[fi].wait()
-            fmap, fmaps[fi] = fmaps[fi], None
-            if isinstance(fmap, BaseException):
-                raise fmap
+        for fi, fmap in enumerate(pool.map(run_pass, range(len(frames)))):
             if fmap.ndim != 3 or (features is not None and fmap.shape[2] != c):
                 raise ValueError(
-                    f"feature map of frame {frame.frame_index} has shape {fmap.shape}; "
+                    f"feature map of frame {frames[fi].frame_index} has shape {fmap.shape}; "
                     "the extractor must return HxWxC with one C for every frame"
                 )
             if features is None:
                 c = fmap.shape[2]
                 features = np.zeros(rng.block_dims + (len(frames) * c,))
             features[..., fi * c:(fi + 1) * c] = _frame_features(fmap, visible[fi], means[fi], k)
-    finally:
-        stop.set()
-        for worker in workers:
-            worker.join()
     bv = BlockVisibility(
         visible, means, tuple(f.frame_index for f in frames), k.width, k.height
     )

@@ -252,14 +252,8 @@ def project_pixels(r: np.ndarray, t: np.ndarray, x, y, z, k: CameraIntrinsics):
     rounds to the nearest pixel.
     """
     u, v, zp = (np.ravel(c) for c in rigid_transform(r, t, x, y, z))
-    # fx x' / z' + cx and fy y' / z' + cy, in place to bound peak memory
     with np.errstate(divide="ignore", invalid="ignore"):
-        u *= k.fx
-        u /= zp
-        u += k.cx
-        v *= k.fy
-        v /= zp
-        v += k.cy
+        _pinhole(u, v, zp, k)
     # the nearest pixel floor(a), a = u + 0.5, is in 0..n-1 exactly when 0 <= a < n,
     # so floor runs on the kept points only
     keep = (zp > Z_EPS) & _inside(u + 0.5, k.width) & _inside(v + 0.5, k.height)
@@ -267,6 +261,17 @@ def project_pixels(r: np.ndarray, t: np.ndarray, x, y, z, k: CameraIntrinsics):
     u, v, zp = u[idx], v[idx], zp[idx]
     pix = np.floor(v + 0.5).astype(np.int64) * k.width + np.floor(u + 0.5).astype(np.int64)
     return idx, pix, u, v, zp
+
+
+def _pinhole(u: np.ndarray, v: np.ndarray, z: np.ndarray, k: CameraIntrinsics) -> None:
+    """Camera x and y in u and v become pixel coordinates, in place to bound
+    peak memory: u = fx u / z + cx and v = fy v / z + cy."""
+    u *= k.fx
+    u /= z
+    u += k.cx
+    v *= k.fy
+    v /= z
+    v += k.cy
 
 
 def _inside(a: np.ndarray, n: int) -> np.ndarray:
@@ -302,8 +307,8 @@ def box_footprint(xc, yc, zc, k: CameraIntrinsics, eps):
     kept = ~finite | (~front & (zc.max(axis=0) > Z_EPS - eps))
     f = np.flatnonzero(front)
     zf = zc.take(f, axis=1)
-    u = k.fx * xc.take(f, axis=1) / zf + k.cx
-    v = k.fy * yc.take(f, axis=1) / zf + k.cy
+    u, v = xc.take(f, axis=1), yc.take(f, axis=1)
+    _pinhole(u, v, zf, k)
     # the nearest pixels floor(u + 0.5) of the corners, padded by 1 px, clipped to the image
     u0 = np.maximum(_floor_index(u.min(axis=0) - 0.5, k.width), 0)
     u1 = np.minimum(_floor_index(u.max(axis=0) + 1.5, k.width), k.width - 1)

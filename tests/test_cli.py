@@ -235,9 +235,10 @@ class TestFuse:
     def test_accepts_any_image_size(self, tmp_path, capsys):
         frames_dir = small_size_tree(tmp_path / "frames", 64, 48)
         out = tmp_path / "fuse"
-        code, _, err = run(capsys, "fuse", "--frames-dir", str(frames_dir), "--future", "pseudo",
-                           "--range-dims", "64,64,16", "--range-origin=-12.8,0,-2.0",
-                           "--out-dir", str(out))
+        # the tree's 4 frames are 3 past and the current one
+        code, _, err = run(capsys, "fuse", "--frames-dir", str(frames_dir), "--past", "3",
+                           "--future", "pseudo", "--range-dims", "64,64,16",
+                           "--range-origin=-12.8,0,-2.0", "--out-dir", str(out))
         assert code == 0, err
         bv = dataio.read_blockvis(out / "blockvis.bvx")
         assert (bv.image_width, bv.image_height, bv.num_frames) == (64, 48, 5)
@@ -485,6 +486,14 @@ class TestOutOfRangeFlags:
              "origin must be finite, got [nan, 0.0, 0.0]"),
             (["synth", "--origin", "0,inf,0", "--out-dir", "{tmp}/o"],
              "origin must be finite, got [0.0, inf, 0.0]"),
+            # the two-frame tree loads: past is checked against the frames it has
+            (["fuse", "--frames-dir", "{tmp}/seq", "--interval", "1", "--past", "2",
+              "--out-dir", "{tmp}/o"], "need 3 frames for past 2, the tree has 2"),
+            (["fuse", "--frames-dir", "{tmp}/seq", "--interval", "1", "--past", "2",
+              "--future", "pseudo", "--out-dir", "{tmp}/o"], "need 3 frames for past 2, the tree has 2"),
+            (["fuse", "--frames-dir", "{tmp}/seq", "--interval", "1", "--past", "1",
+              "--future", "gt", "--out-dir", "{tmp}/o"],
+             "need 3 frames for past 1 and future gt, the tree has 2"),
         ],
         ids=["volumes_0", "volumes_neg", "synth_box_count", "demo_box_count", "synth_voxel_nan",
              "forecast_interval_0", "forecast_interval_neg", "demo_interval_0",
@@ -493,7 +502,8 @@ class TestOutOfRangeFlags:
              "demo_window_0", "synth_frames_0", "synth_dims_0", "synth_num_classes_1",
              "synth_seed_neg", "demo_seed_neg", "grad_check_seed_neg", "fuse_range_dims_0",
              "fuse_range_dims_5", "fuse_pseudo_range_dims_5", "fuse_range_origin_nan",
-             "synth_origin_inf"],
+             "synth_origin_inf", "fuse_past_above_tree", "fuse_pseudo_past_above_tree",
+             "fuse_gt_past_above_tree"],
     )
     def test_one_error_line_naming_the_value(self, monkeypatch, tmp_path, capsys, argv, message):
         def unreachable(*args, **kwargs):
@@ -502,6 +512,10 @@ class TestOutOfRangeFlags:
         monkeypatch.setattr(cli, "render_frame", unreachable)
         # the pose file is valid, so forecast's interval is the only fault
         dataio.write_poses(tmp_path / "poses.txt", [Se3Pose.identity()] * 12)
+        dataio.write_frame_sequence(tmp_path / "seq", [
+            FrameBundle(np.zeros((1, 1, 3)), np.ones((1, 1)), Se3Pose.identity(), i)
+            for i in range(2)
+        ])
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"

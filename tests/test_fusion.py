@@ -399,6 +399,24 @@ class TestSampleFuse:
             self._fuse(extractor, self._frames(5))
         assert threading.active_count() == before
 
+    def test_no_pass_starts_after_an_error(self):
+        # frame 0's visibility raises at once; of the 9 slow passes after it,
+        # only those the workers took before the error was seen may run
+        frames = self._frames(10)
+        frames[0] = frame_with_depth(np.full((20, 40), 10.0), index=0)
+        calls = []
+
+        def extractor(image):
+            calls.append(image)
+            time.sleep(0.2)
+            return np.zeros((8, 8, 2))
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=r"^frame is 40x20 but intrinsics expect 40x30$"):
+            self._fuse(extractor, frames)
+        assert len(calls) <= 4
+        assert threading.active_count() == before
+
     def test_out_of_bounds_sample_zeroed(self):
         # maps past the 2x2 map's hull
         feats = self._features(np.full((2, 2, 1), 3.0), True, (7.9, 7.9))
