@@ -4,15 +4,16 @@ Binary layouts (all little-endian):
   VXG1  voxel grid:  magic, u32 X Y Z, f32 voxel_size, f32[3] origin,
         then X*Y*Z label bytes, x slowest / z fastest
   DPT1  depth map:   magic, u32 H W, then H*W f32 meters, row-major
-  FVX1  fused volume: magic, u32 BX BY BZ C, then BX*BY*BZ*C f32, C fastest
+  FVX1  fused volume: magic, u32 BX BY BZ C, then BX*BY*BZ*C finite f32, C fastest
   BVX1  block visibility: magic, u32 F BX BY BZ W H, i64 frame_indices[F],
-        F*BX*BY*BZ visibility bytes, then F*BX*BY*BZ*3 f32 projections
+        F*BX*BY*BZ visibility bytes, then F*BX*BY*BZ*3 finite f32 projections
 
 `_write_record` writes each as magic, packed header and payload arrays;
 `_Cursor` reads them back, checking each part's length and trailing bytes.
 Images are binary PPM (P6, maxval 255, value = floor(255*v + 0.5)); masks go
 out as PGM (P5). Pose files are UTF-8 KITTI odometry text: one 3x4 row-major
-[R|t] world-from-camera per line, made a pose by `Se3Pose.from_rt`.
+[R|t] world-from-camera per line, made a pose by the `Se3Pose` constructor,
+the one rule for rotations.
 
 All writers go through an atomic temp-file-plus-rename. Every reader raises
 only FormatError, naming the file and byte offset, or the line, at fault.
@@ -94,12 +95,34 @@ class _Cursor:
         at = self.take(np.dtype(dtype).itemsize * count, what)
         return np.frombuffer(self.buf, dtype=dtype, count=count, offset=at)
 
+    def f32(self, count: int, what: str, nonnegative: bool = False) -> np.ndarray:
+        """`count` little-endian f32 values of `what`; the first that is not
+        finite, or is negative when `nonnegative`, raises naming its offset."""
+        start = self.offset
+        values = self.array("<f4", count, f"{what} payload")
+        bad = ~(np.isfinite(values) & (values >= 0.0 if nonnegative else True))
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            rule = "finite" + " and >= 0" * nonnegative
+            raise self.fail(f"{what} value {values[i]} at offset {start + 4 * i} is not {rule}")
+        return values
+
     def end(self) -> None:
         if len(self.buf) != self.offset:
             raise self.fail(
                 f"trailing bytes at offset {self.offset}: expected {self.offset} total, "
                 f"got {len(self.buf)}"
             )
+
+
+def _f32(values, what: str, nonnegative: bool = False) -> np.ndarray:
+    """`values` as little-endian f32; one that is not finite as f32, or is
+    negative when `nonnegative`, raises ValueError."""
+    with np.errstate(over="ignore"):  # beyond f32's range is inf, refused below
+        a = np.asarray(values, dtype="<f4")
+    if not np.all(np.isfinite(a) & (a >= 0.0 if nonnegative else True)):
+        raise ValueError(f"{what} values must be finite{' and >= 0' * nonnegative} as f32")
+    return a
 
 
 def _write_record(path, magic: bytes, fmt: str, header, *payload: np.ndarray) -> None:
@@ -140,11 +163,9 @@ def read_grid(path) -> SceneGrid:
 # ----------------------------------------------------------------- depth maps
 
 def write_depth(path, depth: np.ndarray) -> None:
-    d = np.asarray(depth, dtype="<f4")
+    d = _f32(depth, "depth", nonnegative=True)
     if d.ndim != 2 or d.size == 0:
         raise ValueError(f"depth must be HxW with H, W >= 1, got shape {d.shape}")
-    if not (np.all(np.isfinite(d)) and np.all(d >= 0.0)):
-        raise ValueError("depth entries must be finite and >= 0 (invalid is exactly 0)")
     _write_record(path, MAGIC_DEPTH, "<II", d.shape, d)
 
 
@@ -154,15 +175,8 @@ def read_depth(path) -> np.ndarray:
     for i, n in enumerate((h, w)):
         if n == 0:
             raise cur.fail(f"zero depth dim at offset {4 + 4 * i}")
-    start = cur.offset
-    d = cur.array("<f4", h * w, "depth payload")
+    d = cur.f32(h * w, "depth", nonnegative=True)
     cur.end()
-    bad = ~(np.isfinite(d) & (d >= 0.0))
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise cur.fail(
-            f"depth value {d[i]} at offset {start + 4 * i} is not finite and >= 0"
-        )
     return d.reshape(h, w).astype(np.float64)
 
 
@@ -257,13 +271,13 @@ def write_poses(path, poses) -> None:
 
 
 def parse_pose_line(line: str, lineno: int = 1) -> Se3Pose:
-    """One 3x4 [R|t] line; `Se3Pose.from_rt` decides what rotation it holds."""
+    """One 3x4 [R|t] line; any fault raises a FormatError naming the line."""
     parts = line.split()
     if len(parts) != 12:
         raise FormatError(f"line {lineno}: expected 12 pose values, got {len(parts)}")
     try:
         vals = np.array([float(p) for p in parts]).reshape(3, 4)
-        return Se3Pose.from_rt(vals[:, :3], vals[:, 3])
+        return Se3Pose(vals[:, :3], vals[:, 3])
     except ValueError as exc:
         raise FormatError(f"line {lineno}: {exc}") from exc
 
@@ -289,7 +303,7 @@ def write_fused(path, fused: FusedVolume) -> None:
     c = fused.features.shape[-1]
     _write_record(
         path, MAGIC_FUSED, "<IIII", (*fused.block_dims, c),
-        np.asarray(fused.features, dtype="<f4"),
+        _f32(fused.features, "feature"),
     )
 
 
@@ -303,7 +317,7 @@ def read_fused(path, channels_per_frame: int = 0) -> FusedVolume:
         )
     if not (channels_per_frame or c):
         raise cur.fail("channel count 0 at offset 16 leaves no channels per frame")
-    feats = cur.array("<f4", bx * by * bz * c, "feature payload")
+    feats = cur.f32(bx * by * bz * c, "feature")
     cur.end()
     return FusedVolume(
         feats.reshape(bx, by, bz, c).astype(np.float64),
@@ -317,7 +331,7 @@ def write_blockvis(path, bv: BlockVisibility) -> None:
         (bv.num_frames, *bv.block_dims, bv.image_width, bv.image_height),
         np.asarray(bv.frame_indices, dtype="<i8"),
         np.asarray(bv.visible, dtype=np.uint8),
-        np.asarray(bv.proj_uv_d, dtype="<f4"),
+        _f32(bv.proj_uv_d, "projection"),
     )
 
 
@@ -327,7 +341,7 @@ def read_blockvis(path) -> BlockVisibility:
     idx = cur.array("<i8", f, "frame indices")
     nvis = f * bx * by * bz
     vis = cur.array(np.uint8, nvis, "visibility payload")
-    proj = cur.array("<f4", nvis * 3, "projection payload")
+    proj = cur.f32(nvis * 3, "projection")
     cur.end()
     return BlockVisibility(
         vis.reshape(f, bx, by, bz).astype(bool),

@@ -24,8 +24,8 @@ import numpy as np
 Z_EPS = 1e-6
 # re-orthonormalize a rotation whose drift from O(3) exceeds this
 ORTHO_DRIFT = 1e-12
-# reject inputs farther than this from a rotation (indicates corrupt data)
-_ORTHO_REJECT = 1e-6
+# reject inputs farther than this from a rotation (3-decimal text drifts ~1.5e-3)
+_ORTHO_REJECT = 1e-2
 _SMALL_ANGLE = 1e-8
 
 # the one scene-axes convention: a level camera's axes as columns in scene
@@ -34,26 +34,13 @@ LEVEL_CAMERA_ROTATION = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 
 LEVEL_CAMERA_ROTATION.flags.writeable = False
 
 
-def _closest_rotation(m: np.ndarray) -> np.ndarray:
-    """Project a near-rotation 3x3 matrix onto SO(3) (Frobenius-nearest)."""
-    u, _, vt = np.linalg.svd(m)
-    if np.linalg.det(u @ vt) < 0.0:
-        u = u.copy()
-        u[:, 2] = -u[:, 2]
-    return u @ vt
-
-
-def _rotation_drift(r: np.ndarray) -> float:
-    return float(np.abs(r @ r.T - np.eye(3)).max())
-
-
 @dataclass(frozen=True)
 class Se3Pose:
     """Rigid transform: 3x3 rotation plus translation in meters.
 
-    The rotation is re-orthonormalized on construction when its drift from
-    orthonormality exceeds ORTHO_DRIFT; grossly invalid input and a
-    determinant <= 0 raise.
+    The one rule for rotations: non-finite entries, a determinant <= 0 and a
+    drift from orthonormality above _ORTHO_REJECT raise, in that order; a
+    drift above ORTHO_DRIFT is projected onto SO(3), a smaller one kept.
     Instances are immutable and safe to share across threads.
     """
 
@@ -65,14 +52,19 @@ class Se3Pose:
         t = np.array(self.translation, dtype=np.float64).reshape(3)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
             raise ValueError("pose entries must be finite")
-        drift = _rotation_drift(r)
-        if drift > _ORTHO_REJECT:
-            raise ValueError(f"rotation drift {drift:.3e} exceeds {_ORTHO_REJECT:.0e}")
+        # an overflowing block gets an inf or nan det or drift, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(r)
+            drift = float(np.abs(r @ r.T - np.eye(3)).max())
         # before the projection, which would turn a near-reflection into a rotation
-        if np.linalg.det(r) <= 0.0:
+        if not det > 0.0:
             raise ValueError("rotation must have determinant +1")
+        if not drift <= _ORTHO_REJECT:
+            raise ValueError(f"rotation drift {drift:.3e} exceeds {_ORTHO_REJECT:.0e}")
         if drift > ORTHO_DRIFT:
-            r = _closest_rotation(r)
+            # the Frobenius-nearest orthonormal matrix, a rotation since det > 0
+            u, _, vt = np.linalg.svd(r)
+            r = u @ vt
         r.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
@@ -81,19 +73,6 @@ class Se3Pose:
     @classmethod
     def identity(cls) -> "Se3Pose":
         return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def from_rt(cls, rotation, translation) -> "Se3Pose":
-        """Build from a rotation read from a file: reject det <= 0, keep it bit
-        for bit within ORTHO_DRIFT of orthonormal, else project onto SO(3)."""
-        r = np.array(rotation, dtype=np.float64).reshape(3, 3)
-        if not np.all(np.isfinite(r)):
-            raise ValueError("rotation entries must be finite")
-        if np.linalg.det(r) <= 0.0:
-            raise ValueError("rotation must have determinant +1")
-        if _rotation_drift(r) > ORTHO_DRIFT:
-            r = _closest_rotation(r)
-        return cls(r, translation)
 
     def matrix34(self) -> np.ndarray:
         m = np.empty((3, 4))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .geom import (
     DEPTH_TILE,
@@ -65,6 +64,8 @@ def fill_refiner(result: WarpResult) -> Tuple[np.ndarray, np.ndarray]:
     hit = result.hit_mask
     if not hit.any() or hit.all():
         return result.image.copy(), result.depth.copy()
+    # imported here, so a process that never fills does not pay for loading scipy
+    from scipy import ndimage
     channels = result.image.shape[2]
     iy, ix = ndimage.distance_transform_edt(~hit, return_distances=False, return_indices=True)
     nearest = iy.astype(np.int64) * hit.shape[1] + ix

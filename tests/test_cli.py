@@ -370,6 +370,10 @@ class TestMalformedInput:
              "poses.txt: line 2: rotation must have determinant +1"),
             (lambda d: _poses_file(d, b"0 0 0 1 0 0 0 2 0 0 0 3\n"),
              "poses.txt: line 2: rotation must have determinant +1"),
+            (lambda d: _poses_file(d, b"2 0 0 0 0 3 0 0 0 0 4 0\n"),
+             "poses.txt: line 2: rotation drift 1.500e+01 exceeds 1e-02"),
+            (lambda d: _poses_file(d, b"1e+300 0 0 0 0 1 0 0 0 0 1 0\n"),
+             "poses.txt: line 2: rotation drift inf exceeds 1e-02"),
             (lambda d: _poses_file(d, b"1 0 0 0 0 1 0 0 0 0 1 \xff\n"),
              "poses.txt: line 2: invalid UTF-8 byte at offset 46"),
             (lambda d: _grid_file(d, (2, 2, 2), (0.0, 0.0, float("nan"))),
@@ -383,7 +387,8 @@ class TestMalformedInput:
             (lambda d: _zero_size_tree(d, "000001.dpt", b"DPT1" + struct.pack("<II", 1, 0)),
              "000001.dpt: zero depth dim at offset 8"),
         ],
-        ids=["reflected_rotation", "zero_rotation", "non_utf8_pose", "nan_origin",
+        ids=["reflected_rotation", "zero_rotation", "scaled_rotation", "overflowing_rotation",
+             "non_utf8_pose", "nan_origin",
              "zero_dim", "negative_depth", "ppm_maxval_separator", "zero_image_size",
              "zero_depth_size"],
     )

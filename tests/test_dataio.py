@@ -14,6 +14,11 @@ def random_grid(rng, dims=(8, 8, 4)):
     return SceneGrid(SceneRange((0.0, 0.0, 0.0), tuple(d * 0.25 for d in dims), 0.25), labels)
 
 
+def _with_f32(data: bytes, offset: int, value: float) -> bytes:
+    """`data` with the f32 at `offset` replaced by `value`."""
+    return data[:offset] + np.array([value], dtype="<f4").tobytes() + data[offset + 4:]
+
+
 class TestGridFile:
     def test_round_trip_bytes_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -94,6 +99,12 @@ class TestDepthFile:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="offset 12"):
             dataio.read_depth(path)
+
+    def test_beyond_f32_rejected_on_write(self, tmp_path):
+        # finite as f64 but inf as f32: refused without a numpy cast warning
+        with pytest.raises(ValueError, match="depth values must be finite"):
+            dataio.write_depth(tmp_path / "d.dpt", np.full((2, 2), 1e39))
+        assert not (tmp_path / "d.dpt").exists()
 
     def test_negative_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError, match=">= 0"):
@@ -264,6 +275,16 @@ class TestPoseFile:
         with pytest.raises(FormatError, match="line 2: rotation must have determinant"):
             dataio.parse_pose_line("0 0 0 1 0 0 0 2 0 0 0 3", lineno=2)
 
+    @pytest.mark.parametrize(
+        "line, drift",
+        [("2 0 0 0 0 3 0 0 0 0 4 0", "1.500e\\+01"), ("1e+300 0 0 0 0 1 0 0 0 0 1 0", "inf")],
+        ids=["scaled", "overflowing"],
+    )
+    def test_rotation_far_from_orthonormal_names_line(self, line, drift):
+        # both were once projected onto SO(3) and read as the identity
+        with pytest.raises(FormatError, match=f"line 2: rotation drift {drift} exceeds 1e-02"):
+            dataio.parse_pose_line(line, lineno=2)
+
     def test_non_utf8_byte_names_line(self, tmp_path):
         path = tmp_path / "poses.txt"
         identity = b"1 0 0 0 0 1 0 0 0 0 1 0\n"
@@ -341,6 +362,34 @@ class TestFusedAndBlockVis:
         # 28 header + 16 frame indices + 2 visibility + 24 projection bytes
         with pytest.raises(FormatError, match="offset 70"):
             dataio.read_blockvis(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39], ids=["nan", "inf", "beyond_f32"])
+    def test_non_finite_rejected_on_write(self, tmp_path, bad):
+        feats = np.zeros((1, 1, 1, 4))
+        feats[0, 0, 0, 2] = bad
+        with pytest.raises(ValueError, match="feature values must be finite as f32"):
+            dataio.write_fused(tmp_path / "f.fvx", FusedVolume(feats, 4))
+        proj = np.zeros((1, 1, 1, 1, 3))
+        proj[..., 1] = bad
+        with pytest.raises(ValueError, match="projection values must be finite as f32"):
+            dataio.write_blockvis(tmp_path / "b.bvx", BlockVisibility(
+                np.ones((1, 1, 1, 1), dtype=bool), proj, (0,), 8, 8))
+        assert not list(tmp_path.iterdir())
+
+    def test_non_finite_rejected_on_read(self, tmp_path):
+        fvx, bvx = tmp_path / "f.fvx", tmp_path / "b.bvx"
+        dataio.write_fused(fvx, FusedVolume(np.zeros((1, 2, 1, 4)), 4))
+        # 20 header + 4 bytes per feature: the sixth sits at offset 40
+        fvx.write_bytes(_with_f32(fvx.read_bytes(), 40, np.nan))
+        with pytest.raises(FormatError, match="f.fvx: feature value nan at offset 40"):
+            dataio.read_fused(fvx, 4)
+        bv = BlockVisibility(np.ones((2, 1, 1, 1), dtype=bool),
+                             np.ones((2, 1, 1, 1, 3)), (0, 5), 8, 8)
+        dataio.write_blockvis(bvx, bv)
+        # 28 header + 16 frame indices + 2 visibility bytes: the payload starts at 46
+        bvx.write_bytes(_with_f32(bvx.read_bytes(), 50, -np.inf))
+        with pytest.raises(FormatError, match="b.bvx: projection value -inf at offset 50"):
+            dataio.read_blockvis(bvx)
 
     def test_blockvis_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -421,3 +470,70 @@ class TestFuzzedRoundTrips:
         back = dataio.read_poses(path)
         for a, b in zip(poses, back):
             assert np.abs(a.matrix34() - b.matrix34()).max() < 1e-9
+
+
+def _valid_files(tmp_path) -> dict:
+    """One small valid file of each kind, as name -> (reader, bytes)."""
+    rng = np.random.default_rng(13)
+    vis = rng.random((2, 2, 1, 2)) < 0.5
+    proj = (rng.random(vis.shape + (3,)) * 30).astype(np.float32)
+    writes = {
+        "g.vxg": (dataio.write_grid, dataio.read_grid, random_grid(rng, (2, 3, 2))),
+        "d.dpt": (dataio.write_depth, dataio.read_depth, rng.random((2, 3)) * 10),
+        "f.fvx": (dataio.write_fused, dataio.read_fused,
+                  FusedVolume(rng.normal(size=(1, 2, 2, 4)).astype(np.float32), 4)),
+        "b.bvx": (dataio.write_blockvis, dataio.read_blockvis,
+                  BlockVisibility(vis, proj, (0, 5), 16, 8)),
+        "i.ppm": (dataio.write_image, dataio.read_image, rng.random((2, 3, 3))),
+        "poses.txt": (dataio.write_poses, dataio.read_poses,
+                      [se3_exp(rng.normal(size=6)) for _ in range(2)]),
+    }
+    files = {}
+    for name, (write, read, value) in writes.items():
+        write(tmp_path / name, value)
+        files[name] = (read, (tmp_path / name).read_bytes())
+    return files
+
+
+class TestReaderSweep:
+    """Every reader on every truncation and on seeded single-byte flips of a
+    valid file returns a value or raises FormatError; any other exception or
+    warning (an error under the test settings) fails."""
+
+    FLIPS = 500
+
+    def _read(self, tmp_path, name, read, data):
+        path = tmp_path / "sweep" / name
+        path.write_bytes(data)
+        try:
+            read(path)
+        except FormatError:
+            return False
+        return True
+
+    def test_truncations_and_flips(self, tmp_path):
+        (tmp_path / "sweep").mkdir()
+        rng = np.random.default_rng(14)
+        for name, (read, data) in _valid_files(tmp_path).items():
+            assert self._read(tmp_path, name, read, data), name
+            for n in range(len(data)):
+                self._read(tmp_path, name, read, data[:n])
+            for at, mask in zip(rng.integers(0, len(data), self.FLIPS),
+                                rng.integers(1, 256, self.FLIPS)):
+                flipped = bytearray(data)
+                flipped[at] ^= int(mask)
+                self._read(tmp_path, name, read, bytes(flipped))
+
+    def test_non_finite_payloads_and_corrupt_rotations_rejected(self, tmp_path):
+        (tmp_path / "sweep").mkdir()
+        files = _valid_files(tmp_path)
+        identity = b"1 0 0 0 0 1 0 0 0 0 1 0\n"
+        cases = [
+            # a NaN in the last projection value
+            ("b.bvx", _with_f32(files["b.bvx"][1], len(files["b.bvx"][1]) - 4, np.nan)),
+            ("f.fvx", _with_f32(files["f.fvx"][1], 20, np.inf)),
+            ("poses.txt", identity + b"2 0 0 0 0 3 0 0 0 0 4 0\n"),
+            ("poses.txt", identity + b"1e+300 0 0 0 0 1 0 0 0 0 1 0\n"),
+        ]
+        for name, data in cases:
+            assert not self._read(tmp_path, name, files[name][0], data), name

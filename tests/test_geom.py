@@ -104,24 +104,32 @@ class TestPoseAlgebra:
         p = Se3Pose(noisy, np.zeros(3))
         assert np.abs(p.rotation @ p.rotation.T - np.eye(3)).max() < 1e-12
 
-    def test_from_rt_keeps_or_projects_by_drift(self):
+    def test_keeps_or_projects_by_drift(self):
         r = rot_z(30.0)
-        kept = Se3Pose.from_rt(r, np.zeros(3))
+        kept = Se3Pose(r, np.zeros(3))
         assert np.array_equal(kept.rotation, r)
-        # far beyond what the constructor repairs: projected onto SO(3)
-        sloppy = Se3Pose.from_rt(r + 1e-3, np.zeros(3))
+        # a drift of 2.7e-3, as a rotation printed to 3 decimals has: projected onto SO(3)
+        sloppy = Se3Pose(r + 1e-3, np.zeros(3))
         assert np.abs(sloppy.rotation @ sloppy.rotation.T - np.eye(3)).max() < 1e-12
         assert np.abs(sloppy.rotation - r).max() < 2e-3
 
     @pytest.mark.parametrize(
         "block", [np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3)), NEAR_REFLECTION]
     )
-    def test_from_rt_rejects_nonpositive_determinant(self, block):
+    def test_rejects_nonpositive_determinant(self, block):
+        # checked before the drift, so a reflection within the drift bound is
+        # rejected, not projected onto a rotation
         with pytest.raises(ValueError, match="determinant"):
-            Se3Pose.from_rt(block, np.zeros(3))
-        # the constructor names the zero block's drift first; a reflection
-        # within the drift bound is rejected, not projected onto a rotation
-        with pytest.raises(ValueError, match="determinant" if block.any() else "drift"):
+            Se3Pose(block, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "block, drift",
+        [(np.diag([2.0, 3.0, 4.0]), "1.500e\\+01"), (np.diag([1e300, 1.0, 1.0]), "inf"),
+         (np.diag([1e300, 1e300, 1e300]), "inf")],
+        ids=["scaled", "overflowing_entry", "overflowing_det"],
+    )
+    def test_rejects_drift_beyond_bound(self, block, drift):
+        with pytest.raises(ValueError, match=f"rotation drift {drift} exceeds 1e-02"):
             Se3Pose(block, np.zeros(3))
 
     def test_immutability(self):

@@ -6,7 +6,8 @@ under src/scenecast is used somewhere in src/, and every defaulted parameter
 of a public function is passed by some call in src/, so no public API and no
 parameter exists for the tests alone. Only the command line imports the
 synthesis module `warp`, and every other module, the renderer and feature
-extractor `synth` included, loads no scipy.
+extractor `synth` included, loads no scipy; nor does the command line, which
+loads it at the first fill.
 """
 import ast
 import os
@@ -233,14 +234,22 @@ def test_only_cli_imports_warp():
 CORE_MODULES = ("geom", "forecast", "fusion", "metrics", "losses", "gradcheck", "dataio", "synth")
 
 
-def test_core_modules_load_neither_warp_nor_scipy():
+def _loaded_after(statement: str) -> list:
+    """The scenecast.warp and scipy modules a fresh interpreter holds after `statement`."""
     code = (
-        f"import sys, {', '.join('scenecast.' + m for m in CORE_MODULES)}; "
+        f"import sys; {statement}; "
         "print(*(m for m in sys.modules if m == 'scenecast.warp' or m.split('.')[0] == 'scipy'))"
     )
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.split() == []
+    ).stdout.split()
+
+
+def test_core_modules_load_neither_warp_nor_scipy():
+    assert _loaded_after(f"import {', '.join('scenecast.' + m for m in CORE_MODULES)}") == []
+
+
+def test_cli_loads_no_scipy():
+    assert _loaded_after("from scenecast import cli; cli.build_parser()") == ["scenecast.warp"]
