@@ -79,7 +79,8 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
 
     The keys are the parser's valued long options; switches such as
     `forecast --gt` are flags only. Unknown keys and bad values raise with
-    the file, line and key named.
+    the file, line and key named, and a byte that is not UTF-8 with the
+    file, line and byte offset.
     """
     # argparse has no public accessor for a parser's options
     options = {
@@ -87,8 +88,14 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
         for a in parser._actions
         if a.option_strings and a.nargs != 0 and a.dest != "config"
     }
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8 byte at offset {exc.start}") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         s = line.strip()
         if not s or s.startswith("#"):
             continue

@@ -7,13 +7,12 @@ Every voxel center is carried through the relative pose into each temporal
 frame, projected, and tested against that frame's depth map: a voxel is
 visible when its projected depth lies within theta_d of the depth sampled at
 the nearest pixel. Most voxels of a frame cannot pass, so a conservative cull
-runs first, in two levels: over super-blocks of 4x4x2 blocks, then over the
-4x4x4 blocks of the super-blocks it keeps. A box is dropped when its 8
-extreme centers show that every member lies behind the camera, off the
-image, or outside the depth band of its pixel rectangle (read from min/max
-tables over 8x8-pixel depth tiles). Only the members of the kept blocks are
-projected, with the same elementwise arithmetic, so the result is the
-exhaustive test's bit for bit.
+first tests every 4x4x4 block: a block is dropped when its 8 extreme centers
+show that every member lies behind the camera, off the image, or outside the
+depth band of its pixel rectangle (read from min/max tables over 8x8-pixel
+depth tiles). Only the members of the kept blocks are projected, with the
+same elementwise arithmetic, so the result is the exhaustive test's bit for
+bit.
 
 Voxels are grouped into 4x4x4 blocks (visible if any member voxel is, with
 projection coordinates averaged over the visible members); per-frame 2D
@@ -22,12 +21,12 @@ frame-major, zero-padded wherever a frame contributed nothing.
 
 Fusion is one pass per frame: visibility returns only the visible voxels
 (flat indices and projections), they are reduced to the frame's block slice,
-and the frame's feature map is extracted. Visibility projects its kept
-blocks in fixed-size batches, so a pass's temporaries stay small whatever
-the frame. A standard thread pool (`concurrent.futures`, imported on the
-first call) maps the passes two at a time; each writes its frame's block
-slices in place, and the calling thread samples each returned feature map
-at its frame's blocks in frame order, so peak memory is two passes'
+and the frame's feature map is extracted. Visibility culls and projects in
+batches of at most _POINTS points, so a pass's temporaries stay small
+whatever the frame. A standard thread pool (`concurrent.futures`, imported
+on the first call) maps the passes two at a time; each writes its frame's
+block slices in place, and the calling thread samples each returned feature
+map at its frame's blocks in frame order, so peak memory is two passes'
 temporaries plus the block-level arrays. The feature extractor maps an
 image to an HxWxC array with the same C for every frame.
 A frame's blocks and feature channels depend only on that frame and the
@@ -253,83 +252,57 @@ def _depth_range(st: np.ndarray, u0, u1, v0, v1):
     return flat[q].min(axis=0), -flat[q + th * tw].min(axis=0)
 
 
-# super-blocks the cull tests first, in 4x4x4 blocks along x, y and z (16x16x8 voxels)
-_SUPER_BLOCK = (4, 4, 2)
-
-# blocks the cull tests, or `visibility` projects, at once: a batch's temporaries,
-# not the frame's, bound the memory of a visibility pass
-_BATCH = 1024
+# points a cull slab or a projection batch moves and projects at once: these
+# temporaries, not the frame's, bound the memory of a visibility pass
+_POINTS = 65536
 
 
-def _box_ends(c: np.ndarray, first: np.ndarray, edge: int) -> np.ndarray:
-    """The first and last centers, stacked on a new leading axis, of the boxes
-    of `edge` centers that start at the indices `first` of the center axis
-    `c`; a box that runs past the end of the axis is clamped to its last
-    center."""
+def _box_ends(c: np.ndarray, edge: int) -> np.ndarray:
+    """The first and last centers, shaped (2, ceil(n / edge)), of the boxes of
+    `edge` consecutive centers along the center axis `c` of length n; the
+    last box, when partial, is clamped to the last center."""
+    first = np.arange(0, c.size, edge)
     return np.stack([c[first], c[np.minimum(first + edge - 1, c.size - 1)]])
-
-
-def _kept_boxes(ends, r, t, k: CameraIntrinsics, table, theta_d: float, eps: float):
-    """Mask of the boxes the cull keeps, in the broadcast shape of the boxes.
-
-    `ends` holds one array per axis, shaped (2,) + a shape that broadcasts
-    with the other two: the first and last member center of each box along
-    that axis. The centers of a box fill the box spanned by its 8 extreme
-    centers, and a rigid motion keeps that box convex, so `box_footprint`
-    bounds every member by them. A box is dropped when all of them lie
-    behind Z_EPS; or all lie in front and the rectangle, padded by 1 px,
-    misses the image; or [zmin - theta_d, zmax + theta_d] misses the range
-    of positive depth over the rectangle, read from the depth table `table`.
-    Boxes straddling the near plane are kept. `eps` widens the depth bounds.
-    """
-    # the 8 corners of every box, broadcast to (2, 2, 2) + the box shape
-    x, y, z = ends
-    xc, yc, zc = rigid_transform(r, t, x[:, None, None], y[None, :, None], z[None, None])
-    shape = zc.shape[3:]
-    xc, yc, zc = (c.reshape(8, -1) for c in (xc, yc, zc))
-    kept, f, u0, u1, v0, v1 = box_footprint(xc, yc, zc, k, eps)
-    zf = zc.take(f, axis=1)
-    dmin, dmax = _depth_range(table, u0, u1, v0, v1)
-    kept[f[(zf.max(axis=0) + theta_d + eps >= dmin) & (zf.min(axis=0) - theta_d - eps <= dmax)]] = True
-    return kept.reshape(shape)
 
 
 def _kept_blocks(axes, r, t, k: CameraIntrinsics, depth, theta_d: float) -> np.ndarray:
     """Mask of the 4x4x4 blocks the cull keeps, shaped (ceil(X/4), ceil(Y/4),
     ceil(Z/4)) for center axes of lengths X, Y and Z.
 
-    Two levels of the same box test (`_kept_boxes`): first on the
-    super-blocks of 4x4x2 blocks, then on the member blocks of the
-    super-blocks that survive. A block or super-block that runs past the far
-    end of an axis is clamped to the last center. A super-block's extreme
-    centers bound those of its members, so a super-block it drops holds no
-    visible voxel. Every corner at both levels is a voxel center, so one
-    relative epsilon, taken from the largest center coordinate, the
+    A block that runs past the far end of an axis is clamped to the last
+    center. The centers of a block fill the box spanned by its 8 extreme
+    centers, and a rigid motion keeps that box convex, so `box_footprint`
+    bounds every member by them. A block is dropped when all of them lie
+    behind Z_EPS; or all lie in front and the rectangle, padded by 1 px,
+    misses the image; or [zmin - theta_d, zmax + theta_d] misses the range
+    of positive depth over the rectangle, read from the depth table. Blocks
+    straddling the near plane are kept. Every corner is a voxel center, so
+    one relative epsilon, taken from the largest center coordinate, the
     translation and theta_d, covers the rounding of every depth bound.
+    The blocks are tested in slabs of whole x-rows of the block grid, at
+    most _POINTS corners a slab but never less than one x-row.
     """
     e = defaults.BLOCK_EDGE
-    nb = tuple(-(-c.size // e) for c in axes)
     scale = 3.0 * max(np.abs(c[[0, -1]]).max() for c in axes) + np.abs(t).max() + theta_d
     eps = 1e-9 * (1.0 + scale)
     table = _depth_table(depth)
-    # the super-blocks, as a grid of (SX, 1, 1), (1, SY, 1) and (1, 1, SZ) indices
-    edges = [m * e for m in _SUPER_BLOCK]
-    grid = np.ix_(*(np.arange(-(-c.size // s)) for c, s in zip(axes, edges)))
-    ends = [_box_ends(c, g * s, s) for c, g, s in zip(axes, grid, edges)]
-    supers = np.nonzero(_kept_boxes(ends, r, t, k, table, theta_d, eps))
-    # the member blocks of the kept super-blocks, as (n, 4, 4, 2) block indices, up
-    # to _BATCH blocks at a time; an index past the last block repeats the last
-    # block of its own super-block, with the same result
-    offsets = np.ix_(*(np.arange(m) for m in _SUPER_BLOCK))
-    step = max(_BATCH // int(np.prod(_SUPER_BLOCK)), 1)
+    x, y, z = (_box_ends(c, e) for c in axes)
+    nb = (x.shape[1], y.shape[1], z.shape[1])
+    # the 8 corners of a slab's blocks broadcast to (2, 2, 2, rows, BY, BZ)
+    y = y.reshape(1, 2, 1, 1, -1, 1)
+    z = z.reshape(1, 1, 2, 1, 1, -1)
+    rows = max(_POINTS // (8 * nb[1] * nb[2]), 1)
     kept = np.zeros(nb, dtype=bool)
-    for s in range(0, supers[0].size, step):
-        blocks = tuple(
-            np.minimum(sb[s:s + step].reshape(-1, 1, 1, 1) * m + o, n - 1)
-            for sb, m, o, n in zip(supers, _SUPER_BLOCK, offsets, nb)
-        )
-        ends = [_box_ends(c, b * e, e) for c, b in zip(axes, blocks)]
-        kept[blocks] = _kept_boxes(ends, r, t, k, table, theta_d, eps)
+    for s in range(0, nb[0], rows):
+        xs = x[:, s:s + rows].reshape(2, 1, 1, -1, 1, 1)
+        xc, yc, zc = (c.reshape(8, -1) for c in rigid_transform(r, t, xs, y, z))
+        slab, f, *rect = box_footprint(xc, yc, zc, k, eps)
+        dmin, dmax = _depth_range(table, *rect)
+        near = (zc.max(axis=0)[f] + theta_d + eps >= dmin) & (zc.min(axis=0)[f] - theta_d - eps <= dmax)
+        slab[f[near]] = True
+        kept[s:s + rows] = slab.reshape(-1, nb[1], nb[2])
+        # free this slab's arrays before the next slab's corners are made
+        del xc, yc, zc, slab, f, rect, dmin, dmax, near
     return kept
 
 
@@ -353,14 +326,13 @@ def visibility(
     D is read at the nearest integer pixel: bilinear interpolation across
     depth discontinuities would fabricate depths and corrupt the band test.
 
-    A conservative cull (`_kept_blocks`) first drops the 16x16x8-voxel
-    super-blocks, then the 4x4x4 blocks inside the kept ones, that cannot
-    hold a visible voxel, using their corner centers and a min/max depth
-    table over 8x8-pixel tiles. Only the members of the kept blocks go
-    through `project_pixels`, in batches of _BATCH blocks; its elementwise
-    arithmetic is the same for any subset, so the result equals testing
-    every voxel bit for bit. Dims need not be multiples of 4 or of the
-    super-block.
+    A conservative cull (`_kept_blocks`) first drops the 4x4x4 blocks that
+    cannot hold a visible voxel, using their corner centers and a min/max
+    depth table over 8x8-pixel tiles. Only the members of the kept blocks go
+    through `project_pixels`, in batches of _POINTS // 64 blocks (never less
+    than one); its elementwise arithmetic is the same for any subset, so the
+    result equals testing every voxel bit for bit. Dims need not be
+    multiples of 4.
 
     Returns (idx, uvd): the ascending flat C-order indices of the visible
     voxels and their (n, 3) rows of (u, v, d).
@@ -381,8 +353,9 @@ def visibility(
     depth = frame.depth.ravel()
     # an empty part first, so a frame with no kept block concatenates too
     found = [(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))]
-    for s in range(0, blocks[0].size, _BATCH):
-        batch = [m[s:s + _BATCH] for m in members]
+    step = max(_POINTS // e**3, 1)
+    for s in range(0, blocks[0].size, step):
+        batch = [m[s:s + step] for m in members]
         # the batch's member centers, broadcast to (n, 4, 4, 4)
         centers = [
             c[m].reshape(shape)

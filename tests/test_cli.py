@@ -621,6 +621,14 @@ class TestConfigFile:
         assert repr(key) in err or f": {key}: " in err
         assert not (tmp_path / "o").exists()
 
+    def test_non_utf8_byte_names_file_line_and_offset(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=1\n\xff=2\n")
+        code, _, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"error: {cfg}:2: invalid UTF-8 byte at offset 7\n"
+        assert not (tmp_path / "o").exists()
+
     def test_config_reaches_every_option(self, small_frames_dir, tmp_path, capsys):
         cfg = tmp_path / "conf"
         cfg.write_text("interval=5\npast=2\nfuture=gt\nrange-dims=64,64,16\n"

@@ -219,10 +219,10 @@ class TestVisibilityCull:
     @pytest.mark.parametrize("dims", [(36, 20, 10), (38, 21, 11)])
     @pytest.mark.parametrize("k", [K, CameraIntrinsics(160.0, 160.0, 79.5, 59.5, 160, 120)])
     def test_ranges_spanning_several_super_blocks(self, dims, k):
-        # the cull tests 16x16x8-voxel super-blocks before their blocks; both dims
-        # end every axis in a partial super-block, (36, 20, 10) ends z in a partial
-        # block and (38, 21, 11) every axis; some visible voxel must lie in the
-        # last, partial super-block of each axis
+        # ranges of several 16x16x8-voxel regions, each axis ending in a partial
+        # one; (36, 20, 10) ends z in a partial block and (38, 21, 11) every axis,
+        # so the cull clamps those last blocks to the last center; some visible
+        # voxel must lie past the last whole region of each axis
         rng_gen = np.random.default_rng(35)
         dims = np.array(dims)
         srange = SceneRange((-dims[0] * 0.125, 1.0, -dims[2] * 0.125), dims * 0.25, 0.25)
@@ -243,12 +243,57 @@ class TestVisibilityCull:
 
 
 class TestVisibilityCullSmallBatches(TestVisibilityCull):
-    """Every cull case with 3-block batches: several batches per frame, a
-    partial last batch, and frames that keep no block at all."""
+    """Every cull case with a budget of 3 blocks' points: projection batches
+    of 3 blocks, cull slabs of one or a few x-rows, several of each per
+    frame, partial last ones, and frames that keep no block at all."""
 
     @pytest.fixture(autouse=True)
     def small_batches(self, monkeypatch):
-        monkeypatch.setattr(fusion, "_BATCH", 3)
+        monkeypatch.setattr(fusion, "_POINTS", 3 * 64)
+
+
+class TestVisibilityPointBudget:
+    """A visibility pass moves and projects at most _POINTS points per call.
+
+    The cull moves the 8 corners of a slab of whole x-rows of the block grid,
+    and the projection the 64 centers of a batch of blocks. A slab is never
+    less than one x-row, and a batch never less than one block, so the bound
+    is max(_POINTS, 8 * BY * BZ) points per cull call and max(_POINTS, 64)
+    per projection call; here _POINTS exceeds both floors.
+    """
+
+    def test_every_call_within_budget(self, monkeypatch):
+        # (36, 20, 10) voxels are (9, 5, 3) blocks: one x-row is 8 * 5 * 3 = 120
+        # corners, so a slab holds 2 rows (5 slabs), and a batch 4 blocks
+        points = 256
+        monkeypatch.setattr(fusion, "_POINTS", points)
+        sizes = {"rigid_transform": [], "project_pixels": []}
+
+        def recording(name):
+            fn = getattr(fusion, name)
+
+            def wrapper(r, t, x, y, z, *rest):
+                sizes[name].append(np.broadcast(x, y, z).size)
+                return fn(r, t, x, y, z, *rest)
+
+            monkeypatch.setattr(fusion, name, wrapper)
+
+        recording("rigid_transform")
+        recording("project_pixels")
+        dims = np.array((36, 20, 10))
+        srange = SceneRange((-4.5, 1.0, -1.25), dims * 0.25, 0.25)
+        rows, cols = np.mgrid[: K.height, : K.width]
+        depth = 2.0 + 4.0 * (rows + cols) / (K.height + K.width)
+        frame = frame_with_depth(depth, se3_exp(np.array([0.05, 0.1, 0.0, 0.02, -0.03, 0.01])))
+        idx, uvd = visibility(srange, frame, Se3Pose.identity(), K, 0.5)
+        assert sizes["rigid_transform"] and max(sizes["rigid_transform"]) <= points
+        assert sizes["project_pixels"] and max(sizes["project_pixels"]) <= points
+        assert len(sizes["rigid_transform"]) == 5
+        assert len(sizes["project_pixels"]) >= 3
+        vis, proj = visibility_bruteforce(srange, frame, Se3Pose.identity(), K, 0.5)
+        assert idx.size > 0
+        assert np.array_equal(idx, np.flatnonzero(vis))
+        assert np.array_equal(uvd, proj[vis])
 
 
 class TestDownsampleBlocks:
