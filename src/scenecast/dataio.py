@@ -100,8 +100,11 @@ class _Cursor:
         finite, or is negative when `nonnegative`, raises naming its offset."""
         start = self.offset
         values = self.array("<f4", count, f"{what} payload")
-        bad = ~(np.isfinite(values) & (values >= 0.0 if nonnegative else True))
-        if bad.any():
+        # NaN propagates through min and max, so the two decide; the scan for
+        # the first bad offset runs only on failure
+        lo, hi = (values.min(), values.max()) if count else (0.0, 0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi) and (lo >= 0.0 or not nonnegative)):
+            bad = ~(np.isfinite(values) & (values >= 0.0 if nonnegative else True))
             i = int(np.flatnonzero(bad)[0])
             rule = "finite" + " and >= 0" * nonnegative
             raise self.fail(f"{what} value {values[i]} at offset {start + 4 * i} is not {rule}")
@@ -182,6 +185,12 @@ def read_depth(path) -> np.ndarray:
 
 # --------------------------------------------------------------------- images
 
+# rows write_image quantises at a time
+_IMAGE_BAND = 32
+# one integer token of a PNM header
+_PNM_INTEGER = re.compile(rb"[0-9]+")
+
+
 def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
     """Binary PNM: magic, width, height and maxval 255, then the uint8 pixels."""
     h, w = pixels.shape[:2]
@@ -189,13 +198,25 @@ def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
 
 
 def write_image(path, image: np.ndarray) -> None:
-    """Write an HxWx3 image in [0, 1] as binary PPM (P6)."""
+    """Write an HxWx3 image in [0, 1] as binary PPM (P6).
+
+    Quantised _IMAGE_BAND rows at a time into one uint8 buffer, so the float
+    temporaries span one band; a non-finite value in any band raises before
+    any file is written.
+    """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3 or img.size == 0:
         raise ValueError(f"expected HxWx3 image with H, W >= 1, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise ValueError("image values must be finite")
-    _write_pnm(path, "P6", np.floor(img * 255.0 + 0.5).clip(0, 255).astype(np.uint8))
+    pixels = np.empty(img.shape, dtype=np.uint8)
+    for r in range(0, img.shape[0], _IMAGE_BAND):
+        band = img[r: r + _IMAGE_BAND]
+        if not np.isfinite(band).all():
+            raise ValueError("image values must be finite")
+        q = band * 255.0
+        q += 0.5
+        np.floor(q, out=q)
+        pixels[r: r + _IMAGE_BAND] = q.clip(0, 255, out=q)
+    _write_pnm(path, "P6", pixels)
 
 
 def write_pgm(path, values: np.ndarray) -> None:
@@ -233,11 +254,11 @@ def _pnm_tokens(cur: _Cursor, count: int) -> list:
         elif ch.isspace():
             pos += 1
         else:
-            m = re.match(rb"[0-9]+", buf[pos:])
+            m = _PNM_INTEGER.match(buf, pos)
             if not m:
                 raise cur.fail(f"expected integer at offset {pos}")
             tokens.append((int(m.group(0)), pos))
-            pos += m.end()
+            pos = m.end()
     if pos >= len(buf):
         raise cur.fail(f"truncated header at offset {pos}")
     if not buf[pos: pos + 1].isspace():
@@ -256,7 +277,7 @@ def read_image(path) -> np.ndarray:
         raise cur.fail(f"unsupported maxval {maxval} at offset {at} (only 255)")
     pix = cur.array(np.uint8, w * h * 3, "pixel payload")
     cur.end()
-    return pix.reshape(h, w, 3).astype(np.float64) / 255.0
+    return np.divide(pix.reshape(h, w, 3), 255.0, dtype=np.float64)
 
 
 # ---------------------------------------------------------------- pose files

@@ -198,11 +198,13 @@ class FrameBundle:
             raise ValueError(
                 f"depth shape {self.depth.shape} does not match image {self.image.shape[:2]}"
             )
-        if not np.all(np.isfinite(self.image)):
-            raise ValueError("image entries must be finite")
-        if self.image.min() < 0.0 or self.image.max() > 1.0:
+        # NaN propagates through min and max, so the two cover the finite
+        # check; the isfinite pass only picks the message
+        if not (self.image.min() >= 0.0 and self.image.max() <= 1.0):
+            if not np.all(np.isfinite(self.image)):
+                raise ValueError("image entries must be finite")
             raise ValueError("image entries must lie in [0, 1]")
-        if not np.all(np.isfinite(self.depth)) or self.depth.min() < 0.0:
+        if not (self.depth.min() >= 0.0 and self.depth.max() < np.inf):
             raise ValueError("depth entries must be finite and >= 0")
 
     @property

@@ -67,8 +67,10 @@ def fill_refiner(result: WarpResult) -> Tuple[np.ndarray, np.ndarray]:
     # imported here, so a process that never fills does not pay for loading scipy
     from scipy import ndimage
     channels = result.image.shape[2]
-    iy, ix = ndimage.distance_transform_edt(~hit, return_distances=False, return_indices=True)
-    nearest = iy.astype(np.int64) * hit.shape[1] + ix
+    nearest = np.ravel_multi_index(
+        ndimage.distance_transform_edt(~hit, return_distances=False, return_indices=True),
+        hit.shape,
+    )
     return result.image.reshape(-1, channels).take(nearest, axis=0), result.depth.take(nearest)
 
 
@@ -128,6 +130,39 @@ def reprojection_flow(
     return spix[idx], pix, np.stack([up, vp, zp], axis=1)
 
 
+def _winners(sources, dst_pose, k, dst_frame_index):
+    """(target, depth, key) of the one candidate that wins each reached target.
+
+    The key packs (proximity rank, source pixel, slot): the rank among the
+    sources' distinct proximities orders like the proximity, however far
+    apart the indices. A candidate keeps only these three, so each source's
+    uvd is freed as soon as its depths are copied out, and every candidate
+    array is freed on return.
+    """
+    n, pixels = len(sources), sources[0].depth.size
+    proximity = [abs(s.frame_index - dst_frame_index) for s in sources]
+    rank = {p: i for i, p in enumerate(sorted(set(proximity)))}
+
+    def candidates(slot, src):
+        spix, tgt, uvd = reprojection_flow(src, dst_pose, k)
+        return tgt, uvd[:, 2].copy(), (rank[proximity[slot]] * pixels + spix) * n + slot
+
+    tgt, depths, key = (np.concatenate(c) for c in zip(*map(candidates, range(n), sources)))
+    # float, not int64: a cast would wrap above ~9.2e9 m and win the z-buffer
+    dq = np.round(depths / DEPTH_TIE_QUANTUM)
+
+    # the z-buffer: per target, the least depth bucket, then the least key among
+    # the candidates that reach it; keys are unique, so one candidate wins
+    least_dq = np.full(pixels, np.inf)
+    np.minimum.at(least_dq, tgt, dq)
+    near = np.flatnonzero(dq == least_dq[tgt])
+    near_tgt, near_key = tgt[near], key[near]
+    least_key = np.full(pixels, np.iinfo(np.int64).max)
+    np.minimum.at(least_key, near_tgt, near_key)
+    winners = near[near_key == least_key[near_tgt]]
+    return tgt[winners], depths[winners], key[winners]
+
+
 def forward_splat(
     sources: Sequence[FrameBundle],
     dst_pose: Se3Pose,
@@ -158,37 +193,18 @@ def forward_splat(
             "(sources squared times pixels must not exceed 2**63)"
         )
 
-    # the key (proximity rank, source pixel, slot): the rank among the sources'
-    # distinct proximities orders like the proximity, however far apart the indices
-    proximity = [abs(s.frame_index - dst_frame_index) for s in sources]
-    rank = {p: i for i, p in enumerate(sorted(set(proximity)))}
-    # one (target, depth, key, color) tuple per source
-    parts = []
-    for slot, src in enumerate(sources):
-        spix, tgt, uvd = reprojection_flow(src, dst_pose, k)
-        key = (rank[proximity[slot]] * pixels + spix) * n + slot
-        parts.append((tgt, uvd[:, 2], key, src.image.reshape(-1, channels).take(spix, axis=0)))
-    tgt, depths, key, colors = (np.concatenate(p) for p in zip(*parts))
-    # float, not int64: a cast would wrap above ~9.2e9 m and win the z-buffer
-    dq = np.round(depths / DEPTH_TIE_QUANTUM)
-
-    # the z-buffer: per target, the least depth bucket, then the least key among
-    # the candidates that reach it; keys are unique, so one candidate wins
-    least_dq = np.full(pixels, np.inf)
-    np.minimum.at(least_dq, tgt, dq)
-    near = np.flatnonzero(dq == least_dq[tgt])
-    near_tgt, near_key = tgt[near], key[near]
-    least_key = np.full(pixels, np.iinfo(np.int64).max)
-    np.minimum.at(least_key, near_tgt, near_key)
-    winners = near[near_key == least_key[near_tgt]]
-
-    t = tgt[winners]
+    t, d, key = _winners(sources, dst_pose, k, dst_frame_index)
+    slot = key % n
+    spix = key // n % pixels
     image = np.zeros((h, w, channels))
     depth = np.zeros((h, w))
     source_index = np.full((h, w), -1, dtype=np.int64)
-    image.reshape(-1, channels)[t] = colors.take(winners, axis=0)
-    depth.reshape(-1)[t] = depths[winners]
-    source_index.reshape(-1)[t] = key[winners] % n
+    # colours are gathered per source for its own winners, never for every candidate
+    for s, src in enumerate(sources):
+        mine = slot == s
+        image.reshape(-1, channels)[t[mine]] = src.image.reshape(-1, channels)[spix[mine]]
+    depth.reshape(-1)[t] = d
+    source_index.reshape(-1)[t] = slot
     return WarpResult(image, depth, source_index)
 
 

@@ -191,13 +191,35 @@ class TestImageFile:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_image_not_written(self, tmp_path, bad):
-        # refused before any cast, so no numpy RuntimeWarning either
-        img = np.zeros((2, 3, 3))
-        img[1, 2, 0] = bad
+        # refused before any cast, so no numpy RuntimeWarning either; in an
+        # image of several bands, a bad value in a later band still leaves no file
+        band = dataio._IMAGE_BAND
+        for shape, at in [((2, 3, 3), (1, 2, 0)), ((2 * band + 2, 3, 3), (band, 2, 1)),
+                          ((2 * band + 2, 3, 3), (2 * band + 1, 0, 2))]:
+            img = np.zeros(shape)
+            img[at] = bad
+            with pytest.raises(ValueError, match="finite"):
+                dataio.write_image(tmp_path / "i.ppm", img)
+            assert not any(tmp_path.iterdir())
+
+    def test_quantised_band_by_band(self, tmp_path):
+        # three bands and a partial fourth; exact levels k/255 and half levels
+        # (k + 0.5)/255, each also 1 ulp either side, fill the image, and the
+        # rows either side of each band boundary hold out-of-range values
+        band = dataio._IMAGE_BAND
+        gen = np.random.default_rng(9)
+        shape = (3 * band + 5, 6, 3)
+        levels = (gen.integers(0, 256, size=shape) + gen.choice([0.0, 0.5], size=shape)) / 255.0
+        img = np.nextafter(levels, levels + gen.choice([-1.0, 0.0, 1.0], size=shape))
+        edges = [-1.0, -1e-300, -0.0, 1.0 + 1e-15, 2.0, 1e300]
+        for r in range(band, shape[0], band):
+            img[r - 1, :, 0] = img[r, :, 1] = edges
         path = tmp_path / "i.ppm"
-        with pytest.raises(ValueError, match="finite"):
-            dataio.write_image(path, img)
-        assert not path.exists()
+        dataio.write_image(path, img)
+        want = np.floor(img * 255.0 + 0.5).clip(0, 255).astype(np.uint8)
+        data = path.read_bytes()
+        assert data == f"P6\n6 {shape[0]}\n255\n".encode() + want.tobytes()
+        assert list(want[band, :, 1]) == [0, 0, 0, 255, 255, 255]
 
     @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
     def test_zero_size_pgm_not_written(self, tmp_path, shape):

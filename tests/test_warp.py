@@ -473,10 +473,33 @@ class TestFrameBundleValidation:
         with pytest.raises(ValueError, match="HxWxC"):
             FrameBundle(np.zeros((4, 4)), np.zeros((4, 4)), Se3Pose.identity(), 0)
 
+    @staticmethod
+    def frame_with(image_value=0.5, depth_value=1.0):
+        """A 4x4 frame whose pixel (2, 1) holds the given image and depth value."""
+        image, depth = np.full((4, 4, 3), 0.5), np.ones((4, 4))
+        image[2, 1, 1], depth[2, 1] = image_value, depth_value
+        return FrameBundle(image, depth, Se3Pose.identity(), 0)
+
+    def test_non_finite_image(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="image entries must be finite"):
+                self.frame_with(image_value=bad)
+        # a value out of range elsewhere does not change which message is given
+        image = np.full((4, 4, 3), 1.5)
+        image[3, 3, 2] = np.nan
+        with pytest.raises(ValueError, match="image entries must be finite"):
+            FrameBundle(image, np.ones((4, 4)), Se3Pose.identity(), 0)
+
     def test_image_range(self):
-        with pytest.raises(ValueError):
-            FrameBundle(np.full((4, 4, 3), 1.5), np.zeros((4, 4)), Se3Pose.identity(), 0)
+        for bad in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                self.frame_with(image_value=bad)
+        for edge in (0.0, 1.0):
+            self.frame_with(image_value=edge)
 
     def test_negative_depth(self):
-        with pytest.raises(ValueError):
-            FrameBundle(np.zeros((4, 4, 3)), np.full((4, 4), -1.0), Se3Pose.identity(), 0)
+        for bad in (np.nan, np.inf, -1e-300, -1.0):
+            with pytest.raises(ValueError, match="depth entries must be finite and >= 0"):
+                self.frame_with(depth_value=bad)
+        for edge in (0.0, -0.0):
+            self.frame_with(depth_value=edge)
