@@ -20,6 +20,7 @@ only FormatError, naming the file and byte offset, or the line, at fault.
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 import struct
@@ -191,32 +192,38 @@ _IMAGE_BAND = 32
 _PNM_INTEGER = re.compile(rb"[0-9]+")
 
 
-def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
-    """Binary PNM: magic, width, height and maxval 255, then the uint8 pixels."""
-    h, w = pixels.shape[:2]
-    atomic_write_bytes(path, f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
+def _pnm_buffer(magic: str, shape: tuple) -> tuple:
+    """(buffer, pixels): one uint8 array holding a binary PNM header (magic,
+    width, height, maxval 255), then room for the pixels, and a view of that
+    room in `shape`, H x W or H x W x 3. The caller fills the view and writes
+    the buffer, so a write holds one copy of the frame."""
+    header = np.frombuffer(f"{magic}\n{shape[1]} {shape[0]}\n255\n".encode("ascii"), np.uint8)
+    buf = np.empty(header.size + math.prod(shape), dtype=np.uint8)
+    buf[: header.size] = header
+    return buf, buf[header.size:].reshape(shape)
 
 
 def write_image(path, image: np.ndarray) -> None:
     """Write an HxWx3 image in [0, 1] as binary PPM (P6).
 
-    Quantised _IMAGE_BAND rows at a time into one uint8 buffer, so the float
-    temporaries span one band; a non-finite value in any band raises before
-    any file is written.
+    Quantised _IMAGE_BAND rows at a time, through one band of float scratch,
+    into the file's one uint8 buffer; a non-finite value in any band raises
+    before any file is written.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3 or img.size == 0:
         raise ValueError(f"expected HxWx3 image with H, W >= 1, got shape {img.shape}")
-    pixels = np.empty(img.shape, dtype=np.uint8)
+    buf, pixels = _pnm_buffer("P6", img.shape)
+    scratch = np.empty((min(_IMAGE_BAND, img.shape[0]),) + img.shape[1:])
     for r in range(0, img.shape[0], _IMAGE_BAND):
         band = img[r: r + _IMAGE_BAND]
         if not np.isfinite(band).all():
             raise ValueError("image values must be finite")
-        q = band * 255.0
+        q = np.multiply(band, 255.0, out=scratch[: len(band)])
         q += 0.5
         np.floor(q, out=q)
         pixels[r: r + _IMAGE_BAND] = q.clip(0, 255, out=q)
-    _write_pnm(path, "P6", pixels)
+    atomic_write_bytes(path, buf)
 
 
 def write_pgm(path, values: np.ndarray) -> None:
@@ -226,13 +233,16 @@ def write_pgm(path, values: np.ndarray) -> None:
     v = np.asarray(values)
     if v.ndim != 2 or v.size == 0:
         raise ValueError(f"expected HxW map with H, W >= 1, got shape {v.shape}")
+    if v.dtype != bool:
+        if not np.all(np.isfinite(v)):
+            raise ValueError("map values must be finite")
+        if v.min() < 0 or v.max() > 255:
+            raise ValueError(f"map values must lie in 0..255, got {v.min()}..{v.max()}")
+    buf, pixels = _pnm_buffer("P5", v.shape)
+    pixels[...] = v  # a float value truncates toward zero
     if v.dtype == bool:
-        v = v.astype(np.uint8) * 255
-    elif not np.all(np.isfinite(v)):
-        raise ValueError("map values must be finite")
-    elif v.min() < 0 or v.max() > 255:
-        raise ValueError(f"map values must lie in 0..255, got {v.min()}..{v.max()}")
-    _write_pnm(path, "P5", v.astype(np.uint8))
+        pixels *= 255
+    atomic_write_bytes(path, buf)
 
 
 def _pnm_tokens(cur: _Cursor, count: int) -> list:

@@ -50,6 +50,7 @@ from .geom import (
     Se3Pose,
     bilinear_sample_many,
     box_footprint,
+    compose,
     depth_tiles,
     project_pixels,
     relative_pose,
@@ -200,17 +201,15 @@ def _center_axes(rng: SceneRange):
     )
 
 
-def scene_to_frame_transform(current_pose: Se3Pose, frame_pose: Se3Pose):
-    """(R, t) taking scene-frame points of the current camera into frame_pose's camera.
+# scene-frame points of a camera into that camera: a product with 0 and +-1
+# entries, so composing with it only reorders and negates exactly
+_CAMERA_FROM_SCENE = Se3Pose(LEVEL_CAMERA_ROTATION.T, np.zeros(3))
 
-    Scene axis j is the signed camera axis in row j of LEVEL_CAMERA_ROTATION,
-    so the scene-to-camera map folds into the relative rotation by picking
-    and negating its columns, which is exact.
-    """
-    rel = relative_pose(current_pose, frame_pose)
-    axes = np.abs(LEVEL_CAMERA_ROTATION).argmax(axis=1)
-    signs = LEVEL_CAMERA_ROTATION[np.arange(3), axes]
-    return rel.rotation[:, axes] * signs, rel.translation.copy()
+
+def scene_to_frame_transform(current_pose: Se3Pose, frame_pose: Se3Pose):
+    """(R, t) taking scene-frame points of the current camera into frame_pose's camera."""
+    p = compose(relative_pose(current_pose, frame_pose), _CAMERA_FROM_SCENE)
+    return p.rotation, p.translation
 
 
 def _depth_table(depth: np.ndarray) -> np.ndarray:

@@ -32,6 +32,8 @@ _SMALL_ANGLE = 1e-8
 # axes, camera x = scene x, camera y = -scene z, camera z = scene y
 LEVEL_CAMERA_ROTATION = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 LEVEL_CAMERA_ROTATION.flags.writeable = False
+_ZERO = np.zeros(3)
+_ZERO.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,7 @@ class Se3Pose:
     The one rule for rotations: non-finite entries, a determinant <= 0 and a
     drift from orthonormality above _ORTHO_REJECT raise, in that order; a
     drift above ORTHO_DRIFT is projected onto SO(3), a smaller one kept.
+    Every product is `_times`, so no LAPACK or BLAS call decides a bit.
     Instances are immutable and safe to share across threads.
     """
 
@@ -52,19 +55,27 @@ class Se3Pose:
         t = np.array(self.translation, dtype=np.float64).reshape(3)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
             raise ValueError("pose entries must be finite")
-        # an overflowing block gets an inf or nan det or drift, rejected below
+        # the triple product r0 . (r1 x r2); an overflowing block gets an inf
+        # or nan det or drift, rejected below
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+        det = (
+            r00 * (r11 * r22 - r12 * r21) + r01 * (r12 * r20 - r10 * r22)
+            + r02 * (r10 * r21 - r11 * r20)
+        )
         with np.errstate(over="ignore", invalid="ignore"):
-            det = np.linalg.det(r)
-            drift = float(np.abs(r @ r.T - np.eye(3)).max())
+            drift = _drift(r)
         # before the projection, which would turn a near-reflection into a rotation
         if not det > 0.0:
             raise ValueError("rotation must have determinant +1")
         if not drift <= _ORTHO_REJECT:
             raise ValueError(f"rotation drift {drift:.3e} exceeds {_ORTHO_REJECT:.0e}")
-        if drift > ORTHO_DRIFT:
-            # the Frobenius-nearest orthonormal matrix, a rotation since det > 0
-            u, _, vt = np.linalg.svd(r)
-            r = u @ vt
+        while drift > ORTHO_DRIFT:
+            # Bjorck's iteration R <- R (3I - R^T R) / 2 (Bjorck & Bowie, 1971)
+            # converges quadratically to the Frobenius-nearest orthonormal
+            # matrix, a rotation since det > 0; from a drift <= _ORTHO_REJECT
+            # it takes at most 3 steps
+            r = 0.5 * _times(r, 3.0 * np.eye(3) - _times(r.T, r))
+            drift = _drift(r)
         r.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
@@ -81,14 +92,27 @@ class Se3Pose:
         return m
 
 
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of a 3x3 `a` and a 3x3 or 3-vector `b`, summed in
+    `rigid_transform`'s fixed order: the one 3x3 product of the package, so
+    no pose bit depends on which BLAS kernel the host CPU picks."""
+    return np.stack(rigid_transform(a, _ZERO, *b))
+
+
+def _drift(r: np.ndarray) -> float:
+    """Largest entry of |r r^T - I|."""
+    return float(np.abs(_times(r, r.T) - np.eye(3)).max())
+
+
 def compose(a: Se3Pose, b: Se3Pose) -> Se3Pose:
     """Composition applying b first, then a: result(p) = a(b(p))."""
-    return Se3Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
+    r = a.rotation
+    return Se3Pose(_times(r, b.rotation), _times(r, b.translation) + a.translation)
 
 
 def inverse(p: Se3Pose) -> Se3Pose:
     rt = p.rotation.T
-    return Se3Pose(rt, -(rt @ p.translation))
+    return Se3Pose(rt, -_times(rt, p.translation))
 
 
 def relative_pose(from_pose: Se3Pose, to_pose: Se3Pose) -> Se3Pose:
@@ -120,9 +144,9 @@ def se3_exp(xi) -> Se3Pose:
     if not np.all(np.isfinite(xi)):
         raise ValueError("twist entries must be finite")
     w, rho = xi[:3], xi[3:]
-    theta = float(np.linalg.norm(w))
+    theta = math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
     k = _skew(w)
-    k2 = k @ k
+    k2 = _times(k, k)
     eye = np.eye(3)
     if theta < _SMALL_ANGLE:
         # second-order Taylor of both R and V; error O(theta^3)
@@ -135,13 +159,13 @@ def se3_exp(xi) -> Se3Pose:
         c = (theta - math.sin(theta)) / (t2 * theta)
         r = eye + a * k + b * k2
         v = eye + b * k + c * k2
-    return Se3Pose(r, v @ rho)
+    return Se3Pose(r, _times(v, rho))
 
 
 def se3_log(p: Se3Pose) -> np.ndarray:
     """Twist whose exponential reproduces the pose; angle must be below pi."""
     r = p.rotation
-    cos_theta = min(1.0, max(-1.0, (float(np.trace(r)) - 1.0) * 0.5))
+    cos_theta = min(1.0, max(-1.0, (float(r[0, 0] + r[1, 1] + r[2, 2]) - 1.0) * 0.5))
     theta = math.acos(cos_theta)
     if theta >= math.pi - 1e-6:
         raise ValueError(f"rotation angle {theta:.9f} too close to pi for a stable log")
@@ -149,15 +173,15 @@ def se3_log(p: Se3Pose) -> np.ndarray:
     if theta < _SMALL_ANGLE:
         w = vee
         k = _skew(w)
-        v_inv = np.eye(3) - 0.5 * k + (k @ k) / 12.0
+        v_inv = np.eye(3) - 0.5 * k + _times(k, k) / 12.0
     else:
         w = (theta / math.sin(theta)) * vee
         k = _skew(w)
         coeff = (1.0 - (theta * math.cos(theta * 0.5)) / (2.0 * math.sin(theta * 0.5))) / (
             theta * theta
         )
-        v_inv = np.eye(3) - 0.5 * k + coeff * (k @ k)
-    return np.concatenate([w, v_inv @ p.translation])
+        v_inv = np.eye(3) - 0.5 * k + coeff * _times(k, k)
+    return np.concatenate([w, _times(v_inv, p.translation)])
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,20 @@ def tile_fold_bruteforce(name: str, a, s: int):
     return out
 
 
+def mat3_bruteforce(a, b):
+    """Scalar product of a 3x3 `a` and a 3x3 or 3-vector `b`, each entry
+    summed (a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j in Python floats; a list of
+    rows, or one list for a vector `b`."""
+    a = np.asarray(a, dtype=np.float64).tolist()
+    b = np.asarray(b, dtype=np.float64).tolist()
+    if not isinstance(b[0], list):
+        return [(a[i][0] * b[0] + a[i][1] * b[1]) + a[i][2] * b[2] for i in range(3)]
+    return [
+        [(a[i][0] * b[0][j] + a[i][1] * b[1][j]) + a[i][2] * b[2][j] for j in range(3)]
+        for i in range(3)
+    ]
+
+
 def bilinear_bruteforce(field, u: float, v: float):
     """Scalar bilinear sample as a tent-filter sum over every pixel.
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scenecast.forecast import PoseSequence, forecast_next, pose_mse
-from scenecast.geom import Se3Pose, compose, inverse, se3_exp, se3_log
+from scenecast.geom import LEVEL_CAMERA_ROTATION, Se3Pose, compose, inverse, se3_exp, se3_log
 
 
 def constant_twist_sequence(xi, count, interval=5, start=None):
@@ -80,6 +80,16 @@ class TestExtrapolate:
         seq = constant_twist_sequence(np.zeros(6), 4)
         pred = forecast_next(seq, 3)
         assert np.abs(pred.matrix34() - seq.poses[-1].matrix34()).max() < 1e-12
+
+    @pytest.mark.parametrize("start_m", [10.0, 15.0, 1005.0, 2000.0])
+    def test_level_whole_metre_steps_are_bit_exact(self, start_m):
+        # a level camera driving 5 m a frame forward: every twist, product and
+        # mean is exact, so the forecast is the next pose bit for bit
+        def pose(j):
+            return Se3Pose(LEVEL_CAMERA_ROTATION, [0.0, start_m + 5.0 * j, 0.0])
+
+        seq = PoseSequence(tuple(pose(j) for j in range(5)), tuple(range(0, 25, 5)), 5)
+        assert np.array_equal(forecast_next(seq).matrix34(), pose(5).matrix34())
 
     def test_random_constant_twists_are_exact(self):
         rng = np.random.default_rng(8)

@@ -14,6 +14,7 @@ from scenecast.fusion import (
     downsample_blocks,
     fuse_pipeline,
     resample_to_range,
+    scene_to_frame_transform,
     visibility,
 )
 from scenecast.geom import (
@@ -22,6 +23,7 @@ from scenecast.geom import (
     FrameBundle,
     Se3Pose,
     compose,
+    relative_pose,
     se3_exp,
 )
 from scenecast.synth import (
@@ -75,6 +77,24 @@ class TestVoxelCenters:
         message = r"^extents must be finite and positive, got \[inf, 1e\+308, inf\]$"
         with pytest.raises(ValueError, match=message):
             SceneRange((0.0, 0.0, 0.0), (128 * 1e308, 1e308, 16 * 1e308), 1e308)
+
+
+class TestSceneToFrameTransform:
+    def test_equals_picked_and_negated_columns(self):
+        # scene axis j is the signed camera axis in row j of
+        # LEVEL_CAMERA_ROTATION, so the transform is the relative rotation's
+        # columns picked and negated, which is exact
+        axes = np.abs(LEVEL_CAMERA_ROTATION).argmax(axis=1)
+        signs = LEVEL_CAMERA_ROTATION[np.arange(3), axes]
+        gen = np.random.default_rng(21)
+        for n in range(200):
+            current = canonical_camera_pose(gen.normal(size=3))
+            current = compose(current, se3_exp(gen.normal(size=6)))
+            frame = current if n % 10 == 0 else compose(current, se3_exp(gen.normal(size=6)))
+            rel = relative_pose(current, frame)
+            r, t = scene_to_frame_transform(current, frame)
+            assert np.array_equal(r, rel.rotation[:, axes] * signs)
+            assert np.array_equal(t, rel.translation)
 
 
 class TestVisibility:

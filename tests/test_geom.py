@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bilinear_bruteforce, tile_fold_bruteforce
+from oracles import bilinear_bruteforce, mat3_bruteforce, tile_fold_bruteforce
 from scenecast.geom import (
+    ORTHO_DRIFT,
     CameraIntrinsics,
     FrameBundle,
     Se3Pose,
@@ -181,6 +182,122 @@ class TestSe3LogExp:
         p = Se3Pose(rot_z(180.0), np.zeros(3))
         with pytest.raises(ValueError):
             se3_log(p)
+
+
+def skew_bruteforce(w):
+    return [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
+
+
+def each(f, m):
+    return [[f(x) for x in row] for row in m]
+
+
+def combine(sign, p, k, k2):
+    """(I + sign * (p * k)) + k2 entry by entry, as numpy evaluates
+    `eye + p * k + k2` (sign 1) or `eye - p * k + k2` (sign -1)."""
+    return [[((i == j) + sign * (p * k[i][j])) + k2[i][j] for j in range(3)] for i in range(3)]
+
+
+def se3_exp_bruteforce(xi):
+    """(R, t) of `se3_exp` in Python floats, every product from mat3_bruteforce."""
+    w0, w1, w2, *rho = (float(v) for v in xi)
+    theta = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    k = skew_bruteforce([w0, w1, w2])
+    k2 = mat3_bruteforce(k, k)
+    if theta < 1e-8:
+        r = combine(1, 1.0, k, each(lambda x: 0.5 * x, k2))
+        v = combine(1, 0.5, k, each(lambda x: x / 6.0, k2))
+    else:
+        t2 = theta * theta
+        a = math.sin(theta) / theta
+        b = (1.0 - math.cos(theta)) / t2
+        c = (theta - math.sin(theta)) / (t2 * theta)
+        r = combine(1, a, k, each(lambda x: b * x, k2))
+        v = combine(1, b, k, each(lambda x: c * x, k2))
+    return r, mat3_bruteforce(v, rho)
+
+
+def se3_log_bruteforce(pose):
+    """The twist of `se3_log` in Python floats, every product from mat3_bruteforce."""
+    r = pose.rotation.tolist()
+    theta = math.acos(min(1.0, max(-1.0, ((r[0][0] + r[1][1] + r[2][2]) - 1.0) * 0.5)))
+    vee = [0.5 * (r[2][1] - r[1][2]), 0.5 * (r[0][2] - r[2][0]), 0.5 * (r[1][0] - r[0][1])]
+    if theta < 1e-8:
+        w = vee
+        k = skew_bruteforce(w)
+        v_inv = combine(-1, 0.5, k, each(lambda x: x / 12.0, mat3_bruteforce(k, k)))
+    else:
+        w = [(theta / math.sin(theta)) * x for x in vee]
+        k = skew_bruteforce(w)
+        coeff = (1.0 - (theta * math.cos(theta * 0.5)) / (2.0 * math.sin(theta * 0.5))) / (
+            theta * theta
+        )
+        v_inv = combine(-1, 0.5, k, each(lambda x: coeff * x, mat3_bruteforce(k, k)))
+    return w + mat3_bruteforce(v_inv, pose.translation)
+
+
+def random_twist(rng, angle: float) -> np.ndarray:
+    w = rng.normal(size=3)
+    return np.concatenate([w * (angle / np.linalg.norm(w)), rng.normal(scale=5.0, size=3)])
+
+
+class TestFixedOrderProducts:
+    # every pose product sums (a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j, so the
+    # bits match the scalar oracle whatever BLAS kernel the host picks
+
+    def test_compose_and_inverse(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            a, b = random_pose(rng), random_pose(rng)
+            at = a.translation.tolist()
+            t = [x + y for x, y in zip(mat3_bruteforce(a.rotation, b.translation), at)]
+            ab = compose(a, b)
+            assert np.array_equal(ab.rotation, mat3_bruteforce(a.rotation, b.rotation))
+            assert np.array_equal(ab.translation, t)
+            inv = inverse(a)
+            assert np.array_equal(inv.rotation, a.rotation.T)
+            assert np.array_equal(inv.translation, [-x for x in mat3_bruteforce(a.rotation.T, at)])
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-12, 1e-9, 1e-3, 0.5, 2.0, math.pi - 1e-2])
+    def test_se3_exp_and_log(self, angle):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            xi = random_twist(rng, angle)
+            p = se3_exp(xi)
+            r, t = se3_exp_bruteforce(xi)
+            assert np.array_equal(p.rotation, r) and np.array_equal(p.translation, t)
+            assert np.array_equal(se3_log(p), se3_log_bruteforce(p))
+
+
+def rotation_polar_factor(m: np.ndarray) -> np.ndarray:
+    u, _, vt = np.linalg.svd(m)
+    return u @ vt
+
+
+class TestRotationProjection:
+    # a drift above ORTHO_DRIFT is projected onto the Frobenius-nearest
+    # rotation, which SVD gives as u vt
+
+    @pytest.mark.parametrize("drift", [1e-11, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2])
+    def test_matches_svd_polar_factor(self, drift):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            r = random_pose(rng).rotation
+            noise = rng.uniform(-1.0, 1.0, size=(3, 3))
+            # scaled to the drift to first order, then once more by the drift it has
+            m = r + noise * (drift / np.abs(noise @ r.T + r @ noise.T).max())
+            m = r + (m - r) * (drift / np.abs(m @ m.T - np.eye(3)).max())
+            assert ORTHO_DRIFT < np.abs(m @ m.T - np.eye(3)).max() <= 1e-2
+            got = Se3Pose(m, np.zeros(3)).rotation
+            assert np.abs(got - rotation_polar_factor(m)).max() <= 1e-12
+            assert np.abs(got @ got.T - np.eye(3)).max() <= ORTHO_DRIFT
+
+    def test_rotation_printed_to_three_decimals(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            m = np.array([[float(f"{v:.3f}") for v in row] for row in random_pose(rng).rotation])
+            got = Se3Pose(m, np.zeros(3)).rotation
+            assert np.abs(got - rotation_polar_factor(m)).max() <= 1e-12
 
 
 def project_one(x, y, z, r=np.eye(3), t=np.zeros(3)):

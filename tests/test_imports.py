@@ -7,7 +7,9 @@ of a public function is passed by some call in src/, so no public API and no
 parameter exists for the tests alone. Only the command line imports the
 synthesis module `warp`, and every other module, the renderer and feature
 extractor `synth` included, loads no scipy; nor does the command line, which
-loads it at the first fill.
+loads it at the first fill. No code under src/ hands a product to BLAS or
+LAPACK, whose kernel the host CPU picks, except where `BLAS_ROUTES` says why
+its bits reach no output file.
 """
 import ast
 import os
@@ -36,6 +38,15 @@ UNPASSED_DEFAULTS = {
     "frequency of the ground truth",
     "losses.total_synth_loss.w": "entry point: None gives the paper's term weights",
 }
+
+# functions under src/ allowed a BLAS or LAPACK route, with the reason each stays
+BLAS_ROUTES = {
+    "losses._ssim_channel": "the SSIM loss writes no file, so no output byte "
+    "depends on its tensordot",
+}
+
+# numpy functions that may hand a product to BLAS
+BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
 
 
 def unused_imports(source: str) -> list:
@@ -144,6 +155,41 @@ def unpassed_defaults(sources: dict) -> list:
     return sorted(found)
 
 
+def blas_routes(source: str) -> list:
+    """(function, line, route) of each product a module may hand to BLAS or
+    LAPACK: the `@` operator, any use or import of `linalg`, and calls or
+    imports of the BLAS_CALLS names (`np.dot(...)` and `a.dot(...)` alike).
+    `function` is the qualified name of the innermost enclosing function or
+    class, "" at module level."""
+    found = []
+
+    def route(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            return "@"
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            return "linalg"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            return node.func.attr if node.func.attr in BLAS_CALLS else None
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            hits = [n for n in names if set(n.split(".")) & (BLAS_CALLS | {"linalg"})]
+            return hits[0] if hits else None
+        return None
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            what = route(child)
+            if what:
+                found.append((where, child.lineno, what))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+            else:
+                visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
 def test_checker_flags_only_unused_names():
     source = "import os\nimport numpy as np\nfrom a.b import c, d\nnp.zeros(c)\n"
     assert unused_imports(source) == [(1, "os"), (3, "d")]
@@ -184,6 +230,38 @@ def test_parameter_scanner_flags_only_unpassed_defaults():
     assert unpassed_defaults({"a": a, "b": b}) == [
         "a.Box.m.y", "a.f.kw_unset", "a.f.unset",
     ]
+
+
+def test_blas_scanner_flags_each_route():
+    source = (
+        "import numpy as np\n"
+        "from numpy import linalg, einsum\n"
+        "from numpy.linalg import svd\n"
+        "x = a @ b\n"
+        "class Box:\n"
+        "    def m(self, a):\n"
+        "        a @= a\n"
+        "        return np.linalg.norm(a) + a.dot(a)\n"
+        "def f(a):\n"
+        "    def g():\n"
+        "        return np.tensordot(a, a) + np.inner(a, a)\n"
+        "    return np.stack([a]) * np.sum(a) + a.T\n"
+    )
+    assert blas_routes(source) == [
+        ("", 2, "linalg"), ("", 3, "numpy.linalg"), ("", 4, "@"),
+        ("Box.m", 7, "@"), ("Box.m", 8, "linalg"), ("Box.m", 8, "dot"),
+        ("f.g", 11, "tensordot"), ("f.g", 11, "inner"),
+    ]
+
+
+def test_no_blas_routes():
+    found = [
+        f"{module}.py:{line}: {what} in {where or 'module scope'}"
+        for module, text in _package_sources().items()
+        for where, line, what in blas_routes(text)
+        if f"{module}.{where}" not in BLAS_ROUTES
+    ]
+    assert not found, "products that may go to BLAS or LAPACK:\n" + "\n".join(found)
 
 
 def test_no_unused_imports():
