@@ -256,36 +256,29 @@ def _depth_range(st: np.ndarray, u0, u1, v0, v1):
 _POINTS = 65536
 
 
-def _box_ends(c: np.ndarray, edge: int) -> np.ndarray:
-    """The first and last centers, shaped (2, ceil(n / edge)), of the boxes of
-    `edge` consecutive centers along the center axis `c` of length n; the
-    last box, when partial, is clamped to the last center."""
-    first = np.arange(0, c.size, edge)
-    return np.stack([c[first], c[np.minimum(first + edge - 1, c.size - 1)]])
-
-
 def _kept_blocks(axes, r, t, k: CameraIntrinsics, depth, theta_d: float) -> np.ndarray:
-    """Mask of the 4x4x4 blocks the cull keeps, shaped (ceil(X/4), ceil(Y/4),
-    ceil(Z/4)) for center axes of lengths X, Y and Z.
+    """Mask of the 4x4x4 blocks the cull keeps, shaped (X/4, Y/4, Z/4) for
+    center axes of lengths X, Y and Z, each a multiple of 4.
 
-    A block that runs past the far end of an axis is clamped to the last
-    center. The centers of a block fill the box spanned by its 8 extreme
-    centers, and a rigid motion keeps that box convex, so `box_footprint`
-    bounds every member by them. A block is dropped when all of them lie
-    behind Z_EPS; or all lie in front and the rectangle, padded by 1 px,
-    misses the image; or [zmin - theta_d, zmax + theta_d] misses the range
-    of positive depth over the rectangle, read from the depth table. Blocks
-    straddling the near plane are kept. Every corner is a voxel center, so
-    one relative epsilon, taken from the largest center coordinate, the
+    The centers of a block fill the box spanned by its 8 extreme centers,
+    and a rigid motion keeps that box convex, so `box_footprint` bounds
+    every member by them. A block is dropped when all of them lie behind
+    Z_EPS; or all lie in front and the rectangle, padded by 1 px, misses the
+    image; or [zmin - theta_d, zmax + theta_d] misses the range of positive
+    depth over the rectangle, read from the depth table. Blocks straddling
+    the near plane are kept, and so is a block with a NaN corner, which is
+    how `visibility` pads a partial block. Every corner is a voxel center,
+    so one relative epsilon, taken from the largest center coordinate, the
     translation and theta_d, covers the rounding of every depth bound.
     The blocks are tested in slabs of whole x-rows of the block grid, at
     most _POINTS corners a slab but never less than one x-row.
     """
     e = defaults.BLOCK_EDGE
-    scale = 3.0 * max(np.abs(c[[0, -1]]).max() for c in axes) + np.abs(t).max() + theta_d
+    scale = 3.0 * max(np.nanmax(np.abs(c)) for c in axes) + np.abs(t).max() + theta_d
     eps = 1e-9 * (1.0 + scale)
     table = _depth_table(depth)
-    x, y, z = (_box_ends(c, e) for c in axes)
+    # the first and last centers of each block along each axis, (2, n)
+    x, y, z = (np.stack([c[::e], c[e - 1::e]]) for c in axes)
     nb = (x.shape[1], y.shape[1], z.shape[1])
     # the 8 corners of a slab's blocks broadcast to (2, 2, 2, rows, BY, BZ)
     y = y.reshape(1, 2, 1, 1, -1, 1)
@@ -294,14 +287,13 @@ def _kept_blocks(axes, r, t, k: CameraIntrinsics, depth, theta_d: float) -> np.n
     kept = np.zeros(nb, dtype=bool)
     for s in range(0, nb[0], rows):
         xs = x[:, s:s + rows].reshape(2, 1, 1, -1, 1, 1)
-        xc, yc, zc = (c.reshape(8, -1) for c in rigid_transform(r, t, xs, y, z))
-        slab, f, *rect = box_footprint(xc, yc, zc, k, eps)
+        slab, f, *rect, zmin, zmax = box_footprint(r, t, xs, y, z, k, eps)
         dmin, dmax = _depth_range(table, *rect)
-        near = (zc.max(axis=0)[f] + theta_d + eps >= dmin) & (zc.min(axis=0)[f] - theta_d - eps <= dmax)
+        near = (zmax + theta_d + eps >= dmin) & (zmin - theta_d - eps <= dmax)
         slab[f[near]] = True
         kept[s:s + rows] = slab.reshape(-1, nb[1], nb[2])
         # free this slab's arrays before the next slab's corners are made
-        del xc, yc, zc, slab, f, rect, dmin, dmax, near
+        del slab, f, rect, zmin, zmax, dmin, dmax, near
     return kept
 
 
@@ -331,7 +323,7 @@ def visibility(
     through `project_pixels`, in batches of _POINTS // 64 blocks (never less
     than one); its elementwise arithmetic is the same for any subset, so the
     result equals testing every voxel bit for bit. Dims need not be
-    multiples of 4.
+    multiples of 4: the center axes are NaN-padded to whole blocks once.
 
     Returns (idx, uvd): the ascending flat C-order indices of the visible
     voxels and their (n, 3) rows of (u, v, d).
@@ -341,14 +333,14 @@ def visibility(
     if (w, h) != (k.width, k.height):
         raise ValueError(f"frame is {w}x{h} but intrinsics expect {k.width}x{k.height}")
     r, t = scene_to_frame_transform(current_pose, frame.pose)
-    axes = _center_axes(rng)
     e = defaults.BLOCK_EDGE
-    blocks = np.nonzero(_kept_blocks(axes, r, t, k, frame.depth, theta_d))
-    # member indices of the kept blocks along each axis, (n, 4); centers past a
-    # partial block's end are NaN, which project_pixels drops (NaN > Z_EPS is false)
+    # NaN centers past a partial block's end: the cull keeps the block whole,
+    # and project_pixels drops them (NaN > Z_EPS is false)
+    padded = [np.append(c, np.full(-c.size % e, np.nan)) for c in _center_axes(rng)]
+    blocks = np.nonzero(_kept_blocks(padded, r, t, k, frame.depth, theta_d))
+    # member indices of the kept blocks along each axis, (n, 4)
     o = np.arange(e)
     members = [b[:, None] * e + o for b in blocks]
-    padded = [np.append(c, np.full(-c.size % e, np.nan)) for c in axes]
     depth = frame.depth.ravel()
     # an empty part first, so a frame with no kept block concatenates too
     found = [(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))]

@@ -32,8 +32,6 @@ _SMALL_ANGLE = 1e-8
 # axes, camera x = scene x, camera y = -scene z, camera z = scene y
 LEVEL_CAMERA_ROTATION = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 LEVEL_CAMERA_ROTATION.flags.writeable = False
-_ZERO = np.zeros(3)
-_ZERO.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -95,8 +93,10 @@ class Se3Pose:
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The product of a 3x3 `a` and a 3x3 or 3-vector `b`, summed in
     `rigid_transform`'s fixed order: the one 3x3 product of the package, so
-    no pose bit depends on which BLAS kernel the host CPU picks."""
-    return np.stack(rigid_transform(a, _ZERO, *b))
+    no pose bit depends on which BLAS kernel the host CPU picks. It runs on
+    Python floats: numpy's IEEE products and sums, without its per-call cost."""
+    a, cols = a.tolist(), zip(*b.tolist()) if b.ndim == 2 else [b.tolist()]
+    return np.array([rigid_transform(a, (0.0, 0.0, 0.0), *c) for c in cols]).T.reshape(b.shape)
 
 
 def _drift(r: np.ndarray) -> float:
@@ -236,12 +236,14 @@ class FrameBundle:
         return self.depth.shape
 
 
-def rigid_transform(r: np.ndarray, t: np.ndarray, x, y, z):
+def rigid_transform(r, t, x, y, z):
     """Move broadcast-compatible point coordinates x, y, z by (r, t), elementwise
-    in a fixed order, so an identity transform returns them bit for bit."""
-    xp = r[0, 0] * x + r[0, 1] * y + r[0, 2] * z + t[0]
-    yp = r[1, 0] * x + r[1, 1] * y + r[1, 2] * z + t[1]
-    zp = r[2, 0] * x + r[2, 1] * y + r[2, 2] * z + t[2]
+    in a fixed order, so an identity transform returns them bit for bit. `r`
+    and `t` may be arrays or (rows of) Python floats."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    xp = r00 * x + r01 * y + r02 * z + t[0]
+    yp = r10 * x + r11 * y + r12 * z + t[1]
+    zp = r20 * x + r21 * y + r22 * z + t[2]
     return xp, yp, zp
 
 
@@ -289,38 +291,44 @@ def _floor_index(a: np.ndarray, n: int) -> np.ndarray:
     return np.floor(np.clip(a, -2.0, n + 2.0)).astype(np.int64)
 
 
-def box_footprint(xc, yc, zc, k: CameraIntrinsics, eps):
+def box_footprint(r: np.ndarray, t: np.ndarray, x, y, z, k: CameraIntrinsics, eps):
     """Which of n convex boxes can project a point into the image, from their corners.
 
-    xc, yc, zc are (8, n) camera coordinates of the 8 corners of each box,
-    and every point of a box lies in the convex hull of its corners.
-    Projection in front of the camera keeps a convex set convex, so the
-    corners bound the depth and the pixel rectangle of every point of the
-    box. `eps` (a scalar, or one value per box) widens the depth bounds to
-    cover how far a point's rounding can stray from its corners'.
+    x, y, z broadcast to (2, 2, 2, ...): the 8 corners of each box, boxes in
+    C order over the trailing axes, and every point of a box lies in the
+    convex hull of its corners. They move by (r, t) as in `rigid_transform`
+    and are all projected in place. Projection in front of the camera keeps
+    a convex set convex, so the corners bound the depth and the pixel
+    rectangle of every point of the box. `eps` (a scalar, or one value per
+    box) widens the depth bounds to cover how far a point's rounding can
+    stray from its corners'.
 
-    Returns (kept, f, u0, u1, v0, v1). `kept` marks the boxes that straddle
-    the near plane Z_EPS, and those with a corner that is not finite, whose
-    bounds say nothing. `f` holds the indices of the boxes with every corner
-    in front whose rectangle of nearest pixels, padded by 1 px, meets the
-    image, and u0..u1 x v0..v1 that rectangle clipped to the image
-    (inclusive). No point of any other box projects into the image: all its
-    corners lie behind Z_EPS, or all in front and the rectangle misses.
+    Returns (kept, f, u0, u1, v0, v1, zmin, zmax). `kept` marks the boxes
+    that straddle the near plane Z_EPS, and those with a corner that is not
+    finite, whose bounds say nothing. `f` holds the indices of the boxes
+    with every corner in front whose rectangle of nearest pixels, padded by
+    1 px, meets the image, u0..u1 x v0..v1 that rectangle clipped to the
+    image (inclusive) and zmin..zmax their corners' depth range. No point of
+    any other box projects into the image: all its corners lie behind Z_EPS,
+    or all in front and the rectangle misses.
     """
-    finite = np.isfinite(xc + yc + zc).all(axis=0)
-    front = finite & (zc.min(axis=0) > Z_EPS + eps)
-    kept = ~finite | (~front & (zc.max(axis=0) > Z_EPS - eps))
+    # a non-finite corner times a zero rotation entry is NaN; a dropped box may divide by 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u, v, zc = (c.reshape(8, -1) for c in rigid_transform(r, t, x, y, z))
+        finite = np.isfinite(u + v + zc).all(axis=0)
+        zmin, zmax = zc.min(axis=0), zc.max(axis=0)
+        front = finite & (zmin > Z_EPS + eps)
+        kept = ~finite | (~front & (zmax > Z_EPS - eps))
+        _pinhole(u, v, zc, k)
+        umin, umax, vmin, vmax = u.min(axis=0), u.max(axis=0), v.min(axis=0), v.max(axis=0)
     f = np.flatnonzero(front)
-    zf = zc.take(f, axis=1)
-    u, v = xc.take(f, axis=1), yc.take(f, axis=1)
-    _pinhole(u, v, zf, k)
     # the nearest pixels floor(u + 0.5) of the corners, padded by 1 px, clipped to the image
-    u0 = np.maximum(_floor_index(u.min(axis=0) - 0.5, k.width), 0)
-    u1 = np.minimum(_floor_index(u.max(axis=0) + 1.5, k.width), k.width - 1)
-    v0 = np.maximum(_floor_index(v.min(axis=0) - 0.5, k.height), 0)
-    v1 = np.minimum(_floor_index(v.max(axis=0) + 1.5, k.height), k.height - 1)
+    u0 = np.maximum(_floor_index(umin[f] - 0.5, k.width), 0)
+    u1 = np.minimum(_floor_index(umax[f] + 1.5, k.width), k.width - 1)
+    v0 = np.maximum(_floor_index(vmin[f] - 0.5, k.height), 0)
+    v1 = np.minimum(_floor_index(vmax[f] + 1.5, k.height), k.height - 1)
     on = np.flatnonzero((u0 <= u1) & (v0 <= v1))
-    return kept, f[on], u0[on], u1[on], v0[on], v1[on]
+    return kept, f[on], u0[on], u1[on], v0[on], v1[on], zmin[f[on]], zmax[f[on]]
 
 
 def bilinear_sample_many(field: np.ndarray, uv: np.ndarray):

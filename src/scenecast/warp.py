@@ -24,7 +24,6 @@ from .geom import (
     depth_tiles,
     project_pixels,
     relative_pose,
-    rigid_transform,
 )
 
 # depth ties are resolved within buckets of this size (meters)
@@ -88,10 +87,11 @@ def reprojection_flow(
     A conservative cull runs before any pixel is lifted. The pixels of a
     depth tile (`geom.depth_tiles`) lift into the frustum segment spanned by
     its first and last pixel columns and rows at its least positive and its
-    greatest depth, so `box_footprint` on those 8 corners finds the tiles
-    none of whose pixels can land in the image. Only the other tiles' pixels
-    go through `project_pixels`, whose elementwise arithmetic is the same
-    for any subset, so the result is the exhaustive one bit for bit.
+    greatest depth, so `box_footprint`, moving those 8 corners as the pixels
+    move, finds the tiles none of whose pixels can land in the image. Only
+    the other tiles' pixels go through `project_pixels`, whose elementwise
+    arithmetic is the same for any subset, so the result is the exhaustive
+    one bit for bit.
     """
     h, w = src.shape
     if (w, h) != (k.width, k.height):
@@ -104,8 +104,8 @@ def reprojection_flow(
     lo, hi = depth_tiles(src.depth)
     tiles = np.flatnonzero(lo <= hi)  # the tiles holding a positive depth
     tr, tc = np.divmod(tiles, lo.shape[1])
-    # corner columns (2, 1, 1, n), rows (2, 1, n) and depths (2, n), lifted and
-    # moved as the pixels are: the 8 corners of each tile broadcast to (2, 2, 2, n)
+    # corner columns (2, 1, 1, n), rows (2, 1, n) and depths (2, n), lifted as
+    # the pixels are: the 8 corners of each tile broadcast to (2, 2, 2, n)
     uc = np.stack([tc * s, np.minimum(tc * s + s - 1, w - 1)])[:, None, None]
     vc = np.stack([tr * s, np.minimum(tr * s + s - 1, h - 1)])[:, None]
     dc = np.stack([lo.ravel()[tiles], hi.ravel()[tiles]])
@@ -115,8 +115,7 @@ def reprojection_flow(
     # translation, covers the rounding of every pixel against its corners
     big = np.maximum.reduce([np.abs(xc).max(axis=(0, 1, 2)), np.abs(yc).max(axis=(0, 1)), dc[1]])
     eps = 1e-9 * (1.0 + 3.0 * big + np.abs(t).max())
-    corners = (c.reshape(8, -1) for c in rigid_transform(r, t, xc, yc, dc))
-    kept, on, *_ = box_footprint(*corners, k, eps)
+    kept, on, *_ = box_footprint(r, t, xc, yc, dc, k, eps)
     kept[on] = True
     mask = np.zeros(lo.shape, dtype=bool)
     mask.ravel()[tiles[kept]] = True

@@ -333,6 +333,51 @@ def mat3_bruteforce(a, b):
     ]
 
 
+def box_footprint_bruteforce(r, t, x, y, z, k: CameraIntrinsics, eps):
+    """Scalar `box_footprint`: (kept, f, u0, u1, v0, v1, zmin, zmax) as lists.
+
+    x, y, z broadcast to (2, 2, 2, n): the 8 corners of n boxes. Each corner
+    is moved in Python floats, summed left to right. A box with a corner
+    that is not finite, or one that straddles the near plane z = 1e-6
+    (widened by the box's eps), is kept. A box with every corner in front
+    has the rectangle floor(min u - 0.5) .. floor(max u + 1.5) (and the
+    same in v), clipped to the image, where u = fx x / z + cx; it is listed
+    in f with that rectangle and the min and max corner depth when the
+    clipped rectangle is not empty.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(r, dtype=np.float64).tolist()
+    t0, t1, t2 = np.asarray(t, dtype=np.float64).tolist()
+    x, y, z = (c.reshape(8, -1).T.tolist() for c in np.broadcast_arrays(x, y, z))
+    n = len(x)
+    eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (n,)).tolist()
+    out = [[] for _ in range(8)]
+    for i in range(n):
+        corners = [
+            (
+                r00 * a + r01 * b + r02 * c + t0,
+                r10 * a + r11 * b + r12 * c + t1,
+                r20 * a + r21 * b + r22 * c + t2,
+            )
+            for a, b, c in zip(x[i], y[i], z[i])
+        ]
+        finite = all(math.isfinite(v) for corner in corners for v in corner)
+        depths = [c for _, _, c in corners]
+        front = finite and min(depths) > 1e-6 + eps[i]
+        out[0].append(not finite or (not front and max(depths) > 1e-6 - eps[i]))
+        if not front:
+            continue
+        us = [a * k.fx / c + k.cx for a, _, c in corners]
+        vs = [b * k.fy / c + k.cy for _, b, c in corners]
+        u0 = max(math.floor(min(us) - 0.5), 0)
+        u1 = min(math.floor(max(us) + 1.5), k.width - 1)
+        v0 = max(math.floor(min(vs) - 0.5), 0)
+        v1 = min(math.floor(max(vs) + 1.5), k.height - 1)
+        if u0 <= u1 and v0 <= v1:
+            for column, value in zip(out[1:], (i, u0, u1, v0, v1, min(depths), max(depths))):
+                column.append(value)
+    return tuple(out)
+
+
 def bilinear_bruteforce(field, u: float, v: float):
     """Scalar bilinear sample as a tent-filter sum over every pixel.
 

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenecast import dataio
 from scenecast.dataio import FormatError
@@ -325,6 +327,26 @@ class TestPoseFile:
             dataio.parse_pose_line("1 2 3", lineno=4)
         with pytest.raises(FormatError, match="line 2"):
             dataio.parse_pose_line("1 0 0 0 0 1 0 0 0 0 x 0", lineno=2)
+
+    # every format prints a float that reads back to the same bits
+    FORMATS = ("{:.17e}", "{:.17E}", "{!r}", "{:.17g}", "{:+.16e}")
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        twist=st.tuples(*[st.floats(-1.5, 1.5)] * 3, *[st.floats(-100.0, 100.0)] * 3),
+        formats=st.lists(st.sampled_from(FORMATS), min_size=12, max_size=12),
+        gaps=st.lists(st.text(" \t", min_size=1, max_size=3), min_size=11, max_size=11),
+        lead=st.text(" \t", max_size=3),
+        trail=st.sampled_from(["", " ", "\t", "\r", " \t\r"]),
+    )
+    def test_any_exact_float_text_reads_back_bit_for_bit(self, twist, formats, gaps, lead, trail):
+        pose = se3_exp(twist)
+        fields = [fmt.format(v) for fmt, v in zip(formats, pose.matrix34().ravel().tolist())]
+        line = lead + "".join(f + g for f, g in zip(fields, gaps + [""])) + trail
+        back = dataio.parse_pose_line(line)
+        assert back.rotation.tobytes() == pose.rotation.tobytes()
+        assert back.translation.tobytes() == pose.translation.tobytes()
+        assert dataio.format_pose_line(back) == dataio.format_pose_line(pose)
 
 
 class TestFusedAndBlockVis:

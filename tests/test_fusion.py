@@ -240,9 +240,8 @@ class TestVisibilityCull:
     @pytest.mark.parametrize("k", [K, CameraIntrinsics(160.0, 160.0, 79.5, 59.5, 160, 120)])
     def test_ranges_spanning_several_super_blocks(self, dims, k):
         # ranges of several 16x16x8-voxel regions, each axis ending in a partial
-        # one; (36, 20, 10) ends z in a partial block and (38, 21, 11) every axis,
-        # so the cull clamps those last blocks to the last center; some visible
-        # voxel must lie past the last whole region of each axis
+        # one; (36, 20, 10) ends z in a partial block and (38, 21, 11) every axis;
+        # some visible voxel must lie past the last whole region of each axis
         rng_gen = np.random.default_rng(35)
         dims = np.array(dims)
         srange = SceneRange((-dims[0] * 0.125, 1.0, -dims[2] * 0.125), dims * 0.25, 0.25)
@@ -287,7 +286,7 @@ class TestVisibilityPointBudget:
         # corners, so a slab holds 2 rows (5 slabs), and a batch 4 blocks
         points = 256
         monkeypatch.setattr(fusion, "_POINTS", points)
-        sizes = {"rigid_transform": [], "project_pixels": []}
+        sizes = {"box_footprint": [], "project_pixels": []}
 
         def recording(name):
             fn = getattr(fusion, name)
@@ -298,7 +297,7 @@ class TestVisibilityPointBudget:
 
             monkeypatch.setattr(fusion, name, wrapper)
 
-        recording("rigid_transform")
+        recording("box_footprint")
         recording("project_pixels")
         dims = np.array((36, 20, 10))
         srange = SceneRange((-4.5, 1.0, -1.25), dims * 0.25, 0.25)
@@ -306,9 +305,9 @@ class TestVisibilityPointBudget:
         depth = 2.0 + 4.0 * (rows + cols) / (K.height + K.width)
         frame = frame_with_depth(depth, se3_exp(np.array([0.05, 0.1, 0.0, 0.02, -0.03, 0.01])))
         idx, uvd = visibility(srange, frame, Se3Pose.identity(), K, 0.5)
-        assert sizes["rigid_transform"] and max(sizes["rigid_transform"]) <= points
+        assert sizes["box_footprint"] and max(sizes["box_footprint"]) <= points
         assert sizes["project_pixels"] and max(sizes["project_pixels"]) <= points
-        assert len(sizes["rigid_transform"]) == 5
+        assert len(sizes["box_footprint"]) == 5
         assert len(sizes["project_pixels"]) >= 3
         vis, proj = visibility_bruteforce(srange, frame, Se3Pose.identity(), K, 0.5)
         assert idx.size > 0

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bilinear_bruteforce, mat3_bruteforce, tile_fold_bruteforce
+from oracles import (
+    bilinear_bruteforce,
+    box_footprint_bruteforce,
+    mat3_bruteforce,
+    tile_fold_bruteforce,
+)
 from scenecast.geom import (
     ORTHO_DRIFT,
     CameraIntrinsics,
@@ -16,6 +21,7 @@ from scenecast.geom import (
     inverse,
     project_pixels,
     relative_pose,
+    rigid_transform,
     se3_exp,
     se3_log,
     tile_reduce,
@@ -465,8 +471,50 @@ class TestBoxFootprint:
         x[:, 3] = 100.0
         z[0, 4] = np.nan
         x[0, 5] = np.inf
-        kept, f, u0, u1, v0, v1 = box_footprint(x, y, z, k, 1e-9)
+        box = (2, 2, 2, 6)
+        kept, f, u0, u1, v0, v1, *_ = box_footprint(
+            np.eye(3), np.zeros(3), x.reshape(box), y.reshape(box), z.reshape(box), k, 1e-9
+        )
         assert kept.tolist() == [False, False, True, False, True, True]
         assert f.tolist() == [0]
         # the corners project to pixel 4.5, whose nearest pixel 5 is padded to 4..6
         assert (u0.tolist(), u1.tolist(), v0.tolist(), v1.tolist()) == ([4], [6], [4], [6])
+
+    def test_matches_scalar_rule_bit_for_bit(self):
+        # axis-aligned boxes placed in the moved camera's frame: in view, behind,
+        # straddling the near plane, off the image, across an image edge, and
+        # with a NaN corner; one eps for all boxes or one per box
+        k = CameraIntrinsics(50.0, 55.0, 31.5, 23.5, 64, 48)
+        rng = np.random.default_rng(29)
+        n = 50
+        for trial in range(60):
+            pose = se3_exp(rng.normal(scale=[0.5, 0.5, 0.5, 2.0, 2.0, 2.0]))
+            back = inverse(pose)
+            kind = rng.integers(0, 6, size=n)
+            depth = np.where(kind == 1, -1.0, 1.0) * rng.uniform(1.0, 20.0, size=n)
+            depth[kind == 2] = rng.uniform(-0.2, 0.2, size=np.count_nonzero(kind == 2))
+            # where the centre projects, in units of half the image size
+            spread = np.where(kind == 3, rng.uniform(2.0, 8.0, size=n), 1.0)
+            spread[kind == 4] = rng.uniform(0.95, 1.05, size=np.count_nonzero(kind == 4))
+            sides = rng.choice([-1.0, 1.0], size=(2, n))
+            cam = np.stack([
+                sides[0] * spread * rng.uniform(0.0, 1.0, size=n) * 32.0 / 50.0 * depth,
+                sides[1] * spread * rng.uniform(0.0, 1.0, size=n) * 24.0 / 55.0 * depth,
+                depth,
+            ])
+            centre = np.stack(rigid_transform(back.rotation, back.translation, *cam))
+            half = rng.uniform(0.05, 1.0, size=(3, n))
+            x, y, z = (np.stack([c - h, c + h]) for c, h in zip(centre, half))
+            x, y, z = x.reshape(2, 1, 1, n), y.reshape(1, 2, 1, n), z.reshape(1, 1, 2, n)
+            if trial % 2:
+                x = x.repeat(2, axis=1)
+                x[1, 0, 0, kind == 5] = np.nan
+            eps = rng.uniform(1e-9, 1e-3, size=n) if trial % 3 else 1e-9
+            got = box_footprint(pose.rotation, pose.translation, x, y, z, k, eps)
+            want = box_footprint_bruteforce(pose.rotation, pose.translation, x, y, z, k, eps)
+            assert got[0].tolist() == want[0]
+            for g, w in zip(got[1:6], want[1:6]):
+                assert g.dtype == np.int64 and g.tolist() == w
+            for g, w in zip(got[6:], want[6:]):
+                # depths compared as bits
+                assert g.tobytes() == np.array(w, dtype=np.float64).tobytes()
