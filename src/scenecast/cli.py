@@ -465,7 +465,7 @@ def cmd_demo(args) -> int:
     dataio.write_grid(out_dir / "scene.vxg", result["grid"])
     dataio.write_grid(out_dir / "gt_range.vxg", result["gt_range"])
     dataio.write_frame_sequence(out_dir / "frames", result["bundles"])
-    dataio.write_image(out_dir / "pseudo_future.ppm", result["pseudo"].image)
+    dataio.write_image(out_dir / "pseudo_future.ppm", result["pseudo"].pixels)
     dataio.write_depth(out_dir / "pseudo_future.dpt", result["pseudo"].depth)
     dataio.write_poses(out_dir / "predicted_pose.txt", [result["predicted_pose"]])
     for name, (fused, bv, completed, cov) in result["sets"].items():

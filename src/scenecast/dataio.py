@@ -10,8 +10,9 @@ Binary layouts (all little-endian):
 
 `_write_record` writes each as magic, packed header and payload arrays;
 `_Cursor` reads them back, checking each part's length and trailing bytes.
-Images are binary PPM (P6, maxval 255, value = floor(255*v + 0.5)); masks go
-out as PGM (P5). Pose files are UTF-8 KITTI odometry text: one 3x4 row-major
+Images are binary PPM (P6, maxval 255), read and written as the uint8 pixels
+a `FrameBundle` holds (a float image is written as floor(255*v + 0.5)); masks
+go out as PGM (P5). Pose files are UTF-8 KITTI odometry text: one 3x4 row-major
 [R|t] world-from-camera per line, made a pose by the `Se3Pose` constructor,
 the one rule for rotations.
 
@@ -31,7 +32,7 @@ from typing import List
 import numpy as np
 
 from .fusion import BlockVisibility, FusedVolume, SceneGrid, SceneRange
-from .geom import FrameBundle, Se3Pose
+from .geom import FrameBundle, Se3Pose, quantize
 
 MAGIC_GRID = b"VXG1"
 MAGIC_DEPTH = b"DPT1"
@@ -204,25 +205,22 @@ def _pnm_buffer(magic: str, shape: tuple) -> tuple:
 
 
 def write_image(path, image: np.ndarray) -> None:
-    """Write an HxWx3 image in [0, 1] as binary PPM (P6).
+    """Write an HxWx3 image as binary PPM (P6): uint8 values as they are,
+    any other values as floats in [0, 1] quantised by `geom.quantize`.
 
-    Quantised _IMAGE_BAND rows at a time, through one band of float scratch,
-    into the file's one uint8 buffer; a non-finite value in any band raises
-    before any file is written.
+    A float image is quantised _IMAGE_BAND rows at a time into the file's
+    one uint8 buffer; a non-finite value in any band raises before any file
+    is written.
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3 or img.size == 0:
         raise ValueError(f"expected HxWx3 image with H, W >= 1, got shape {img.shape}")
     buf, pixels = _pnm_buffer("P6", img.shape)
-    scratch = np.empty((min(_IMAGE_BAND, img.shape[0]),) + img.shape[1:])
-    for r in range(0, img.shape[0], _IMAGE_BAND):
-        band = img[r: r + _IMAGE_BAND]
-        if not np.isfinite(band).all():
-            raise ValueError("image values must be finite")
-        q = np.multiply(band, 255.0, out=scratch[: len(band)])
-        q += 0.5
-        np.floor(q, out=q)
-        pixels[r: r + _IMAGE_BAND] = q.clip(0, 255, out=q)
+    if img.dtype == np.uint8:
+        pixels[...] = img
+    else:
+        for r in range(0, img.shape[0], _IMAGE_BAND):
+            pixels[r: r + _IMAGE_BAND] = quantize(img[r: r + _IMAGE_BAND])
     atomic_write_bytes(path, buf)
 
 
@@ -278,6 +276,7 @@ def _pnm_tokens(cur: _Cursor, count: int) -> list:
 
 
 def read_image(path) -> np.ndarray:
+    """The HxWx3 uint8 pixels of a binary PPM, a read-only view of the file's bytes."""
     cur = _Cursor(path, b"P6")
     (w, w_at), (h, h_at), (maxval, at) = _pnm_tokens(cur, 3)
     for n, n_at in ((w, w_at), (h, h_at)):
@@ -287,7 +286,7 @@ def read_image(path) -> np.ndarray:
         raise cur.fail(f"unsupported maxval {maxval} at offset {at} (only 255)")
     pix = cur.array(np.uint8, w * h * 3, "pixel payload")
     cur.end()
-    return np.divide(pix.reshape(h, w, 3), 255.0, dtype=np.float64)
+    return pix.reshape(h, w, 3)
 
 
 # ---------------------------------------------------------------- pose files
@@ -403,7 +402,7 @@ def write_frame_sequence(directory, frames) -> None:
     write_poses(directory / "poses.txt", [by_index.get(i, identity) for i in range(max(by_index) + 1)])
     for f in frames:
         base = frame_basename(f.frame_index)
-        write_image(directory / f"{base}.ppm", f.image)
+        write_image(directory / f"{base}.ppm", f.pixels)
         write_depth(directory / f"{base}.dpt", f.depth)
 
 

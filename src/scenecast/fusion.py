@@ -27,8 +27,8 @@ whatever the frame. A standard thread pool (`concurrent.futures`, imported
 on the first call) maps the passes two at a time; each writes its frame's
 block slices in place, and the calling thread samples each returned feature
 map at its frame's blocks in frame order, so peak memory is two passes'
-temporaries plus the block-level arrays. The feature extractor maps an
-image to an HxWxC array with the same C for every frame.
+temporaries plus the block-level arrays. The feature extractor maps a
+frame's uint8 pixels to an HxWxC array with the same C for every frame.
 A frame's blocks and feature channels depend only on that frame and the
 anchoring current pose, so the result for a subset of frames is a
 frame-axis slice of the result for the whole set (`BlockVisibility.frames`,
@@ -441,11 +441,12 @@ def fuse_pipeline(
     slices, so the result does not depend on which thread runs it or when.
 
     `feature_extractor` is called from the worker threads, in no set order,
-    so it must be a pure function of the image. It must return an HxWxC map
-    with the same C for every frame; anything else raises ValueError naming
-    the shape. An error in a pass is raised in frame order: the first bad
-    frame's error is the one raised, the passes not yet started are
-    cancelled, and every worker has stopped by then.
+    so it must be a pure function of the frame's uint8 `pixels`, which it is
+    given. It must return an HxWxC map with the same C for every frame;
+    anything else raises ValueError naming the shape. An error in a pass is
+    raised in frame order: the first bad frame's error is the one raised,
+    the passes not yet started are cancelled, and every worker has stopped
+    by then.
     """
     frames = list(frames)
     if not frames:
@@ -464,7 +465,7 @@ def fuse_pipeline(
         frame = frames[fi]
         idx, uvd = visibility(rng, frame, current_pose, k, theta_d)
         visible[fi], means[fi] = downsample_blocks(rng.dims, idx, uvd)
-        return np.asarray(feature_extractor(frame.image))
+        return np.asarray(feature_extractor(frame.pixels))
 
     # imported here, so importing the module does not load concurrent.futures
     from concurrent.futures import ThreadPoolExecutor

@@ -1,5 +1,6 @@
 """Rigid-body pose algebra, the camera and the frame every stage passes
-(`FrameBundle`), pinhole projection and image tile reduction.
+(`FrameBundle`, its 8-bit image quantized by `quantize`), pinhole projection
+and image tile reduction.
 
 Conventions used throughout the package:
   - camera axes: x right, y down, z forward (KITTI camera frame)
@@ -204,32 +205,60 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
+def quantize(image: np.ndarray) -> np.ndarray:
+    """`image` as the 8-bit values a PPM holds, a new uint8 array: each value
+    v becomes floor(255 v + 0.5) clipped to 0..255, so [0, 1] spans the
+    range. A non-finite value raises ValueError before any is converted."""
+    if not np.isfinite(image).all():
+        raise ValueError("image values must be finite")
+    q = np.multiply(image, 255.0, dtype=np.float64)
+    q += 0.5
+    np.floor(q, out=q)
+    return q.clip(0, 255, out=q).astype(np.uint8)
+
+
 @dataclass
 class FrameBundle:
-    """One frame: image in [0,1], depth in meters (0 = invalid), pose, index."""
+    """One frame: the HxWxC 8-bit image as its PPM holds it, depth in meters
+    (0 = invalid), pose, index.
 
-    image: np.ndarray
+    `pixels` is uint8. A uint8 array is taken as it is; any other is read as
+    floats in [0, 1] and quantized once by `quantize`, the rule `write_image`
+    writes by, so a frame written and read back holds the same bytes.
+    """
+
+    pixels: np.ndarray
     depth: np.ndarray
     pose: Se3Pose
     frame_index: int
 
     def __post_init__(self):
-        self.image = np.asarray(self.image, dtype=np.float64)
+        pixels = np.asarray(self.pixels)
         self.depth = np.asarray(self.depth, dtype=np.float64)
-        if self.image.ndim != 3:
-            raise ValueError(f"image must be HxWxC, got shape {self.image.shape}")
-        if self.depth.shape != self.image.shape[:2]:
+        if pixels.ndim != 3:
+            raise ValueError(f"image must be HxWxC, got shape {pixels.shape}")
+        if self.depth.shape != pixels.shape[:2]:
             raise ValueError(
-                f"depth shape {self.depth.shape} does not match image {self.image.shape[:2]}"
+                f"depth shape {self.depth.shape} does not match image {pixels.shape[:2]}"
             )
-        # NaN propagates through min and max, so the two cover the finite
-        # check; the isfinite pass only picks the message
-        if not (self.image.min() >= 0.0 and self.image.max() <= 1.0):
-            if not np.all(np.isfinite(self.image)):
-                raise ValueError("image entries must be finite")
-            raise ValueError("image entries must lie in [0, 1]")
+        if pixels.dtype != np.uint8:
+            pixels = np.asarray(pixels, dtype=np.float64)
+            # NaN propagates through min and max, so the two cover the finite
+            # check; the isfinite pass only picks the message
+            if not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
+                if not np.all(np.isfinite(pixels)):
+                    raise ValueError("image entries must be finite")
+                raise ValueError("image entries must lie in [0, 1]")
+            pixels = quantize(pixels)
+        self.pixels = pixels
         if not (self.depth.min() >= 0.0 and self.depth.max() < np.inf):
             raise ValueError("depth entries must be finite and >= 0")
+
+    @property
+    def image(self) -> np.ndarray:
+        """The pixels as floats in [0, 1], `pixels / 255.0`, a new array on
+        every read."""
+        return self.pixels / 255.0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -263,9 +292,11 @@ def project_pixels(r: np.ndarray, t: np.ndarray, x, y, z, k: CameraIntrinsics):
         _pinhole(u, v, zp, k)
     # the nearest pixel floor(a), a = u + 0.5, is in 0..n-1 exactly when 0 <= a < n,
     # so floor runs on the kept points only
-    keep = (zp > Z_EPS) & _inside(u + 0.5, k.width) & _inside(v + 0.5, k.height)
-    idx = np.flatnonzero(keep)
-    u, v, zp = u[idx], v[idx], zp[idx]
+    idx = np.flatnonzero((zp > Z_EPS) & _inside(u + 0.5, k.width) & _inside(v + 0.5, k.height))
+    # one at a time, so each full-length array is freed before the next is cut
+    u = u[idx]
+    v = v[idx]
+    zp = zp[idx]
     pix = np.floor(v + 0.5).astype(np.int64) * k.width + np.floor(u + 0.5).astype(np.int64)
     return idx, pix, u, v, zp
 

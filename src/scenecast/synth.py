@@ -336,7 +336,8 @@ def _cast(rng: SceneRange, o, d, d_max, cells, pdims, depth, cls) -> None:
 def render_frame(
     grid: SceneGrid, pose: Se3Pose, k: CameraIntrinsics, frame_index: int = 0
 ) -> FrameBundle:
-    """Render image and depth with one traversal to `defaults.D_MAX` and bundle them."""
+    """Render image and depth with one traversal to `defaults.D_MAX` and bundle
+    them; the shades are quantized to 8 bits by the `FrameBundle` constructor."""
     depth, cls = _raycast(grid, pose, k, defaults.D_MAX)
     shade = np.where(cls > 0, 1.0 / (1.0 + SHADE_FALLOFF * depth), 0.0)
     return FrameBundle(PALETTE[cls] * shade[..., None], depth, pose, frame_index)
@@ -347,20 +348,21 @@ def render_frame(
 _FEATURE_BAND = 64
 
 
-def extract_features(image: np.ndarray) -> np.ndarray:
+def extract_features(pixels: np.ndarray) -> np.ndarray:
     """Deterministic stride-4 feature stand-in for a learned 2D encoder.
 
-    Channels: 4x4 block means of R, G, B, gray; block means of horizontal and
-    vertical Sobel magnitudes of gray; block min and max of gray. For a
-    finite image the Sobel values are those of scipy's `ndimage.sobel`, bit
-    for bit. The image is processed in bands of _FEATURE_BAND rows, each
-    read with one halo row above and below for the Sobel; tile rows reduce
-    independently and the Sobel is elementwise, so the bits do not depend on
-    the band size.
+    Takes an HxWx3 uint8 image, a frame's `pixels`, and reads each value v
+    as v / 255.0. Channels: 4x4 block means of R, G, B, gray; block means
+    of horizontal and vertical Sobel magnitudes of gray; block min and max
+    of gray. The Sobel values are those of scipy's `ndimage.sobel` on
+    pixels / 255.0, bit for bit. The image is processed in bands of
+    _FEATURE_BAND rows, each read with one halo row above and below for the
+    Sobel and divided by 255.0 on its own; tile rows reduce independently
+    and the Sobel is elementwise, so the bits do not depend on the band size.
     """
-    img = np.asarray(image)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected HxWx3 image, got shape {img.shape}")
+    img = np.asarray(pixels)
+    if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
+        raise ValueError(f"expected an HxWx3 uint8 image, got {img.dtype} of shape {img.shape}")
     h, w = img.shape[:2]
     if h % 4 or w % 4:
         raise ValueError(f"image dims {w}x{h} must be divisible by 4")
@@ -369,7 +371,7 @@ def extract_features(image: np.ndarray) -> np.ndarray:
         y1 = min(y0 + _FEATURE_BAND, h)
         # the band's rows and the halo rows next to it that lie inside the image
         top, bottom = max(y0 - 1, 0), min(y1 + 1, h)
-        x = np.asarray(img[top:bottom], dtype=np.float64)
+        x = img[top:bottom] / 255.0
         r, g, b = x[:, :, 0], x[:, :, 1], x[:, :, 2]
         # the sum a mean over the 3-long channel axis takes, in its order
         gray = (r + g + b) / 3.0

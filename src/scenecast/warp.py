@@ -4,7 +4,8 @@ Sources and results are `geom.FrameBundle`s. Each valid source pixel is
 lifted with its depth, moved by the relative pose, and splatted onto the
 nearest destination pixel. Conflicts are settled by a z-buffer with a fully
 deterministic tie-break chain, so the result is independent of iteration
-order and of any parallel scheduling. The learned refinement stage is
+order and of any parallel scheduling. The splat and the refiners move the
+sources' uint8 bytes, never floats. The learned refinement stage is
 replaced by a pluggable hook; two built-ins are provided (identity,
 nearest-valid hole fill). Only the command line imports this module.
 """
@@ -32,7 +33,8 @@ DEPTH_TIE_QUANTUM = 1e-9
 
 @dataclass
 class WarpResult:
-    """Splatted image/depth plus the winning source slot per pixel (-1: no hit)."""
+    """Splatted uint8 image and depth plus the winning source slot per pixel
+    (-1: no hit)."""
 
     image: np.ndarray
     depth: np.ndarray
@@ -120,13 +122,26 @@ def reprojection_flow(
     mask = np.zeros(lo.shape, dtype=bool)
     mask.ravel()[tiles[kept]] = True
     mask = mask.repeat(s, axis=0).repeat(s, axis=1)[:h, :w]
-    spix = np.flatnonzero(mask & (src.depth > 0.0))
+    mask &= src.depth > 0.0
+    spix = np.flatnonzero(mask)
+    del mask
+    # each lifted array is freed after its last use, which bounds the lift's
+    # memory; x = (u - cx) * d / fx is computed in place, in that order
     v, u = np.divmod(spix, w)
     d = src.depth.ravel()[spix]
-    x = (u - k.cx) * d / k.fx
-    y = (v - k.cy) * d / k.fy
+    x = u - k.cx
+    del u
+    x *= d
+    x /= k.fx
+    y = v - k.cy
+    del v
+    y *= d
+    y /= k.fy
     idx, pix, up, vp, zp = project_pixels(r, t, x, y, d, k)
-    return spix[idx], pix, np.stack([up, vp, zp], axis=1)
+    del x, y, d
+    spix = spix[idx]
+    del idx
+    return spix, pix, np.stack([up, vp, zp], axis=1)
 
 
 def _winners(sources, dst_pose, k, dst_frame_index):
@@ -135,8 +150,8 @@ def _winners(sources, dst_pose, k, dst_frame_index):
     The key packs (proximity rank, source pixel, slot): the rank among the
     sources' distinct proximities orders like the proximity, however far
     apart the indices. A candidate keeps only these three, so each source's
-    uvd is freed as soon as its depths are copied out, and every candidate
-    array is freed on return.
+    uvd is freed as soon as its depths are copied out; each temporary is
+    freed after its last use, and every candidate array on return.
     """
     n, pixels = len(sources), sources[0].depth.size
     proximity = [abs(s.frame_index - dst_frame_index) for s in sources]
@@ -146,15 +161,21 @@ def _winners(sources, dst_pose, k, dst_frame_index):
         spix, tgt, uvd = reprojection_flow(src, dst_pose, k)
         return tgt, uvd[:, 2].copy(), (rank[proximity[slot]] * pixels + spix) * n + slot
 
-    tgt, depths, key = (np.concatenate(c) for c in zip(*map(candidates, range(n), sources)))
+    tgt, depths, key = zip(*map(candidates, range(n), sources))
+    # each kind's per-source pieces are freed as soon as they are joined
+    tgt = np.concatenate(tgt)
+    depths = np.concatenate(depths)
+    key = np.concatenate(key)
     # float, not int64: a cast would wrap above ~9.2e9 m and win the z-buffer
-    dq = np.round(depths / DEPTH_TIE_QUANTUM)
+    dq = np.divide(depths, DEPTH_TIE_QUANTUM)
+    np.round(dq, out=dq)
 
     # the z-buffer: per target, the least depth bucket, then the least key among
     # the candidates that reach it; keys are unique, so one candidate wins
     least_dq = np.full(pixels, np.inf)
     np.minimum.at(least_dq, tgt, dq)
     near = np.flatnonzero(dq == least_dq[tgt])
+    del dq, least_dq
     near_tgt, near_key = tgt[near], key[near]
     least_key = np.full(pixels, np.iinfo(np.int64).max)
     np.minimum.at(least_key, near_tgt, near_key)
@@ -181,9 +202,9 @@ def forward_splat(
     if not sources:
         raise ValueError("forward_splat needs at least one source frame")
     h, w = sources[0].shape
-    channels = sources[0].image.shape[2]
+    channels = sources[0].pixels.shape[2]
     for s in sources:
-        if s.shape != (h, w) or s.image.shape[2] != channels:
+        if s.shape != (h, w) or s.pixels.shape[2] != channels:
             raise ValueError("all sources must share image dimensions")
     n, pixels = len(sources), h * w
     if n * n * pixels > 2**63:
@@ -195,13 +216,13 @@ def forward_splat(
     t, d, key = _winners(sources, dst_pose, k, dst_frame_index)
     slot = key % n
     spix = key // n % pixels
-    image = np.zeros((h, w, channels))
+    image = np.zeros((h, w, channels), dtype=np.uint8)
     depth = np.zeros((h, w))
     source_index = np.full((h, w), -1, dtype=np.int64)
-    # colours are gathered per source for its own winners, never for every candidate
+    # bytes are gathered per source for its own winners, never for every candidate
     for s, src in enumerate(sources):
         mine = slot == s
-        image.reshape(-1, channels)[t[mine]] = src.image.reshape(-1, channels)[spix[mine]]
+        image.reshape(-1, channels)[t[mine]] = src.pixels.reshape(-1, channels)[spix[mine]]
     depth.reshape(-1)[t] = d
     source_index.reshape(-1)[t] = slot
     return WarpResult(image, depth, source_index)

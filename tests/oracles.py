@@ -134,10 +134,11 @@ def splat_bruteforce(sources, dst_pose: Se3Pose, k: CameraIntrinsics, dst_frame_
     slot), and the least bid wins: the depth bucket, then proximity, then the
     source pixel, then the slot. Python's round, like numpy's, rounds half
     to even, and a Python int holds any finite bucket exactly. Returns
-    (image, depth, source_index): zeros and -1 where no bid landed.
+    (image, depth, source_index), the image the winners' uint8 pixels: zeros
+    and -1 where no bid landed.
     """
     h, w = k.height, k.width
-    channels = sources[0].image.shape[2]
+    channels = sources[0].pixels.shape[2]
     best = {}
     for slot, src in enumerate(sources):
         idx, pix, uvd, _ = reprojection_bruteforce(src, dst_pose, k)
@@ -146,8 +147,8 @@ def splat_bruteforce(sources, dst_pose: Se3Pose, k: CameraIntrinsics, dst_frame_
             bucket = d / 1e-9
             bid = (round(bucket) if math.isfinite(bucket) else bucket, proximity, i, slot)
             if p not in best or bid < best[p][0]:
-                best[p] = (bid, d, src.image[i // w, i % w])
-    image = np.zeros((h, w, channels))
+                best[p] = (bid, d, src.pixels[i // w, i % w])
+    image = np.zeros((h, w, channels), dtype=np.uint8)
     depth = np.zeros((h, w))
     source_index = np.full((h, w), -1, dtype=np.int64)
     for p, (bid, d, color) in best.items():
@@ -244,16 +245,17 @@ def downsample_bruteforce(visible, proj, edge: int = 4):
     return block_vis, block_proj
 
 
-def extract_features_bruteforce(image):
+def extract_features_bruteforce(pixels):
     """Scalar per-block transcription of the stride-4 feature stand-in.
 
-    Gray is (r + g + b) / 3 per pixel. The Sobel responses correlate gray
-    with [-1, 0, 1] along the derivative axis and [1, 2, 1] across it,
-    reflecting at the border (index -1 reads 0, index n reads n - 1). Each
-    4x4 block gives the means of R, G, B, gray, |Sobel x| and |Sobel y|
-    (16 values summed in row-major order) and the min and max of gray.
+    Each uint8 value p of `pixels` reads as p / 255. Gray is (r + g + b) / 3
+    per pixel. The Sobel responses correlate gray with [-1, 0, 1] along the
+    derivative axis and [1, 2, 1] across it, reflecting at the border
+    (index -1 reads 0, index n reads n - 1). Each 4x4 block gives the means
+    of R, G, B, gray, |Sobel x| and |Sobel y| (16 values summed in row-major
+    order) and the min and max of gray.
     """
-    rows = np.asarray(image, dtype=np.float64).tolist()
+    rows = [[[c / 255.0 for c in px] for px in row] for row in np.asarray(pixels).tolist()]
     h, w = len(rows), len(rows[0])
     gray = [[(px[0] + px[1] + px[2]) / 3.0 for px in row] for row in rows]
     # gray with a reflected 1-pixel border: p[i + 1][j + 1] is gray[i][j]

@@ -732,6 +732,17 @@ class TestDemo:
                      "predicted_pose.txt", "pose_error.csv"):
             assert (out / name).exists(), name
 
+    def test_fuse_of_its_frame_tree_reproduces_its_fused_volume(self, tmp_path, capsys):
+        # demo fuses the frames it writes, bytes and all: a fuse of the written
+        # tree with the ground-truth future gives the same file
+        demo, out = tmp_path / "demo", tmp_path / "fuse"
+        code, _, err = run(capsys, "demo", "--seed", "1", "--future", "gt", "--out-dir", str(demo))
+        assert code == 0, err
+        code, _, err = run(capsys, "fuse", "--frames-dir", str(demo / "frames"), "--future", "gt",
+                           "--out-dir", str(out))
+        assert code == 0, err
+        assert (out / "fused.fvx").read_bytes() == (demo / "fused_past_current_future.fvx").read_bytes()
+
     def test_window_above_past_fails_before_any_render(self, monkeypatch, tmp_path, capsys):
         # past 4 gives 5 poses to forecast from: the forecast rejects window 5
         # before the scene is built or a frame rendered

@@ -143,7 +143,26 @@ class TestImageFile:
         path = tmp_path / "i.ppm"
         dataio.write_image(path, img)
         back = dataio.read_image(path)
-        assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
+        assert back.dtype == np.uint8
+        assert np.abs(back / 255.0 - img).max() <= 0.5 / 255 + 1e-12
+
+    def test_frame_on_the_byte_grid_round_trips_byte_for_byte(self, tmp_path):
+        # every level k / 255, over more rows than one write band: the
+        # constructor quantizes them back to k, and the PPM holds k
+        gen = np.random.default_rng(14)
+        shape = (dataio._IMAGE_BAND + 9, 31, 3)
+        levels = gen.integers(0, 256, size=shape)
+        levels.reshape(-1)[:256] = np.arange(256)
+        frame = FrameBundle(levels / 255.0, np.ones(shape[:2]), Se3Pose.identity(), 0)
+        assert frame.pixels.dtype == np.uint8
+        assert np.array_equal(frame.pixels, levels)
+        dataio.write_image(tmp_path / "bytes.ppm", frame.pixels)
+        dataio.write_image(tmp_path / "floats.ppm", levels / 255.0)
+        data = (tmp_path / "bytes.ppm").read_bytes()
+        assert data == (tmp_path / "floats.ppm").read_bytes()
+        assert data.endswith(frame.pixels.tobytes())
+        back = dataio.read_image(tmp_path / "bytes.ppm")
+        assert back.dtype == np.uint8 and np.array_equal(back, frame.pixels)
 
     def test_standard_header(self, tmp_path):
         path = tmp_path / "i.ppm"
@@ -476,6 +495,20 @@ class TestFrameSequence:
         (tmp_path / "000005.dpt").unlink()
         with pytest.raises(FileNotFoundError, match="000005.dpt"):
             dataio.load_frame_sequence(tmp_path, 5)
+
+    def test_kitti_size_frames_hold_their_file_bytes(self, tmp_path):
+        # a 1216x368 frame holds the 1.3 MB its PPM holds, not 10.7 MB of floats
+        h, w = 368, 1216
+        gen = np.random.default_rng(15)
+        for i in (0, 5):
+            image = gen.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+            frame = FrameBundle(image, np.full((h, w), 4.0), Se3Pose.identity(), i)
+            assert frame.pixels is image
+            dataio.write_frame_sequence(tmp_path, [frame])
+        for frame in dataio.load_frame_sequence(tmp_path, 5):
+            assert frame.pixels.dtype == np.uint8 and frame.pixels.nbytes == h * w * 3
+            ppm = (tmp_path / f"{frame.frame_index:06d}.ppm").read_bytes()
+            assert ppm == f"P6\n{w} {h}\n255\n".encode() + frame.pixels.tobytes()
 
     def test_missing_pose_line(self, tmp_path):
         self._write(tmp_path, [0, 5])

@@ -410,7 +410,7 @@ class TestSampleFuse:
         frames = self._frames()
 
         def extractor(image):
-            return np.zeros((8, 8, 1 if image is frames[0].image else 2))
+            return np.zeros((8, 8, 1 if image is frames[0].pixels else 2))
 
         with pytest.raises(ValueError, match=r"shape \(8, 8, 2\)"):
             self._fuse(extractor, frames)
@@ -429,7 +429,7 @@ class TestSampleFuse:
         frames = self._frames(6)
 
         def extractor(image):
-            fi = next(i for i, f in enumerate(frames) if f.image is image)
+            fi = next(i for i, f in enumerate(frames) if f.pixels is image)
             if fi == bad:
                 time.sleep(0.05)
             if fi in (bad, bad + 1):
@@ -444,7 +444,7 @@ class TestSampleFuse:
         frames[1] = frame_with_depth(np.full((20, 40), 10.0), index=1)
 
         def extractor(image):
-            if image is frames[3].image:
+            if image is frames[3].pixels:
                 raise ValueError("bad frame 3")
             return np.zeros((8, 8, 2))
 
@@ -538,7 +538,7 @@ class TestFusePipeline:
             block_vis, block_mean = downsample_blocks(
                 rng.dims, *visibility(rng, frame, current.pose, k, 0.5)
             )
-            out.append(_frame_features(extract_features(frame.image), block_vis, block_mean, k))
+            out.append(_frame_features(extract_features(frame.pixels), block_vis, block_mean, k))
         return out
 
     def test_pool_matches_serial_passes_and_oracle(self):

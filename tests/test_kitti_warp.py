@@ -34,10 +34,12 @@ GOLDEN = {
 }
 
 # traced peak (MiB) of each call beyond what was allocated before it, the
-# result included: about 10% over the 29.1 and 2.3 MiB measured with numpy
+# result included: about 10% over the 22.4 and 2.3 MiB measured with numpy
 # 2.4 (the whole-frame versions they replace peaked at 74.7 and 20.5, and
-# write_image at 4.3 while it joined the header to a copy of its pixels)
-PEAK_MIB = {"forward_splat": 32.0, "write_image": 2.5}
+# write_image at 4.3 while it joined the header to a copy of its pixels; the
+# splat peaked at 29.1 while the lift and the z-buffer kept every temporary
+# to the end and the result image was float64)
+PEAK_MIB = {"forward_splat": 24.6, "write_image": 2.5}
 
 
 def street_depth(x0: float) -> np.ndarray:

@@ -5,7 +5,9 @@ from scipy import ndimage
 from oracles import classify_palette, extract_features_bruteforce, raycast_bruteforce
 from scenecast import defaults, synth
 from scenecast.fusion import SceneGrid, SceneRange
-from scenecast.geom import CameraIntrinsics, compose, inverse, se3_exp, se3_log, tile_reduce
+from scenecast.geom import (
+    CameraIntrinsics, compose, inverse, quantize, se3_exp, se3_log, tile_reduce,
+)
 from scenecast.synth import (
     LAYOUTS,
     PALETTE,
@@ -323,33 +325,36 @@ class TestRenderImage:
 
 class TestExtractFeatures:
     def test_constant_image(self):
-        img = np.full((16, 16, 3), 0.25)
+        img = np.full((16, 16, 3), 64, dtype=np.uint8)
         feats = extract_features(img)
         assert feats.shape == (4, 4, 8)
-        assert np.allclose(feats[..., 0:4], 0.25)  # means carry the constant
+        assert np.allclose(feats[..., 0:4], 64 / 255)  # means carry the constant
         assert np.allclose(feats[..., 4:6], 0.0)   # gradients vanish
-        assert np.allclose(feats[..., 6:8], 0.25)  # min/max equal the constant
+        assert np.allclose(feats[..., 6:8], 64 / 255)  # min/max equal the constant
 
     def test_feature_l1_zero_for_identical(self):
         from scenecast.losses import l1_field
 
         rng = np.random.default_rng(51)
-        img = rng.random((16, 16, 3))
+        img = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
         assert l1_field(extract_features(img), extract_features(img)) == 0.0
 
     def test_shape_requirements(self):
         with pytest.raises(ValueError):
-            extract_features(np.zeros((15, 16, 3)))
+            extract_features(np.zeros((15, 16, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
-            extract_features(np.zeros((16, 16)))
+            extract_features(np.zeros((16, 16), dtype=np.uint8))
+        # a frame's pixels are bytes; floats are not read as an image
+        with pytest.raises(ValueError, match=r"uint8 image, got float64 of shape \(16, 16, 3\)"):
+            extract_features(np.zeros((16, 16, 3)))
 
     @pytest.mark.parametrize("size", ["desk", "kitti"])
     def test_matches_bruteforce_oracle(self, size):
         if size == "desk":
             grid = build_scene(SceneSpec(seed=4, layout="corridor"))
-            img = render_frame(grid, canonical_camera_pose((0.0, 2.0, 0.0)), desk_intrinsics()).image
+            img = render_frame(grid, canonical_camera_pose((0.0, 2.0, 0.0)), desk_intrinsics()).pixels
         else:
-            img = np.random.default_rng(54).integers(0, 256, size=(368, 1216, 3)) / 255.0
+            img = np.random.default_rng(54).integers(0, 256, size=(368, 1216, 3), dtype=np.uint8)
         got = extract_features(img)
         ref = extract_features_bruteforce(img)
         assert got.shape == ref.shape
@@ -357,9 +362,10 @@ class TestExtractFeatures:
         assert np.abs(got[..., :6] - ref[..., :6]).max() <= 1e-12
 
     @staticmethod
-    def scipy_reference(img):
+    def scipy_reference(pixels):
         # extract_features with scipy's ndimage.sobel for the two gradients and every
-        # other step in the same order
+        # other step in the same order, on the whole image read as pixels / 255
+        img = pixels / 255.0
         r, g, b = img[:, :, 0], img[:, :, 1], img[:, :, 2]
         gray = (r + g + b) / 3.0
         sob_x = np.abs(ndimage.sobel(gray, axis=1))
@@ -380,12 +386,15 @@ class TestExtractFeatures:
     def test_equals_scipy_sobel_bit_for_bit(self, shape, kind):
         rng = np.random.default_rng(55)
         if kind == "random":
-            img = rng.random(shape + (3,))
+            # random shades quantized as a render's are
+            img = quantize(rng.random(shape + (3,)))
         elif kind == "quantized":
-            img = rng.integers(0, 256, size=shape + (3,)) / 255.0
+            img = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
         else:
             # constant 3x3 patches of three levels: zero differences inside them
-            levels = rng.integers(0, 3, size=(shape[0] // 3 + 1, shape[1] // 3 + 1, 3)) / 2.0
+            levels = np.array([0, 128, 255], dtype=np.uint8)[
+                rng.integers(0, 3, size=(shape[0] // 3 + 1, shape[1] // 3 + 1, 3))
+            ]
             img = levels.repeat(3, axis=0).repeat(3, axis=1)[: shape[0], : shape[1]]
         got = extract_features(img)
         ref = self.scipy_reference(img)
@@ -394,7 +403,7 @@ class TestExtractFeatures:
 
     def test_stride_shift_covariance(self):
         rng = np.random.default_rng(52)
-        img = rng.random((24, 24, 3))
+        img = rng.integers(0, 256, size=(24, 24, 3), dtype=np.uint8)
         shifted = np.roll(img, 4, axis=1)
         a = extract_features(img)
         b = extract_features(shifted)

@@ -235,7 +235,8 @@ class TestForwardSplat:
         _, k, _, frames = corridor_setup(0, past=0)
         src = frames[0]
         result = forward_splat([src], src.pose, k, dst_frame_index=0)
-        assert np.array_equal(result.image, src.image)
+        assert result.image.dtype == np.uint8
+        assert np.array_equal(result.image, src.pixels)
         assert np.array_equal(result.depth, src.depth)
         assert np.array_equal(result.hit_mask, src.depth > 0)
         assert np.array_equal(result.source_index == 0, src.depth > 0)
@@ -245,7 +246,7 @@ class TestForwardSplat:
         far = flat_frame(5.0, color=0.75, index=1)
         result = forward_splat([far, near], Se3Pose.identity(), K4, dst_frame_index=2)
         assert np.all(result.depth == 3.0)
-        assert np.all(result.image == 0.25)
+        assert np.array_equal(result.image, near.pixels)
         assert np.all(result.source_index == 1)
 
     def test_huge_finite_depth_does_not_win(self):
@@ -255,16 +256,16 @@ class TestForwardSplat:
         far = flat_frame(float(np.float32(1e30)), color=0.75, index=1)
         result = forward_splat([near, far], Se3Pose.identity(), K4, dst_frame_index=1)
         assert np.all(result.depth == 2.0)
-        assert np.all(result.image == 0.25)
+        assert np.array_equal(result.image, near.pixels)
         assert np.all(result.source_index == 0)
 
     def test_tie_breaks_prefer_temporally_closest(self):
         a = flat_frame(5.0, color=0.2, index=0)
         b = flat_frame(5.0, color=0.8, index=10)
         result = forward_splat([a, b], Se3Pose.identity(), K4, dst_frame_index=9)
-        assert np.all(result.image == 0.8)
+        assert np.array_equal(result.image, b.pixels)
         result = forward_splat([a, b], Se3Pose.identity(), K4, dst_frame_index=1)
-        assert np.all(result.image == 0.2)
+        assert np.array_equal(result.image, a.pixels)
 
     def test_order_independence(self):
         _, k, traj, frames = corridor_setup(1)
@@ -303,7 +304,8 @@ class TestForwardSplat:
                    for d, pose, i in zip(depths, poses, indices)]
         result = forward_splat(sources, dst_pose, k, dst_frame_index=dst)
         image, depth, source_index = splat_bruteforce(sources, dst_pose, k, dst)
-        assert np.array_equal(result.image.view(np.int64), image.view(np.int64))
+        assert result.image.dtype == image.dtype == np.uint8
+        assert np.array_equal(result.image, image)
         assert np.array_equal(result.depth.view(np.int64), depth.view(np.int64))
         assert np.array_equal(result.source_index, source_index)
         assert len(set(source_index[source_index >= 0].tolist())) == len(sources)
@@ -313,7 +315,7 @@ class TestForwardSplat:
         # 2**31 frame of broadcast views needs no memory, and the check runs
         # before any pixel is lifted
         big = FrameBundle.__new__(FrameBundle)
-        big.image = np.broadcast_to(np.zeros(1, dtype=bool), (2**31, 2**31, 1))
+        big.pixels = np.broadcast_to(np.zeros(1, dtype=np.uint8), (2**31, 2**31, 1))
         big.depth = np.broadcast_to(np.zeros(1, dtype=bool), (2**31, 2**31))
         big.pose, big.frame_index = Se3Pose.identity(), 0
         k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 2**31, 2**31)
@@ -472,6 +474,29 @@ class TestFrameBundleValidation:
             FrameBundle(np.zeros((4, 4, 3)), np.zeros((5, 4)), Se3Pose.identity(), 0)
         with pytest.raises(ValueError, match="HxWxC"):
             FrameBundle(np.zeros((4, 4)), np.zeros((4, 4)), Se3Pose.identity(), 0)
+
+    def test_messages_are_unchanged(self):
+        # the messages from before frames held bytes, whole
+        pose = Se3Pose.identity()
+        with pytest.raises(ValueError, match=r"^image must be HxWxC, got shape \(4, 4\)$"):
+            FrameBundle(np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 4)), pose, 0)
+        with pytest.raises(ValueError, match=r"^depth shape \(5, 4\) does not match image \(4, 4\)$"):
+            FrameBundle(np.zeros((4, 4, 3), dtype=np.uint8), np.zeros((5, 4)), pose, 0)
+        with pytest.raises(ValueError, match=r"^image entries must be finite$"):
+            FrameBundle(np.full((4, 4, 3), np.nan), np.zeros((4, 4)), pose, 0)
+        with pytest.raises(ValueError, match=r"^image entries must lie in \[0, 1\]$"):
+            FrameBundle(np.full((4, 4, 3), 2.0), np.zeros((4, 4)), pose, 0)
+
+    def test_pixels_are_bytes(self):
+        # uint8 is taken as it is; floats are quantized once by the PPM rule
+        pose = Se3Pose.identity()
+        image = np.full((2, 2, 3), 7, dtype=np.uint8)
+        assert FrameBundle(image, np.ones((2, 2)), pose, 0).pixels is image
+        half = (np.arange(12).reshape(2, 2, 3) + 0.5) / 255.0
+        frame = FrameBundle(half, np.ones((2, 2)), pose, 0)
+        assert frame.pixels.dtype == np.uint8
+        assert np.array_equal(frame.pixels, np.floor(half * 255.0 + 0.5))
+        assert np.array_equal(frame.image, frame.pixels / 255.0)
 
     @staticmethod
     def frame_with(image_value=0.5, depth_value=1.0):
