@@ -37,7 +37,6 @@ from .warp import (
     fill_refiner,
     forward_splat,
     identity_refiner,
-    reprojection_flow,
 )
 
 REFINERS = {"identity": identity_refiner, "fill": fill_refiner}
@@ -158,22 +157,6 @@ def _write_fusion(out_dir, suffix, fused, bv, cov) -> None:
     _write_csv(out_dir / f"coverage{suffix}.csv", ("frame", "visible_blocks"), rows)
 
 
-def _coverage_rows(sources, pose, k):
-    """Pixels hit when splatting the first m sources to `pose`, for m = 1..N.
-
-    A pixel is hit exactly when some source maps into it, whatever the
-    z-order, so the hits are the running union of each source's valid
-    reprojection targets.
-    """
-    covered = np.zeros(k.width * k.height, dtype=bool)
-    rows = []
-    for m, src in enumerate(sources, start=1):
-        covered[reprojection_flow(src, pose, k)[1]] = True
-        hits = int(covered.sum())
-        rows.append((m, hits, covered.size, hits / covered.size))
-    return rows
-
-
 # ----------------------------------------------------------------- subcommands
 
 def cmd_synth(args) -> int:
@@ -266,10 +249,11 @@ def cmd_warp(args) -> int:
     src_vis = np.where(result.source_index < 0, 255, result.source_index).astype(np.uint8)
     dataio.write_pgm(out_dir / "source_index.pgm", src_vis)
     dataio.write_poses(out_dir / "target_pose.txt", [target_pose])
+    total = result.source_index.size
     _write_csv(
         out_dir / "coverage.csv",
         ("num_sources", "hit_pixels", "total_pixels", "coverage"),
-        _coverage_rows(sources, target_pose, k),
+        [(m, hits, total, hits / total) for m, hits in enumerate(result.prefix_hits, start=1)],
     )
     print(f"wrote warp outputs to {out_dir}")
     return 0

@@ -498,20 +498,25 @@ def resample_to_range(
     Each range voxel center is carried into world coordinates (the world is
     the identity camera) and takes the label of the world voxel containing
     it; points outside the world grid become empty. For a camera aligned
-    with the world axes this reduces to an integer shift.
+    with the world axes this reduces to an integer shift. The range is
+    mapped in slabs of whole x-rows, at most _POINTS voxels a slab but never
+    less than one x-row, so the temporaries stay small; each voxel's
+    arithmetic is the same in any slab.
     """
     r, t = scene_to_frame_transform(current_pose, Se3Pose.identity())
     cx, cy, cz = _center_axes(rng)
-    world_axes = rigid_transform(r, t, cx[:, None, None], cy[:, None], cz)
-    # each axis's world voxel index, bounds-tested as a float, folded into one
-    # C-order flat index that is exact wherever all three are inside
-    inside = np.ones(rng.dims, dtype=bool)
-    flat = np.zeros(rng.dims)
-    for c, o, n in zip(world_axes, world.range.origin, world.range.dims):
-        f = np.floor((c - o) / world.range.voxel_size)
-        inside &= (f >= 0) & (f < n)
-        flat *= n
-        flat += f
     labels = np.zeros(rng.dims, dtype=np.uint8)
-    labels[inside] = world.labels.ravel()[flat[inside].astype(np.int64)]
+    rows = max(_POINTS // (rng.dims[1] * rng.dims[2]), 1)
+    for s in range(0, rng.dims[0], rows):
+        world_axes = rigid_transform(r, t, cx[s:s + rows, None, None], cy[:, None], cz)
+        # each axis's world voxel index, bounds-tested as a float, folded into
+        # one C-order flat index that is exact wherever all three are inside
+        inside = np.ones(world_axes[0].shape, dtype=bool)
+        flat = np.zeros(world_axes[0].shape)
+        for c, o, n in zip(world_axes, world.range.origin, world.range.dims):
+            f = np.floor((c - o) / world.range.voxel_size)
+            inside &= (f >= 0) & (f < n)
+            flat *= n
+            flat += f
+        labels[s:s + rows][inside] = world.labels.ravel()[flat[inside].astype(np.int64)]
     return SceneGrid(rng, labels)

@@ -34,11 +34,13 @@ DEPTH_TIE_QUANTUM = 1e-9
 @dataclass
 class WarpResult:
     """Splatted uint8 image and depth plus the winning source slot per pixel
-    (-1: no hit)."""
+    (-1: no hit). prefix_hits[m - 1] counts the pixels some of the first m
+    sources map into, whatever the z-order; the last equals hit_mask.sum()."""
 
     image: np.ndarray
     depth: np.ndarray
     source_index: np.ndarray
+    prefix_hits: Tuple[int, ...]
 
     @property
     def hit_mask(self) -> np.ndarray:
@@ -145,7 +147,8 @@ def reprojection_flow(
 
 
 def _winners(sources, dst_pose, k, dst_frame_index):
-    """(target, depth, key) of the one candidate that wins each reached target.
+    """(target, depth, key) of the one candidate that wins each reached target,
+    and the running union's hit count after each source.
 
     The key packs (proximity rank, source pixel, slot): the rank among the
     sources' distinct proximities orders like the proximity, however far
@@ -156,9 +159,13 @@ def _winners(sources, dst_pose, k, dst_frame_index):
     n, pixels = len(sources), sources[0].depth.size
     proximity = [abs(s.frame_index - dst_frame_index) for s in sources]
     rank = {p: i for i, p in enumerate(sorted(set(proximity)))}
+    covered = np.zeros(pixels, dtype=bool)
+    prefix_hits = []
 
     def candidates(slot, src):
         spix, tgt, uvd = reprojection_flow(src, dst_pose, k)
+        covered[tgt] = True
+        prefix_hits.append(int(np.count_nonzero(covered)))
         return tgt, uvd[:, 2].copy(), (rank[proximity[slot]] * pixels + spix) * n + slot
 
     tgt, depths, key = zip(*map(candidates, range(n), sources))
@@ -180,7 +187,7 @@ def _winners(sources, dst_pose, k, dst_frame_index):
     least_key = np.full(pixels, np.iinfo(np.int64).max)
     np.minimum.at(least_key, near_tgt, near_key)
     winners = near[near_key == least_key[near_tgt]]
-    return tgt[winners], depths[winners], key[winners]
+    return tgt[winners], depths[winners], key[winners], tuple(prefix_hits)
 
 
 def forward_splat(
@@ -213,7 +220,7 @@ def forward_splat(
             "(sources squared times pixels must not exceed 2**63)"
         )
 
-    t, d, key = _winners(sources, dst_pose, k, dst_frame_index)
+    t, d, key, prefix_hits = _winners(sources, dst_pose, k, dst_frame_index)
     slot = key % n
     spix = key // n % pixels
     image = np.zeros((h, w, channels), dtype=np.uint8)
@@ -225,7 +232,7 @@ def forward_splat(
         image.reshape(-1, channels)[t[mine]] = src.pixels.reshape(-1, channels)[spix[mine]]
     depth.reshape(-1)[t] = d
     source_index.reshape(-1)[t] = slot
-    return WarpResult(image, depth, source_index)
+    return WarpResult(image, depth, source_index, prefix_hits)
 
 
 def compose_pseudo_future(

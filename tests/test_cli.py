@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scenecast import cli, dataio, defaults
+from scenecast import cli, dataio, defaults, warp
 from scenecast.cli import demo_pipeline, main
 from scenecast.forecast import PoseSequence, forecast_next
 from scenecast.fusion import SceneRange, fuse_pipeline, resample_to_range
@@ -219,6 +219,25 @@ class TestWarp:
         for m, row in enumerate(rows, start=1):
             hits = forward_splat(sources[:m], target.pose, k, dst_frame_index=25).hit_mask.sum()
             assert row.split(",")[:3] == [str(m), str(hits), str(k.width * k.height)]
+
+    @pytest.mark.parametrize("target", [(), ("--target-index", "25")])
+    def test_each_source_is_lifted_once(self, small_frames_dir, tmp_path, capsys, monkeypatch,
+                                        target):
+        # the coverage rows come from the splat's own lifts: N sources, N lifts
+        lifted = []
+        lift = warp.reprojection_flow
+
+        def counted(src, *args):
+            lifted.append(src.frame_index)
+            return lift(src, *args)
+
+        monkeypatch.setattr(warp, "reprojection_flow", counted)
+        # and any binding of the lift in the command line itself
+        monkeypatch.setattr(cli, "reprojection_flow", counted, raising=False)
+        code, _, err = run(capsys, "warp", "--frames-dir", str(small_frames_dir),
+                           "--interval", "5", *target, "--out-dir", str(tmp_path / "warp"))
+        assert code == 0, err
+        assert lifted == ([0, 5, 10, 15, 20] if target else [0, 5, 10, 15, 20, 25])
 
 
 def small_size_tree(root: Path, width: int, height: int) -> Path:

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import re
 import struct
 
 import numpy as np
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenecast import dataio
+from scenecast.cli import main
 from scenecast.dataio import FormatError
 from scenecast.fusion import BlockVisibility, FusedVolume, SceneGrid, SceneRange
 from scenecast.geom import FrameBundle, Se3Pose, se3_exp
@@ -614,3 +618,96 @@ class TestReaderSweep:
         ]
         for name, data in cases:
             assert not self._read(tmp_path, name, files[name][0], data), name
+
+
+
+# what a FormatError's message must name
+AT_FAULT = re.compile(r"(offset|line) \d+")
+
+CUTS = st.none() | st.integers(0, 2**16)
+# a flip's offset: often in the header, which the first 64 bytes hold
+FLIPS = st.lists(st.tuples(st.integers(0, 63) | st.integers(0, 2**16), st.integers(0, 255)),
+                 max_size=3)
+
+
+def _corrupt(data: bytes, cut, flips) -> bytes:
+    """`data` cut to its first cut % (len + 1) bytes (uncut when `cut` is
+    None), then for each (at, value) of `flips` its byte at % len set to value."""
+    out = bytearray(data if cut is None else data[:cut % (len(data) + 1)])
+    for at, value in flips:
+        if out:
+            out[at % len(out)] = value
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """(root, files): a directory holding one valid file of each kind, as
+    `_valid_files` gives them, a copy of the grid as gt.vxg and a two-frame
+    tree under frames/."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(17)
+    dataio.write_frame_sequence(root / "frames", [
+        FrameBundle(rng.random((6, 8, 3)), rng.random((6, 8)) + 1.0, Se3Pose.identity(), i)
+        for i in (0, 5)
+    ])
+    files = _valid_files(root)
+    (root / "gt.vxg").write_bytes(files["g.vxg"][1])
+    return root, files
+
+
+class TestReaderFuzz:
+    """Cut and byte-flipped files: each reader returns a value or raises a
+    FormatError naming an offset or line, and a command reading the file
+    fails with exit 1 and that message as its one error line."""
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(name=st.sampled_from(["g.vxg", "d.dpt", "f.fvx", "b.bvx", "i.ppm", "poses.txt"]),
+           cut=CUTS, flips=FLIPS)
+    def test_readers_return_or_name_the_fault(self, fuzz_root, name, cut, flips):
+        root, files = fuzz_root
+        read, data = files[name]
+        path = root / "corrupt" / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(_corrupt(data, cut, flips))
+        try:
+            read(path)
+        except FormatError as exc:
+            assert AT_FAULT.search(str(exc)), str(exc)
+
+    # the file each command reads, its reader, and the command's arguments
+    COMMANDS = {
+        "eval": ("g.vxg", dataio.read_grid,
+                 ["eval", "--pred", "{file}", "--gt", "{root}/gt.vxg"]),
+        "forecast": ("poses.txt", dataio.read_poses, ["forecast", "--poses", "{file}"]),
+        "fuse_poses": ("frames/poses.txt", dataio.read_poses,
+                       ["fuse", "--frames-dir", "{root}/frames", "--out-dir", "{out}"]),
+        "fuse_ppm": ("frames/000005.ppm", dataio.read_image,
+                     ["fuse", "--frames-dir", "{root}/frames", "--out-dir", "{out}"]),
+        "fuse_dpt": ("frames/000000.dpt", dataio.read_depth,
+                     ["fuse", "--frames-dir", "{root}/frames", "--out-dir", "{out}"]),
+    }
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(command=st.sampled_from(sorted(COMMANDS)), cut=CUTS, flips=FLIPS)
+    def test_commands_fail_with_the_readers_one_line(self, fuzz_root, command, cut, flips):
+        root = fuzz_root[0]
+        name, read, argv = self.COMMANDS[command]
+        path = root / name
+        data = path.read_bytes()
+        out = root / "out"
+        path.write_bytes(_corrupt(data, cut, flips))
+        try:
+            try:
+                read(path)
+            except FormatError as exc:
+                message = str(exc)
+            else:
+                return  # a command given a readable file may succeed
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([a.format(file=path, root=root, out=out) for a in argv])
+            assert (code, err.getvalue()) == (1, f"error: {message}\n")
+            assert not out.exists()
+        finally:
+            path.write_bytes(data)

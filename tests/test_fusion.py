@@ -1,12 +1,13 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import downsample_bruteforce, resample_bruteforce, visibility_bruteforce
-from scenecast import fusion
+from scenecast import defaults, fusion
 from scenecast.fusion import (
     SceneGrid,
     SceneRange,
@@ -665,3 +666,21 @@ class TestResampleToRange:
             pose = compose(canonical_camera_pose((0.0, 2.0, 0.0)), se3_exp(twist))
             out = resample_to_range(grid, rng, pose)
             assert np.array_equal(out.labels, resample_bruteforce(grid, rng, pose))
+
+    def test_desk_scale_peak_memory(self):
+        # the demo's 128x128x16 range, mapped in slabs: 4.5 MiB traced with
+        # numpy 2.4, the labels included, against 14.3 when it was mapped whole
+        voxel = defaults.DESK_VOXEL_SIZE
+        grid = build_scene(SceneSpec(seed=0, dims=(128, 160, 16), voxel_size=voxel))
+        rng = SceneRange.ahead_of_camera(tuple(d * voxel for d in defaults.DESK_SCENE_DIMS), voxel)
+        turn = se3_exp(np.array([0.0, 0.3, 0.0, 0.3, 0.0, 0.2]))
+        pose = compose(canonical_camera_pose((0.0, 4.0, 0.0)), turn)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            resample_to_range(grid, rng, pose)
+            peak_mib = (tracemalloc.get_traced_memory()[1] - before) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mib < 5.0

@@ -437,7 +437,7 @@ class TestRefiners:
         image[0, 0, 0] = 0.4
         depth = np.array([[2.0, 0.0, 0.0]])
         src = np.array([[0, -1, -1]])
-        filled_img, filled_depth = fill_refiner(WarpResult(image, depth, src))
+        filled_img, filled_depth = fill_refiner(WarpResult(image, depth, src, (1,)))
         assert np.all(filled_depth == 2.0)
         assert np.all(filled_img == 0.4)
 
@@ -457,13 +457,13 @@ class TestRefiners:
             image = np.where(hit[..., None], gen.random(shape + (3,)), 0.0)
             depth = np.where(hit, gen.uniform(1.0, 9.0, size=shape), 0.0)
             filled_image, filled_depth = fill_refiner(
-                WarpResult(image, depth, np.where(hit, 0, -1)))
+                WarpResult(image, depth, np.where(hit, 0, -1), (int(hit.sum()),)))
             rows, cols = nearest_hit_bruteforce(hit)
             assert np.array_equal(filled_image, image[rows, cols])
             assert np.array_equal(filled_depth, depth[rows, cols])
 
     def test_fill_refiner_all_miss_unchanged(self):
-        empty = WarpResult(np.zeros((2, 2, 3)), np.zeros((2, 2)), np.full((2, 2), -1))
+        empty = WarpResult(np.zeros((2, 2, 3)), np.zeros((2, 2)), np.full((2, 2), -1), (0,))
         image, depth = fill_refiner(empty)
         assert np.all(image == 0.0) and np.all(depth == 0.0)
 
