@@ -94,7 +94,7 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: invalid UTF-8 byte at offset {exc.start}") from None
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):  # as the UTF-8 branch counts
         s = line.strip()
         if not s or s.startswith("#"):
             continue

@@ -122,10 +122,10 @@ class _Cursor:
 
 def _f32(values, what: str, nonnegative: bool = False) -> np.ndarray:
     """`values` as little-endian f32; one that is not finite as f32, or is
-    negative when `nonnegative`, raises ValueError."""
+    negative before the cast when `nonnegative`, raises ValueError."""
     with np.errstate(over="ignore"):  # beyond f32's range is inf, refused below
         a = np.asarray(values, dtype="<f4")
-    if not np.all(np.isfinite(a) & (a >= 0.0 if nonnegative else True)):
+    if not np.all(np.isfinite(a) & (np.asarray(values) >= 0.0 if nonnegative else True)):
         raise ValueError(f"{what} values must be finite{' and >= 0' * nonnegative} as f32")
     return a
 
@@ -175,6 +175,7 @@ def write_depth(path, depth: np.ndarray) -> None:
 
 
 def read_depth(path) -> np.ndarray:
+    """The HxW float32 depth of a .dpt, a read-only view of the file's bytes."""
     cur = _Cursor(path, MAGIC_DEPTH)
     h, w = cur.header("<II", "depth header")
     for i, n in enumerate((h, w)):
@@ -182,7 +183,7 @@ def read_depth(path) -> np.ndarray:
             raise cur.fail(f"zero depth dim at offset {4 + 4 * i}")
     d = cur.f32(h * w, "depth", nonnegative=True)
     cur.end()
-    return d.reshape(h, w).astype(np.float64)
+    return d.reshape(h, w)
 
 
 # --------------------------------------------------------------------- images
@@ -316,7 +317,7 @@ def read_poses(path) -> List[Se3Pose]:
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
-        lines = enumerate(text.splitlines(), start=1)
+        lines = enumerate(text.split("\n"), start=1)  # as the UTF-8 branch counts them
         return [parse_pose_line(line, lineno) for lineno, line in lines if line.strip()]
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1

@@ -219,12 +219,12 @@ def quantize(image: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FrameBundle:
-    """One frame: the HxWxC 8-bit image as its PPM holds it, depth in meters
-    (0 = invalid), pose, index.
+    """One frame: the HxWxC 8-bit image as its PPM holds it, the HxW float32
+    depth in meters (0 = invalid) as its .dpt holds it, pose, index.
 
-    `pixels` is uint8. A uint8 array is taken as it is; any other is read as
-    floats in [0, 1] and quantized once by `quantize`, the rule `write_image`
-    writes by, so a frame written and read back holds the same bytes.
+    `pixels` is uint8 and `depth` float32, each taken as it is; any other
+    image is read as floats in [0, 1] and quantized once by `quantize`, the
+    rule `write_image` writes by, and any other depth is checked, then cast.
     """
 
     pixels: np.ndarray
@@ -234,12 +234,12 @@ class FrameBundle:
 
     def __post_init__(self):
         pixels = np.asarray(self.pixels)
-        self.depth = np.asarray(self.depth, dtype=np.float64)
+        depth = np.asarray(self.depth)
         if pixels.ndim != 3:
             raise ValueError(f"image must be HxWxC, got shape {pixels.shape}")
-        if self.depth.shape != pixels.shape[:2]:
+        if depth.shape != pixels.shape[:2]:
             raise ValueError(
-                f"depth shape {self.depth.shape} does not match image {pixels.shape[:2]}"
+                f"depth shape {depth.shape} does not match image {pixels.shape[:2]}"
             )
         if pixels.dtype != np.uint8:
             pixels = np.asarray(pixels, dtype=np.float64)
@@ -251,8 +251,10 @@ class FrameBundle:
                 raise ValueError("image entries must lie in [0, 1]")
             pixels = quantize(pixels)
         self.pixels = pixels
-        if not (self.depth.min() >= 0.0 and self.depth.max() < np.inf):
+        # checked before the cast, which makes -1e-300 -0.0 and 1e39 inf
+        if not (depth.min() >= 0.0 and depth.max() <= np.finfo(np.float32).max):
             raise ValueError("depth entries must be finite and >= 0")
+        self.depth = depth.astype(np.float32, copy=False)
 
     @property
     def image(self) -> np.ndarray:

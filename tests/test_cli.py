@@ -1,3 +1,4 @@
+import shutil
 import struct
 from pathlib import Path
 
@@ -648,6 +649,25 @@ class TestConfigFile:
         assert err == f"error: {cfg}:2: invalid UTF-8 byte at offset 7\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("end", ["\x0c", "\x85", "\u2028"])
+    def test_lines_end_at_newline_only(self, tmp_path, capsys, end):
+        # a form feed or NEL before the newline does not shift the next line's number
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"seed=1{end}\nbogus=2\n", encoding="utf-8")
+        code, _, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith(f"error: {cfg}:2: unknown key 'bogus'")
+
+    def test_crlf_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"seed=5\r\ndims=32,32,8\r\nframes=2\r\n")
+        code, _, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(tmp_path / "a"))
+        assert code == 0, err
+        code, _, err = run(capsys, "synth", "--seed", "5", "--dims", "32,32,8", "--frames", "2",
+                           "--out-dir", str(tmp_path / "b"))
+        assert code == 0, err
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
     def test_config_reaches_every_option(self, small_frames_dir, tmp_path, capsys):
         cfg = tmp_path / "conf"
         cfg.write_text("interval=5\npast=2\nfuture=gt\nrange-dims=64,64,16\n"
@@ -761,6 +781,26 @@ class TestDemo:
                            "--out-dir", str(out))
         assert code == 0, err
         assert (out / "fused.fvx").read_bytes() == (demo / "fused_past_current_future.fvx").read_bytes()
+
+    def test_pseudo_future_is_warp_and_fuse_of_its_frame_tree(self, tmp_path, capsys):
+        # the default demo splats and fuses the depth its tree stores: warp and
+        # fuse of the past and current frames give its pseudo-future and volume
+        demo, tree = tmp_path / "demo", tmp_path / "tree"
+        code, _, err = run(capsys, "demo", "--seed", "0", "--out-dir", str(demo))
+        assert code == 0, err
+        shutil.copytree(demo / "frames", tree)
+        future = max(tree.glob("*.ppm"))
+        future.unlink()
+        future.with_suffix(".dpt").unlink()
+        for argv in (["warp", "--refiner", "fill", "--out-dir", str(tmp_path / "warp")],
+                     ["fuse", "--future", "pseudo", "--refiner", "fill",
+                      "--out-dir", str(tmp_path / "fuse")]):
+            code, _, err = run(capsys, *argv, "--frames-dir", str(tree))
+            assert code == 0, err
+        for mine, theirs in (("pseudo_future.ppm", "warp/warped.ppm"),
+                             ("pseudo_future.dpt", "warp/warped.dpt"),
+                             ("fused_past_current_future.fvx", "fuse/fused.fvx")):
+            assert (demo / mine).read_bytes() == (tmp_path / theirs).read_bytes(), mine
 
     def test_window_above_past_fails_before_any_render(self, monkeypatch, tmp_path, capsys):
         # past 4 gives 5 poses to forecast from: the forecast rejects window 5

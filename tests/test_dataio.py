@@ -64,6 +64,13 @@ class TestGridFile:
         with pytest.raises(FormatError, match="non-finite origin nan at offset 24"):
             dataio.read_grid(path)
 
+    @pytest.mark.parametrize("vs", [0.0, -0.5, float("nan")], ids=["zero", "negative", "nan"])
+    def test_invalid_voxel_size_names_offset(self, tmp_path, vs):
+        path = tmp_path / "g.vxg"
+        path.write_bytes(b"VXG1" + struct.pack("<IIIf3f", 1, 1, 1, vs, 0.0, 0.0, 0.0) + bytes(1))
+        with pytest.raises(FormatError, match=rf"g.vxg: invalid voxel_size {vs} at offset 16$"):
+            dataio.read_grid(path)
+
     def test_truncated_payload_names_offset(self, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "g.vxg"
@@ -105,6 +112,23 @@ class TestDepthFile:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="offset 12"):
             dataio.read_depth(path)
+
+    def test_read_is_a_read_only_f32_view(self, tmp_path):
+        depth = np.array([[0.5, 0.0, 7.25]], dtype=np.float32)
+        path = tmp_path / "d.dpt"
+        dataio.write_depth(path, depth)
+        back = dataio.read_depth(path)
+        assert back.dtype == np.float32 and back.tobytes() == depth.tobytes()
+        assert not back.flags.writeable
+
+    def test_tiny_negative_rejected_on_write(self, tmp_path):
+        # -1e-50 is -0.0 as f32: the sign is read before the cast, as
+        # FrameBundle reads it
+        with pytest.raises(ValueError, match="depth values must be finite and >= 0"):
+            dataio.write_depth(tmp_path / "d.dpt", [[-1e-50, 1.0]])
+        with pytest.raises(ValueError, match="depth entries must be finite and >= 0"):
+            FrameBundle(np.zeros((1, 2, 3)), [[-1e-50, 1.0]], Se3Pose.identity(), 0)
+        assert not (tmp_path / "d.dpt").exists()
 
     def test_beyond_f32_rejected_on_write(self, tmp_path):
         # finite as f64 but inf as f32: refused without a numpy cast warning
@@ -184,6 +208,12 @@ class TestImageFile:
         path.write_bytes(b"P6\n# comment line\n2 1\n255\n" + bytes(6))
         img = dataio.read_image(path)
         assert img.shape == (1, 2, 3)
+
+    def test_unterminated_comment_names_offset(self, tmp_path):
+        path = tmp_path / "i.ppm"
+        path.write_bytes(b"P6\n2 1 # no newline after this comment")
+        with pytest.raises(FormatError, match="i.ppm: unterminated comment at offset 7$"):
+            dataio.read_image(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "i.ppm"
@@ -343,6 +373,27 @@ class TestPoseFile:
         path = tmp_path / "poses.txt"
         path.write_bytes(b"1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 0 0 1 0 0 0 0 -1 0\n")
         with pytest.raises(FormatError, match="poses.txt: line 2: rotation must have determinant"):
+            dataio.read_poses(path)
+
+    @pytest.mark.parametrize("end", ["\x0c", "\x85", "\x0b", "\u2028"])
+    def test_lines_end_at_newline_only(self, tmp_path, end):
+        # a form feed or NEL before the newline neither ends a line nor
+        # shifts the next line's number, and separates values as a tab does
+        path = tmp_path / "poses.txt"
+        identity = "1 0 0 0 0 1 0 0 0 0 1 0"
+        path.write_text(identity.replace(" ", end, 1) + end + "\nx\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="poses.txt: line 2: expected 12 pose values, got 1"):
+            dataio.read_poses(path)
+        path.write_text(identity + end + "\n" + identity + "\n", encoding="utf-8")
+        assert len(dataio.read_poses(path)) == 2
+
+    def test_crlf_lines(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_bytes(b"1 0 0 0 0 1 0 0 0 0 1 0\r\n1 0 0 1 0 1 0 0 0 0 1 0\r\n")
+        back = dataio.read_poses(path)
+        assert [p.translation.tolist() for p in back] == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        path.write_bytes(b"1 0 0 0 0 1 0 0 0 0 1 0\r\nx\r\n")
+        with pytest.raises(FormatError, match="line 2: expected 12 pose values"):
             dataio.read_poses(path)
 
     def test_errors_name_line(self):
@@ -541,7 +592,7 @@ class TestFuzzedRoundTrips:
             depth = (rng.random((h, w)) * 80).astype(np.float32)
             path = tmp_path / f"d{i}.dpt"
             dataio.write_depth(path, depth)
-            assert np.array_equal(dataio.read_depth(path), depth.astype(np.float64))
+            assert dataio.read_depth(path).tobytes() == depth.tobytes()
 
     def test_poses(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -341,7 +341,8 @@ class TestProjection:
         depth = rng.uniform(0.1, 100.0, size=(k.height, k.width))
         a = se3_exp(rng.normal(scale=0.5, size=6))
         b = compose(a, se3_exp(np.array([0.01, -0.02, 0.01, 0.2, -0.1, 0.5])))
-        idx, _, uvd = reprojection_flow(FrameBundle(np.zeros((24, 32, 3)), depth, a, 0), b, k)
+        src = FrameBundle(np.zeros((24, 32, 3)), depth, a, 0)
+        idx, _, uvd = reprojection_flow(src, b, k)
         assert idx.size > 500
 
         def lift(pose, u, v, d):
@@ -349,7 +350,7 @@ class TestProjection:
             return p @ pose.rotation.T + pose.translation
 
         v, u = np.divmod(idx, k.width)
-        world_a = lift(a, u.astype(float), v.astype(float), depth.ravel()[idx])
+        world_a = lift(a, u.astype(float), v.astype(float), src.depth.ravel()[idx])
         world_b = lift(b, uvd[:, 0], uvd[:, 1], uvd[:, 2])
         assert np.abs(world_a - world_b).max() < 1e-9
 

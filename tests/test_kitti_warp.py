@@ -26,10 +26,11 @@ DST_INDEX = 5 * STEP
 
 # SHA-256 of the fill's warped.ppm and warped.dpt and of the splat's
 # source_index as little-endian int64, recorded before the warp path's memory
-# rewrite, which keeps them bit for bit
+# rewrite, which keeps them bit for bit; warped.dpt re-recorded once when
+# frames came to hold float32 depth, which rounds `street_depth`
 GOLDEN = {
     "warped.ppm": "7e3f1fbbd0df0e710cd6c53083e28322bc858736b07b6eb40415b9b0e81e5856",
-    "warped.dpt": "fd0b09d230d11eb88038a79a4421814ea3dbfe927205c4c3968c60f896ff84dd",
+    "warped.dpt": "81c147970b21f278da65899bc56e24c54f5b2c17b0adcd0e45a6a378b017600a",
     "source_index": "46ab80426af294ddfc39af262c86303e914b7cdcc3ed3f1b211d9a3472270d61",
 }
 

@@ -129,8 +129,18 @@ class TestRenderDepth:
             pose = canonical_camera_pose((rng.uniform(-0.5, 0.5), 0.3, 0.1))
             frame = render_frame(grid, pose, k)
             ref_depth, ref_cls = raycast_bruteforce(grid, pose, k, 80.0)
-            assert np.abs(frame.depth - ref_depth).max() < 1e-9
+            assert np.abs(synth._raycast(grid, pose, k, 80.0)[0] - ref_depth).max() < 1e-9
             assert np.array_equal(classify_palette(frame.image), ref_cls)
+
+    def test_frame_holds_the_raycast_depth_as_float32(self):
+        grid = build_scene(SceneSpec(seed=3, layout="corridor", dims=(32, 48, 8)))
+        pose = canonical_camera_pose((0.37, 1.9, 0.23))
+        k = desk_intrinsics(32, 24)
+        depth = render_frame(grid, pose, k).depth
+        raw = synth._raycast(grid, pose, k, defaults.D_MAX)[0]
+        assert (raw > 0).mean() > 0.3 and raw.dtype == np.float64
+        assert depth.dtype == np.float32
+        assert depth.tobytes() == raw.astype(np.float32).tobytes()
 
     def test_depth_capped_at_range(self, monkeypatch):
         monkeypatch.setattr(defaults, "D_MAX", 1.0)
@@ -143,12 +153,13 @@ class TestRenderDepth:
 
 
 def _matches_oracle(grid, pose, k):
-    """Render and compare with the brute-force oracle at `defaults.D_MAX`;
+    """Render and compare with the brute-force oracle at `defaults.D_MAX`:
+    the image's classes exactly, the traversal's float64 depth within 1e-9;
     returns the oracle classes."""
     frame = render_frame(grid, pose, k)
     ref_depth, ref_cls = raycast_bruteforce(grid, pose, k, defaults.D_MAX)
     assert np.array_equal(classify_palette(frame.image), ref_cls)
-    assert np.abs(frame.depth - ref_depth).max() < 1e-9
+    assert np.abs(synth._raycast(grid, pose, k, defaults.D_MAX)[0] - ref_depth).max() < 1e-9
     return ref_cls
 
 

@@ -10,7 +10,7 @@ from oracles import (
     splat_bruteforce,
 )
 from scenecast.forecast import PoseSequence, forecast_next
-from scenecast import warp
+from scenecast import defaults, synth, warp
 from scenecast.geom import CameraIntrinsics, Se3Pose, compose, project_pixels, se3_exp
 from scenecast.synth import (
     SceneSpec,
@@ -172,11 +172,13 @@ def cull_case(name):
         src = FrameBundle(gen.random((k.height, k.width, 3)), depth, Se3Pose.identity(), 0)
         return src, Se3Pose(rot.T, np.zeros(3)), k
     if name == "huge_depths":
-        # float32-range depths, and depths whose lifted corners overflow: a
-        # tile whose corner arithmetic is not finite must be kept
-        depth = banded_depth(gen, k.height, k.width, [(1.0, 20.0), (1e29, 3e38), (1e306, 1e307)])
-        depth[0, 0] = np.finfo(np.float64).max
-        pose = se3_exp(np.concatenate([gen.normal(scale=0.3, size=3), gen.normal(size=3)]))
+        # depths up to float32's maximum, seen from a destination near
+        # float64's: every moved corner's x' + y' + z' overflows, and a tile
+        # whose corner arithmetic is not finite must be kept; the points
+        # themselves stay finite and land near pixel (11, 7)
+        depth = banded_depth(gen, k.height, k.width, [(1.0, 20.0), (1e29, 3e38)])
+        depth[0, 0] = np.finfo(np.float32).max
+        pose = Se3Pose(np.eye(3), [-1e307, -1e307, -1.7e308])
         return FrameBundle(image, depth, Se3Pose.identity(), 0), pose, k
     assert name == "random_poses"
     depth = banded_depth(gen, k.height, k.width, [(0.5, 3.0), (2.0, 10.0), (0.1, 40.0)])
@@ -356,17 +358,18 @@ class TestForwardSplat:
     def test_no_depth_underestimate_beyond_quantization(self):
         # splat quantization moves content by at most half a pixel, so a
         # warped depth may never undercut the true surface beyond what the
-        # 1-pixel neighborhood of the direct render already contains
+        # 1-pixel neighborhood of the direct render already contains, nor
+        # beyond the half ulp its float32 source depth was rounded by
         from scipy import ndimage
 
         grid, k, traj, frames = corridor_setup(3, past=1)
-        dst = render_frame(grid, traj.poses[-1], k, 99)
+        dst = synth._raycast(grid, traj.poses[-1], k, defaults.D_MAX)[0]
         warped = forward_splat(frames[:2], traj.poses[-1], k, dst_frame_index=99)
-        both = warped.hit_mask & (dst.depth > 0)
-        padded = np.where(dst.depth > 0, dst.depth, np.inf)
+        both = warped.hit_mask & (dst > 0)
+        padded = np.where(dst > 0, dst, np.inf)
         floor = ndimage.minimum_filter(padded, size=3, mode="nearest")
         under = (floor - warped.depth)[both]
-        assert under.max() <= 1e-6
+        assert np.all(under <= 1e-6 + 2**-24 * warped.depth[both])
 
     def test_monotone_coverage_in_sources(self):
         _, k, traj, frames = corridor_setup(4)
@@ -523,8 +526,19 @@ class TestFrameBundleValidation:
             self.frame_with(image_value=edge)
 
     def test_negative_depth(self):
-        for bad in (np.nan, np.inf, -1e-300, -1.0):
+        # checked before the cast to float32, which would make -1e-300 -0.0
+        # and 1e39 inf
+        for bad in (np.nan, np.inf, -1e-300, -1.0, 1e39):
             with pytest.raises(ValueError, match="depth entries must be finite and >= 0"):
                 self.frame_with(depth_value=bad)
-        for edge in (0.0, -0.0):
+        for edge in (0.0, -0.0, float(np.finfo(np.float32).max)):
             self.frame_with(depth_value=edge)
+
+    def test_depth_is_float32(self):
+        # float32 is taken as it is, as a .dpt holds it; floats are rounded once
+        pose, image = Se3Pose.identity(), np.zeros((1, 2, 3), dtype=np.uint8)
+        depth = np.array([[0.1, 2.5]], dtype=np.float32)
+        assert FrameBundle(image, depth, pose, 0).depth is depth
+        frame = FrameBundle(image, [[0.1, 2.5]], pose, 0)
+        assert frame.depth.dtype == np.float32
+        assert frame.depth.tobytes() == depth.tobytes()
