@@ -372,6 +372,10 @@ def read_blockvis(path) -> BlockVisibility:
     idx = cur.array("<i8", f, "frame indices")
     nvis = f * bx * by * bz
     vis = cur.array(np.uint8, nvis, "visibility payload")
+    bad = np.flatnonzero(vis > 1)
+    if bad.size:
+        at = cur.offset - nvis + bad[0]
+        raise cur.fail(f"visibility byte {vis[bad[0]]} at offset {at} is not 0 or 1")
     proj = cur.f32(nvis * 3, "projection")
     cur.end()
     return BlockVisibility(

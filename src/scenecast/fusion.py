@@ -218,11 +218,12 @@ def _depth_table(depth: np.ndarray) -> np.ndarray:
 
     Entry (a, b, :, r, c) covers tiles r..r+2^a-1 x c..c+2^b-1: slot 0 holds
     the min over their positive depths (inf if none), slot 1 minus their max
-    depth, so one np.minimum builds both.
+    depth, so one np.minimum builds both, in the tiles' dtype (float32 for a
+    frame): a min, max or negation of depths rounds nothing.
     """
     lo, hi = depth_tiles(depth)
     th, tw = lo.shape
-    st = np.full((th.bit_length(), tw.bit_length(), 2, th, tw), np.inf)
+    st = np.full((th.bit_length(), tw.bit_length(), 2, th, tw), np.inf, dtype=lo.dtype)
     st[0, 0, 0], st[0, 0, 1] = lo, -hi
     for a in range(1, st.shape[0]):
         half = 1 << (a - 1)

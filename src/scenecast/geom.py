@@ -237,6 +237,8 @@ class FrameBundle:
         depth = np.asarray(self.depth)
         if pixels.ndim != 3:
             raise ValueError(f"image must be HxWxC, got shape {pixels.shape}")
+        if 0 in pixels.shape:
+            raise ValueError(f"image must not be empty, got shape {pixels.shape}")
         if depth.shape != pixels.shape[:2]:
             raise ValueError(
                 f"depth shape {depth.shape} does not match image {pixels.shape[:2]}"

@@ -7,7 +7,8 @@ voxel loss and are verified against central finite differences in the tests.
 
 All log arguments are clamped at CLAMP = 1e-8; sums that needed clamping are
 reported through a DegenerateInputWarning while keeping the loss finite.
-Reductions rely on numpy's pairwise summation, so results are deterministic.
+Every sum runs in a fixed order and no product goes to BLAS, so results are
+deterministic.
 """
 from __future__ import annotations
 
@@ -88,7 +89,10 @@ class LossWeights:
                 raise ValueError(f"{name} must be >= 0")
 
 
-def _check_pair(pred: ProbVolume, gt: LabelVolume) -> None:
+def _valid_voxel_loss(pred: ProbVolume, gt: LabelVolume, core, check=None):
+    """Check that `gt` fits `pred`, then call `check`; apply `core` to the
+    (n, C) probabilities and (n,) labels of the valid voxels and scatter its
+    (n, C) gradient back. With no valid voxel: 0.0 and a zero gradient."""
     if pred.probs.shape[:3] != gt.labels.shape:
         raise ValueError(
             f"pred {pred.probs.shape[:3]} and gt {gt.labels.shape} dims differ"
@@ -96,68 +100,64 @@ def _check_pair(pred: ProbVolume, gt: LabelVolume) -> None:
     bad = gt.labels[(gt.labels != defaults.INVALID_LABEL) & (gt.labels >= pred.num_classes)]
     if bad.size:
         raise ValueError(f"gt contains class id {int(bad[0])} >= C={pred.num_classes}")
-
-
-def _safe_log(x: float) -> float:
-    if x <= 0.0:
-        warnings.warn(
-            f"log argument {x:.3e} clamped to {CLAMP:.0e}", DegenerateInputWarning
-        )
-    return float(np.log(max(x, CLAMP)))
-
-
-def _scal_core(p: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Affinity loss on flat (N, C) probabilities with labels in [0, C).
-
-    Returns (loss, gradient w.r.t. every probability entry). Classes with
-    zero predicted mass and zero ground-truth support are skipped; the
-    average runs over the contributing classes.
-    """
-    n, c = p.shape
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-
-    num_p = (p * onehot).sum(axis=0)          # mass on correct voxels
-    den_p = p.sum(axis=0)                     # total predicted mass
-    den_r = onehot.sum(axis=0)                # ground-truth support
-    num_s = ((1.0 - p) * (1.0 - onehot)).sum(axis=0)
-    den_s = (1.0 - onehot).sum(axis=0)
-
-    contributing = ~((den_p == 0.0) & (den_r == 0.0))
-    kcount = int(contributing.sum())
-    if kcount == 0:
-        return 0.0, np.zeros_like(p)
-
-    total = 0.0
-    grad = np.zeros_like(p)
-    inv_k = 1.0 / kcount
-    for ci in np.flatnonzero(contributing):
-        log_num = _safe_log(num_p[ci])
-        pc = log_num - _safe_log(den_p[ci])
-        rc = log_num - _safe_log(den_r[ci])
-        sc = _safe_log(num_s[ci]) - _safe_log(den_s[ci])
-        total -= inv_k * (pc + rc + sc)
-        # d log(max(x, CLAMP))/dx is 1/x above the clamp and 0 inside it
-        g = np.zeros(n)
-        if num_p[ci] > CLAMP:
-            g += 2.0 * onehot[:, ci] / num_p[ci]      # from P_c and R_c
-        if den_p[ci] > CLAMP:
-            g -= 1.0 / den_p[ci]
-        if num_s[ci] > CLAMP:
-            g -= (1.0 - onehot[:, ci]) / num_s[ci]
-        grad[:, ci] = -inv_k * g
-    return total, grad
-
-
-def scal_sem(pred: ProbVolume, gt: LabelVolume) -> Tuple[float, np.ndarray]:
-    """Semantic scene-class affinity loss over all classes, with gradient."""
-    _check_pair(pred, gt)
+    if check is not None:
+        check()
     valid = gt.valid
     grad = np.zeros_like(pred.probs)
     if not valid.any():
         return 0.0, grad
-    loss, g = _scal_core(pred.probs[valid], gt.labels[valid])
+    loss, g = core(pred.probs[valid], gt.labels[valid])
     grad[valid] = g
+    return loss, grad
+
+
+def _scal_core(p: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Affinity loss on flat (N, C) probabilities with N >= 1 labels in [0, C).
+
+    Returns (loss, gradient w.r.t. every probability entry). Classes with
+    zero predicted mass and zero ground-truth support are skipped; the
+    average runs over the contributing classes, which include every label.
+    """
+    n, c = p.shape
+    rows = np.arange(n)
+    support = np.bincount(labels, minlength=c).astype(np.float64)
+    off = 1.0 - p
+    off[rows, labels] = 0.0
+    # per class: mass on correct voxels, total predicted mass, ground-truth
+    # support, and 1 - p over the other voxels with their count
+    sums = np.stack([
+        np.bincount(labels, weights=p[rows, labels], minlength=c),
+        p.sum(axis=0),
+        support,
+        off.sum(axis=0),
+        n - support,
+    ], axis=1)
+    contributing = (sums[:, 1] != 0.0) | (sums[:, 2] != 0.0)
+    used = sums[contributing]
+    for x in used[used <= 0.0]:
+        warnings.warn(f"log argument {x:.3e} clamped to {CLAMP:.0e}", DegenerateInputWarning)
+    log_np, log_dp, log_dr, log_ns, log_ds = np.log(np.maximum(used, CLAMP)).T
+    inv_k = 1.0 / contributing.sum()
+    terms = inv_k * ((log_np - log_dp) + (log_np - log_dr) + (log_ns - log_ds))
+    # subtracted from 0.0 one class after another: a running sum, not pairwise
+    loss = 0.0 - np.cumsum(terms)[-1]
+    # d log(max(x, CLAMP))/dx is 1/x above the clamp and 0 inside it
+    d = np.where(sums > CLAMP, 1.0 / np.maximum(sums, CLAMP), 0.0)
+    g = np.repeat(((0.0 - d[:, 1]) - d[:, 3])[None], n, axis=0)
+    g[rows, labels] = (2.0 * d[:, 0] - d[:, 1])[labels]
+    return loss, np.where(contributing, -inv_k * g, 0.0)
+
+
+def scal_sem(pred: ProbVolume, gt: LabelVolume) -> Tuple[float, np.ndarray]:
+    """Semantic scene-class affinity loss over all classes, with gradient."""
+    return _valid_voxel_loss(pred, gt, _scal_core)
+
+
+def _scal_geo_core(p: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
+    p2 = np.stack([p[:, 0], 1.0 - p[:, 0]], axis=1)
+    loss, g2 = _scal_core(p2, (labels != 0).astype(np.int64))
+    grad = np.zeros_like(p)
+    grad[:, 0] = g2[:, 0] - g2[:, 1]
     return loss, grad
 
 
@@ -167,45 +167,32 @@ def scal_geo(pred: ProbVolume, gt: LabelVolume) -> Tuple[float, np.ndarray]:
     Occupancy probability is 1 - p_empty; the gradient is chained back to
     the C-class input (only the empty channel carries signal).
     """
-    _check_pair(pred, gt)
-    valid = gt.valid
-    grad = np.zeros_like(pred.probs)
-    if not valid.any():
-        return 0.0, grad
-    p_empty = pred.probs[valid][:, 0]
-    p2 = np.stack([p_empty, 1.0 - p_empty], axis=1)
-    labels2 = (gt.labels[valid] != 0).astype(np.int64)
-    loss, g2 = _scal_core(p2, labels2)
-    grad[valid, 0] = g2[:, 0] - g2[:, 1]
-    return loss, grad
+    return _valid_voxel_loss(pred, gt, _scal_geo_core)
 
 
 def weighted_ce(
     pred: ProbVolume, gt: LabelVolume, class_weights
 ) -> Tuple[float, np.ndarray]:
     """Class-weighted cross-entropy over valid voxels, with gradient."""
-    _check_pair(pred, gt)
     w = np.asarray(class_weights, dtype=np.float64).reshape(-1)
-    if w.shape[0] != pred.num_classes:
-        raise ValueError(
-            f"expected {pred.num_classes} class weights, got {w.shape[0]}"
-        )
-    valid = gt.valid
-    grad = np.zeros_like(pred.probs)
-    if not valid.any():
-        return 0.0, grad
-    labels = gt.labels[valid]
-    p_true = pred.probs[valid][np.arange(labels.size), labels]
-    wi = w[labels]
-    clamped = np.maximum(p_true, CLAMP)
-    if (p_true <= 0.0).any():
-        warnings.warn("cross-entropy probabilities clamped", DegenerateInputWarning)
-    loss = float(np.mean(-wi * np.log(clamped)))
-    g = np.where(p_true > CLAMP, -wi / (labels.size * p_true), 0.0)
-    gv = np.zeros((labels.size, pred.num_classes))
-    gv[np.arange(labels.size), labels] = g
-    grad[valid] = gv
-    return loss, grad
+
+    def check():
+        if w.shape[0] != pred.num_classes:
+            raise ValueError(f"expected {pred.num_classes} class weights, got {w.shape[0]}")
+
+    def core(p, labels):
+        n = labels.size
+        p_true = p[np.arange(n), labels]
+        wi = w[labels]
+        clamped = np.maximum(p_true, CLAMP)
+        if (p_true <= 0.0).any():
+            warnings.warn("cross-entropy probabilities clamped", DegenerateInputWarning)
+        loss = float(np.mean(-wi * np.log(clamped)))
+        grad = np.zeros_like(p)
+        grad[np.arange(n), labels] = np.where(p_true > CLAMP, -wi / (n * clamped), 0.0)
+        return loss, grad
+
+    return _valid_voxel_loss(pred, gt, core, check)
 
 
 def inverse_frequency_weights(gt: LabelVolume, num_classes: int) -> np.ndarray:
@@ -231,27 +218,25 @@ def l1_field(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+    """The normalized 1-D Gaussian; the SSIM window is its outer product with itself."""
     r = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(r * r) / (2.0 * sigma * sigma))
-    g /= g.sum()
-    return np.outer(g, g)
+    return g / g.sum()
 
 
-def _ssim_channel(a: np.ndarray, b: np.ndarray, win: np.ndarray) -> float:
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    shape = (win.shape[0], win.shape[1])
-    mu_a = np.tensordot(sliding_window_view(a, shape), win, axes=2)
-    mu_b = np.tensordot(sliding_window_view(b, shape), win, axes=2)
-    m_aa = np.tensordot(sliding_window_view(a * a, shape), win, axes=2)
-    m_bb = np.tensordot(sliding_window_view(b * b, shape), win, axes=2)
-    m_ab = np.tensordot(sliding_window_view(a * b, shape), win, axes=2)
-    var_a = m_aa - mu_a * mu_a
-    var_b = m_bb - mu_b * mu_b
-    cov = m_ab - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return float(np.mean(num / den))
+def _window_means(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Means of each x[k] under the window g g^T at every valid position of
+    axes 1 and 2: `g` goes down the rows, then across the columns, each pass
+    a sum of shifted slices in a fixed order."""
+    n = g.size
+    h, w = x.shape[1] - n + 1, x.shape[2] - n + 1
+    down = g[0] * x[:, :h]
+    for i in range(1, n):
+        down += g[i] * x[:, i:i + h]
+    out = g[0] * down[:, :, :w]
+    for j in range(1, n):
+        out += g[j] * down[:, :, j:j + w]
+    return out
 
 
 def ssim_loss(a: np.ndarray, b: np.ndarray) -> float:
@@ -263,17 +248,19 @@ def ssim_loss(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim == 2:
-        a = a[:, :, None]
-        b = b[:, :, None]
     h, w = a.shape[:2]
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValueError(
             f"image {w}x{h} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
-    win = _gaussian_window()
-    vals = [_ssim_channel(a[:, :, c], b[:, :, c], win) for c in range(a.shape[2])]
-    return 1.0 - float(np.mean(vals))
+    stack = np.stack([a, b, a * a, b * b, a * b])
+    mu_a, mu_b, m_aa, m_bb, m_ab = _window_means(stack, _gaussian_window())
+    var_a = m_aa - mu_a * mu_a
+    var_b = m_bb - mu_b * mu_b
+    cov = m_ab - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    return 1.0 - float(np.mean(num / den))
 
 
 def total_ssc_loss(pred: ProbVolume, gt: LabelVolume, class_weights=None) -> float:

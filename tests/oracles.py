@@ -450,6 +450,48 @@ def weighted_ce_bruteforce(probs, labels, weights, clamp: float = 1e-8) -> float
     return total / n
 
 
+def ssim_bruteforce(a, b) -> float:
+    """1 - SSIM in plain Python floats: an explicit 11x11 Gaussian window
+    (sigma 1.5, weights normalized to sum to 1), C1 = 0.01^2 and
+    C2 = 0.03^2, averaged over every valid window position of each channel,
+    then over the channels."""
+    size, sigma = 11, 1.5
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
+    half = (size - 1) / 2.0
+    raw = [
+        [math.exp(-((i - half) ** 2 + (j - half) ** 2) / (2.0 * sigma * sigma)) for j in range(size)]
+        for i in range(size)
+    ]
+    total = sum(sum(row) for row in raw)
+    win = [[v / total for v in row] for row in raw]
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim == 2:
+        a, b = a[:, :, None], b[:, :, None]
+    h, w, channels = a.shape
+    a, b = a.tolist(), b.tolist()
+    means = []
+    for c in range(channels):
+        vals = []
+        for y in range(h - size + 1):
+            for x in range(w - size + 1):
+                mu_a = mu_b = m_aa = m_bb = m_ab = 0.0
+                for i in range(size):
+                    for j in range(size):
+                        p, q, wt = a[y + i][x + j][c], b[y + i][x + j][c], win[i][j]
+                        mu_a += wt * p
+                        mu_b += wt * q
+                        m_aa += wt * p * p
+                        m_bb += wt * q * q
+                        m_ab += wt * p * q
+                var_a, var_b = m_aa - mu_a * mu_a, m_bb - mu_b * mu_b
+                cov = m_ab - mu_a * mu_b
+                num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+                den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+                vals.append(num / den)
+        means.append(sum(vals) / len(vals))
+    return 1.0 - sum(means) / channels
+
+
 def _ray_box(o, d, lo, hi):
     """Entry/exit parameters of a ray against one axis-aligned box."""
     t_enter, t_exit = -math.inf, math.inf

@@ -782,9 +782,10 @@ class TestDemo:
         assert code == 0, err
         assert (out / "fused.fvx").read_bytes() == (demo / "fused_past_current_future.fvx").read_bytes()
 
-    def test_pseudo_future_is_warp_and_fuse_of_its_frame_tree(self, tmp_path, capsys):
-        # the default demo splats and fuses the depth its tree stores: warp and
-        # fuse of the past and current frames give its pseudo-future and volume
+    @staticmethod
+    def past_and_current_tree(capsys, tmp_path):
+        """The default demo at seed 0, and a copy of its frame tree without the
+        ground-truth future: (demo dir, tree dir)."""
         demo, tree = tmp_path / "demo", tmp_path / "tree"
         code, _, err = run(capsys, "demo", "--seed", "0", "--out-dir", str(demo))
         assert code == 0, err
@@ -792,6 +793,12 @@ class TestDemo:
         future = max(tree.glob("*.ppm"))
         future.unlink()
         future.with_suffix(".dpt").unlink()
+        return demo, tree
+
+    def test_pseudo_future_is_warp_and_fuse_of_its_frame_tree(self, tmp_path, capsys):
+        # the default demo splats and fuses the depth its tree stores: warp and
+        # fuse of the past and current frames give its pseudo-future and volume
+        demo, tree = self.past_and_current_tree(capsys, tmp_path)
         for argv in (["warp", "--refiner", "fill", "--out-dir", str(tmp_path / "warp")],
                      ["fuse", "--future", "pseudo", "--refiner", "fill",
                       "--out-dir", str(tmp_path / "fuse")]):
@@ -801,6 +808,28 @@ class TestDemo:
                              ("pseudo_future.dpt", "warp/warped.dpt"),
                              ("fused_past_current_future.fvx", "fuse/fused.fvx")):
             assert (demo / mine).read_bytes() == (tmp_path / theirs).read_bytes(), mine
+
+    def test_other_sets_are_fuse_and_eval_of_its_frame_tree(self, tmp_path, capsys):
+        # fuse with no future of the current frame, and of the past and current
+        # frames, gives the smaller sets' files; eval of each completed grid
+        # prints the iou and miou of its summary row
+        demo, tree = self.past_and_current_tree(capsys, tmp_path)
+        for name, past in (("current", 0), ("past_current", defaults.PAST_FRAMES)):
+            out = tmp_path / name
+            code, _, err = run(capsys, "fuse", "--frames-dir", str(tree), "--past", str(past),
+                               "--future", "none", "--out-dir", str(out))
+            assert code == 0, err
+            for mine, theirs in ((f"fused_{name}.fvx", "fused.fvx"),
+                                 (f"blockvis_{name}.bvx", "blockvis.bvx")):
+                assert (demo / mine).read_bytes() == (out / theirs).read_bytes(), mine
+        rows = (demo / "summary.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            name, _, iou, miou = row.split(",")
+            code, stdout, err = run(capsys, "eval", "--pred", str(demo / f"completed_{name}.vxg"),
+                                    "--gt", str(demo / "gt_range.vxg"))
+            assert code == 0, err
+            assert stdout.splitlines()[1:3] == [f"iou,{iou}", f"miou,{miou}"], name
 
     def test_window_above_past_fails_before_any_render(self, monkeypatch, tmp_path, capsys):
         # past 4 gives 5 poses to forecast from: the forecast rejects window 5

@@ -509,6 +509,20 @@ class TestFusedAndBlockVis:
         with pytest.raises(FormatError, match="b.bvx: projection value -inf at offset 50"):
             dataio.read_blockvis(bvx)
 
+    def test_visibility_byte_other_than_0_or_1_rejected(self, tmp_path):
+        bvx = tmp_path / "b.bvx"
+        dataio.write_blockvis(bvx, BlockVisibility(np.array([True, False]).reshape(1, 1, 1, 2),
+                                                   np.ones((1, 1, 1, 2, 3)), (0,), 8, 8))
+        # 28 header + 8 frame index bytes: the visibility bytes sit at 36 and 37;
+        # a 7 would read as True and write back as 1
+        for offset, byte in ((36, 7), (37, 2), (37, 255)):
+            data = bytearray(bvx.read_bytes())
+            data[offset] = byte
+            bad = tmp_path / f"bad{offset}_{byte}.bvx"
+            bad.write_bytes(bytes(data))
+            with pytest.raises(FormatError, match=f"visibility byte {byte} at offset {offset} "):
+                dataio.read_blockvis(bad)
+
     def test_blockvis_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
         vis = rng.random((2, 3, 3, 2)) < 0.5

@@ -8,8 +8,7 @@ parameter exists for the tests alone. Only the command line imports the
 synthesis module `warp`, and every other module, the renderer and feature
 extractor `synth` included, loads no scipy; nor does the command line, which
 loads it at the first fill. No code under src/ hands a product to BLAS or
-LAPACK, whose kernel the host CPU picks, except where `BLAS_ROUTES` says why
-its bits reach no output file.
+LAPACK, whose kernel the host CPU picks, and no exception is allowed.
 """
 import ast
 import os
@@ -37,12 +36,6 @@ UNPASSED_DEFAULTS = {
     "losses.total_ssc_loss.class_weights": "entry point: None weighs by the inverse class "
     "frequency of the ground truth",
     "losses.total_synth_loss.w": "entry point: None gives the paper's term weights",
-}
-
-# functions under src/ allowed a BLAS or LAPACK route, with the reason each stays
-BLAS_ROUTES = {
-    "losses._ssim_channel": "the SSIM loss writes no file, so no output byte "
-    "depends on its tensordot",
 }
 
 # numpy functions that may hand a product to BLAS
@@ -259,7 +252,6 @@ def test_no_blas_routes():
         f"{module}.py:{line}: {what} in {where or 'module scope'}"
         for module, text in _package_sources().items()
         for where, line, what in blas_routes(text)
-        if f"{module}.{where}" not in BLAS_ROUTES
     ]
     assert not found, "products that may go to BLAS or LAPACK:\n" + "\n".join(found)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import scal_bruteforce, scal_geo_bruteforce, weighted_ce_bruteforce
+from oracles import scal_bruteforce, scal_geo_bruteforce, ssim_bruteforce, weighted_ce_bruteforce
 from scenecast.forecast import pose_mse
 from scenecast.geom import Se3Pose, se3_exp
 from scenecast.gradcheck import finite_difference, max_relative_error, random_volume_pair
@@ -179,6 +179,16 @@ class TestWeightedCe:
             fd = finite_difference(lambda _: weighted_ce(pred, gt, w)[0], pred.probs)
             assert max_relative_error(fd, grad) <= 1e-4
 
+    def test_zero_true_probability_warns_once(self):
+        # the clamp is the one warning: the gradient divides by no zero
+        probs = np.array([[[[1.0, 0.0]]], [[[0.5, 0.5]]]])
+        labels = np.array([[[1]], [[0]]])
+        with pytest.warns(DegenerateInputWarning) as record:
+            loss, grad = weighted_ce(ProbVolume(probs), LabelVolume(labels), np.ones(2))
+        assert len(record) == 1
+        assert loss == pytest.approx((-np.log(1e-8) - np.log(0.5)) / 2, rel=1e-12)
+        assert np.array_equal(grad.reshape(2, 2), [[0.0, 0.0], [-1.0, 0.0]])
+
     def test_weight_length_checked(self):
         pred, gt = two_voxel_case()
         with pytest.raises(ValueError):
@@ -240,6 +250,17 @@ class TestSsimLoss:
     def test_small_image_rejected(self):
         with pytest.raises(ValueError):
             ssim_loss(np.zeros((8, 8)), np.zeros((8, 8)))
+
+    def test_matches_scalar_oracle(self):
+        # the oracle spells out the 11x11 window, its sigma and both constants,
+        # which the constant-image closed form cannot see (it cancels C2)
+        rng = np.random.default_rng(36)
+        for i, noise in enumerate((0.02, 0.2, 1.0, 0.05, 0.5, 0.1)):
+            h, w = (int(v) for v in rng.integers(11, 41, size=2))
+            shape = (h, w) if i % 2 else (h, w, 3)
+            a = rng.random(shape)
+            b = np.clip(a + rng.normal(scale=noise, size=shape), 0.0, 1.0)
+            assert ssim_loss(a, b) == pytest.approx(ssim_bruteforce(a, b), abs=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(32)

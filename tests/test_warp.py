@@ -490,6 +490,16 @@ class TestFrameBundleValidation:
         with pytest.raises(ValueError, match=r"^image entries must lie in \[0, 1\]$"):
             FrameBundle(np.full((4, 4, 3), 2.0), np.zeros((4, 4)), pose, 0)
 
+    def test_zero_size_image_named_by_shape(self):
+        # a zero-length axis once reached numpy's reductions, whose error named
+        # neither the image nor its shape
+        pose = Se3Pose.identity()
+        for dtype in (np.uint8, np.float64):
+            for shape in ((0, 4, 3), (4, 0, 3), (4, 4, 0)):
+                message = rf"^image must not be empty, got shape \({shape[0]}, {shape[1]}, {shape[2]}\)$"
+                with pytest.raises(ValueError, match=message):
+                    FrameBundle(np.zeros(shape, dtype=dtype), np.zeros(shape[:2]), pose, 0)
+
     def test_pixels_are_bytes(self):
         # uint8 is taken as it is; floats are quantized once by the PPM rule
         pose = Se3Pose.identity()
