@@ -310,13 +310,13 @@ def cmd_fuse(args) -> int:
 def cmd_eval(args) -> int:
     pred = dataio.read_grid(args.pred)
     gt = dataio.read_grid(args.gt)
-    cm = confusion(pred, gt, args.num_classes)
-    sem = miou_semantic(cm)
+    counts = confusion(pred, gt, args.num_classes)
+    sem = miou_semantic(counts)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("metric", "value"))
-    writer.writerow(("iou", repr(iou_geometry(cm))))
+    writer.writerow(("iou", repr(iou_geometry(counts))))
     writer.writerow(("miou", repr(sem.value)))
-    for ci in range(1, cm.num_classes):
+    for ci in range(1, len(counts)):
         v = sem.per_class[ci]
         writer.writerow((f"iou_class_{ci}", "" if np.isnan(v) else repr(float(v))))
     return 0
@@ -410,13 +410,13 @@ def demo_pipeline(
         fused, bv = fused_all.frames(start, stop), bv_all.frames(start, stop)
         cov = coverage(bv)
         completed = majority_complete(bv, gt_range)
-        cm = confusion(completed, gt_range, spec.num_classes)
+        counts = confusion(completed, gt_range, spec.num_classes)
         summary.append(
             {
                 "set": name,
                 "union_blocks": cov.union,
-                "iou": iou_geometry(cm),
-                "miou": miou_semantic(cm).value,
+                "iou": iou_geometry(counts),
+                "miou": miou_semantic(counts).value,
             }
         )
         outputs[name] = (fused, bv, completed, cov)

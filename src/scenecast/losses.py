@@ -253,14 +253,22 @@ def ssim_loss(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(
             f"image {w}x{h} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
-    stack = np.stack([a, b, a * a, b * b, a * b])
-    mu_a, mu_b, m_aa, m_bb, m_ab = _window_means(stack, _gaussian_window())
-    var_a = m_aa - mu_a * mu_a
-    var_b = m_bb - mu_b * mu_b
-    cov = m_ab - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return 1.0 - float(np.mean(num / den))
+    g = _gaussian_window()
+    a, b = a.reshape(h, w, -1), b.reshape(h, w, -1)
+    # one channel's five planes at a time bounds the temporaries; the one mean
+    # over the (h', w', C) map sums in the same order for any channel count
+    ssim = np.empty((h - SSIM_WINDOW + 1, w - SSIM_WINDOW + 1, a.shape[2]))
+    for c in range(a.shape[2]):
+        x, y = a[..., c], b[..., c]
+        planes = np.stack([x, y, x * x, y * y, x * y])
+        mu_a, mu_b, m_aa, m_bb, m_ab = _window_means(planes, g)
+        var_a = m_aa - mu_a * mu_a
+        var_b = m_bb - mu_b * mu_b
+        cov = m_ab - mu_a * mu_b
+        num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
+        den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+        ssim[..., c] = num / den
+    return 1.0 - float(np.mean(ssim))
 
 
 def total_ssc_loss(pred: ProbVolume, gt: LabelVolume, class_weights=None) -> float:

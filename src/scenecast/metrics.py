@@ -14,46 +14,42 @@ from .fusion import BlockVisibility, SceneGrid
 from . import defaults
 
 
-@dataclass
-class ConfusionMatrix:
-    """Counts over valid voxels; rows index ground truth, columns prediction."""
+def confusion(pred: SceneGrid, gt: SceneGrid, num_classes: int | None = None) -> np.ndarray:
+    """The (C, C) int64 counts over voxels not labeled 255 in gt; rows index
+    ground truth, columns prediction.
 
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise ValueError("confusion counts must be square")
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-
-def confusion(pred: SceneGrid, gt: SceneGrid, num_classes: int | None = None) -> ConfusionMatrix:
-    """Accumulate the confusion matrix, skipping voxels labeled 255 in gt."""
+    One bincount of gt * 256 + pred reads the uint8 labels as a 256x256
+    histogram of label pairs: base 256, not C, so a prediction id >= C
+    cannot alias into the next row. Row 255, invalid ground truth, is
+    zeroed; C, when not given, is the largest class id left plus 1, or 1
+    when no voxel is valid.
+    """
     if pred.labels.shape != gt.labels.shape:
         raise ValueError(
             f"grid dims differ: {pred.labels.shape} vs {gt.labels.shape}"
         )
-    valid = gt.labels != defaults.INVALID_LABEL
-    g = gt.labels[valid].astype(np.int64)
-    p = pred.labels[valid].astype(np.int64)
+    pairs = gt.labels.astype(np.uint16) * 256 + pred.labels
+    hist = np.bincount(pairs.reshape(-1), minlength=256 * 256).reshape(256, 256)
+    hist[defaults.INVALID_LABEL] = 0
     if num_classes is None:
-        num_classes = int(max(g.max(initial=0), p.max(initial=0))) + 1
-    if (p >= num_classes).any():
+        used = np.flatnonzero(hist.any(axis=0) | hist.any(axis=1))
+        num_classes = int(used[-1]) + 1 if used.size else 1
+    # a negative C leaves no id in range, so any valid voxel fails first
+    first = max(num_classes, 0)
+    if hist[:, first:].any():
         raise ValueError(f"prediction contains class id >= C={num_classes}")
-    if (g >= num_classes).any():
+    if hist[first:].any():
         raise ValueError(f"ground truth contains class id >= C={num_classes}")
-    counts = np.bincount(
-        g * num_classes + p, minlength=num_classes * num_classes
-    ).reshape(num_classes, num_classes)
-    return ConfusionMatrix(counts)
+    # flat, then reshaped: a negative C with no valid voxel fails in the reshape
+    counts = np.zeros(num_classes * num_classes, dtype=np.int64)
+    counts = counts.reshape(num_classes, num_classes)
+    counts[:256, :256] = hist[:num_classes, :num_classes]
+    return counts
 
 
-def iou_geometry(cm: ConfusionMatrix) -> float:
-    """Binary occupied-vs-empty IoU; occupied means any class != 0."""
-    c = cm.counts
+def iou_geometry(c: np.ndarray) -> float:
+    """Binary occupied-vs-empty IoU of confusion counts; occupied means any
+    class != 0."""
     tp = int(c[1:, 1:].sum())
     fp = int(c[0, 1:].sum())
     fn = int(c[1:, 0].sum())
@@ -67,10 +63,10 @@ class MiouResult:
     per_class: np.ndarray  # length C, NaN where the class is excluded
 
 
-def miou_semantic(cm: ConfusionMatrix) -> MiouResult:
-    """Mean IoU over non-empty classes present in gt or prediction."""
-    c = cm.counts
-    n = cm.num_classes
+def miou_semantic(c: np.ndarray) -> MiouResult:
+    """Mean IoU of confusion counts over non-empty classes present in gt or
+    prediction."""
+    n = len(c)
     per_class = np.full(n, np.nan)
     for ci in range(1, n):
         tp = int(c[ci, ci])
@@ -108,7 +104,6 @@ def majority_complete(bv: BlockVisibility, gt: SceneGrid) -> SceneGrid:
         raise ValueError(
             f"block dims {bv.block_dims} x{e} do not match grid {gt.labels.shape}"
         )
-    union = np.any(bv.visible, axis=0)
-    mask = np.repeat(np.repeat(np.repeat(union, e, axis=0), e, axis=1), e, axis=2)
-    labels = np.where(mask, gt.labels, np.uint8(0))
-    return SceneGrid(gt.range, labels)
+    union = np.any(bv.visible, axis=0)[:, None, :, None, :, None]
+    labels = gt.labels.reshape(bx, e, by, e, bz, e) * union
+    return SceneGrid(gt.range, labels.reshape(gt.labels.shape))

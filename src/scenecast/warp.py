@@ -226,10 +226,15 @@ def forward_splat(
     image = np.zeros((h, w, channels), dtype=np.uint8)
     depth = np.zeros((h, w))
     source_index = np.full((h, w), -1, dtype=np.int64)
-    # bytes are gathered per source for its own winners, never for every candidate
+    # bytes are gathered per source for its own winners, never for every
+    # candidate, each pixel's C bytes moved as one record; a record view needs
+    # contiguous pixels, so a strided source is copied first
+    record = np.dtype((np.void, channels))
+    out = image.view(record).reshape(-1)
     for s, src in enumerate(sources):
         mine = slot == s
-        image.reshape(-1, channels)[t[mine]] = src.pixels.reshape(-1, channels)[spix[mine]]
+        records = np.ascontiguousarray(src.pixels).view(record).reshape(-1)
+        out[t[mine]] = records[spix[mine]]
     depth.reshape(-1)[t] = d
     source_index.reshape(-1)[t] = slot
     return WarpResult(image, depth, source_index, prefix_hits)

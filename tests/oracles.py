@@ -158,6 +158,33 @@ def splat_bruteforce(sources, dst_pose: Se3Pose, k: CameraIntrinsics, dst_frame_
     return image, depth, source_index
 
 
+def confusion_bruteforce(pred, gt, num_classes=None):
+    """Scalar confusion counts of two label grids, one voxel pair at a time.
+
+    Rows index ground truth and columns prediction; a voxel whose ground
+    truth is 255 is skipped. C, when not given, is the largest class id of
+    a counted voxel plus 1, or 1 when none counts. Raises the messages of
+    `metrics.confusion`, in its order: dims, prediction id, ground-truth id.
+    """
+    pred, gt = np.asarray(pred), np.asarray(gt)
+    if pred.shape != gt.shape:
+        raise ValueError(f"grid dims differ: {pred.shape} vs {gt.shape}")
+    pairs = [
+        (g, p) for g, p in zip(gt.reshape(-1).tolist(), pred.reshape(-1).tolist())
+        if g != 255
+    ]
+    if num_classes is None:
+        num_classes = max((max(g, p) for g, p in pairs), default=0) + 1
+    if any(p >= num_classes for _, p in pairs):
+        raise ValueError(f"prediction contains class id >= C={num_classes}")
+    if any(g >= num_classes for g, _ in pairs):
+        raise ValueError(f"ground truth contains class id >= C={num_classes}")
+    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for g, p in pairs:
+        counts[g, p] += 1
+    return counts
+
+
 def nearest_hit_bruteforce(hit):
     """Scalar nearest-hit map of a boolean mask with at least one hit.
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import scal_bruteforce, scal_geo_bruteforce, ssim_bruteforce, weighted_ce_bruteforce
+from test_kitti_warp import traced_peak_mib
 from scenecast.forecast import pose_mse
 from scenecast.geom import Se3Pose, se3_exp
 from scenecast.gradcheck import finite_difference, max_relative_error, random_volume_pair
@@ -261,6 +262,13 @@ class TestSsimLoss:
             a = rng.random(shape)
             b = np.clip(a + rng.normal(scale=noise, size=shape), 0.0, 1.0)
             assert ssim_loss(a, b) == pytest.approx(ssim_bruteforce(a, b), abs=1e-12)
+
+    def test_traced_peak_holds_one_channel(self):
+        # window sums of one channel's five planes at a time peak at 2.7 MiB
+        # for this pair; the five planes of all three channels at once, 5.1
+        rng = np.random.default_rng(37)
+        a, b = rng.random((96, 128, 3)), rng.random((96, 128, 3))
+        assert traced_peak_mib(ssim_loss, a, b) < 3.5
 
     def test_range(self):
         rng = np.random.default_rng(32)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import confusion_bruteforce
 from scenecast.fusion import BlockVisibility, SceneGrid, SceneRange
 from scenecast.metrics import (
-    ConfusionMatrix,
     confusion,
     coverage,
     iou_geometry,
@@ -33,34 +33,34 @@ def block_vis(visible, frame_indices=None, width=8, height=8):
 class TestConfusion:
     def test_perfect_prediction_is_diagonal(self):
         g = grid_from(np.array([[[0, 1], [1, 0]]]))
-        cm = confusion(g, g, 2)
-        assert np.array_equal(cm.counts, [[2, 0], [0, 2]])
+        counts = confusion(g, g, 2)
+        assert np.array_equal(counts, [[2, 0], [0, 2]])
 
     def test_all_empty_vs_all_class_one(self):
         pred = grid_from(np.zeros((2, 2, 1)))
         gt = grid_from(np.ones((2, 2, 1)))
-        cm = confusion(pred, gt, 2)
-        assert cm.counts[1, 0] == 4
-        assert cm.counts.sum() == 4
+        counts = confusion(pred, gt, 2)
+        assert counts[1, 0] == 4
+        assert counts.sum() == 4
 
     def test_hand_counted_three_voxels(self):
         pred = grid_from(np.array([[[1, 2, 0]]]))
         gt = grid_from(np.array([[[1, 1, 2]]]))
-        cm = confusion(pred, gt, 3)
+        counts = confusion(pred, gt, 3)
         expected = np.zeros((3, 3), dtype=np.int64)
         expected[1, 1] = 1  # voxel 0: gt 1 pred 1
         expected[1, 2] = 1  # voxel 1: gt 1 pred 2
         expected[2, 0] = 1  # voxel 2: gt 2 pred 0
-        assert np.array_equal(cm.counts, expected)
+        assert np.array_equal(counts, expected)
 
     def test_invalid_gt_excluded(self):
         pred = grid_from(np.array([[[1, 1]]]))
         gt = grid_from(np.array([[[1, 255]]]))
-        cm = confusion(pred, gt, 2)
-        assert cm.counts.sum() == 1
+        counts = confusion(pred, gt, 2)
+        assert counts.sum() == 1
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^grid dims differ: \(2, 2, 1\) vs \(2, 2, 2\)$"):
             confusion(grid_from(np.zeros((2, 2, 1))), grid_from(np.zeros((2, 2, 2))))
 
     def test_out_of_range_prediction(self):
@@ -68,6 +68,49 @@ class TestConfusion:
         gt = grid_from(np.array([[[1]]]))
         with pytest.raises(ValueError):
             confusion(pred, gt, 2)
+
+
+def _outcome(fn, pred, gt, num_classes):
+    try:
+        return fn(pred, gt, num_classes)
+    except ValueError as err:
+        return str(err)
+
+
+class TestConfusionOracle:
+    """`confusion` against the scalar loop over voxel pairs, counts and
+    messages alike."""
+
+    def test_random_grids_match_bruteforce(self):
+        rng = np.random.default_rng(29)
+        kinds = ("plain", "pred_255", "pred_out_of_range", "gt_out_of_range")
+        for trial in range(1000):
+            dims = tuple(int(v) for v in rng.integers(1, 13, size=3))
+            c = int(rng.integers(2, 17))
+            gt = rng.integers(0, c, size=dims).astype(np.uint8)
+            pred = rng.integers(0, c, size=dims).astype(np.uint8)
+            gt[rng.random(dims) < rng.uniform(0.0, 0.3)] = 255
+            kind = kinds[trial % len(kinds)]
+            at = np.unravel_index(int(rng.integers(gt.size)), dims)
+            if kind == "pred_255":
+                gt[at], pred[at] = 1, 255
+            elif kind == "pred_out_of_range":
+                gt[at], pred[at] = 1, int(rng.integers(c, 255))
+            elif kind == "gt_out_of_range":
+                gt[at] = int(rng.integers(c, 255))
+            for num_classes in (c, None):
+                want = _outcome(confusion_bruteforce, pred, gt, num_classes)
+                got = _outcome(confusion, grid_from(pred), grid_from(gt), num_classes)
+                if isinstance(want, str):
+                    assert isinstance(got, str) and got == want, (trial, kind, num_classes)
+                else:
+                    assert got.dtype == np.int64, (trial, kind, num_classes)
+                    assert np.array_equal(got, want), (trial, kind, num_classes)
+
+    def test_no_valid_voxel_infers_one_class(self):
+        g = np.full((2, 3, 1), 255, dtype=np.uint8)
+        counts = confusion(grid_from(np.zeros_like(g)), grid_from(g))
+        assert counts.dtype == np.int64 and np.array_equal(counts, [[0]])
 
 
 class TestIouGeometry:
@@ -179,8 +222,3 @@ class TestMajorityComplete:
         with pytest.raises(ValueError):
             majority_complete(bv, gt)
 
-
-class TestConfusionMatrixType:
-    def test_square_required(self):
-        with pytest.raises(ValueError):
-            ConfusionMatrix(np.zeros((2, 3)))

@@ -312,6 +312,22 @@ class TestForwardSplat:
         assert np.array_equal(result.source_index, source_index)
         assert len(set(source_index[source_index >= 0].tolist())) == len(sources)
 
+    def test_strided_pixels_splat_as_their_contiguous_copy(self):
+        # uint8 pixels are kept as given, so a source may hold a strided view
+        # (mirrored columns, channels in reverse order, mirrored rows)
+        _, k, traj, frames = corridor_setup(3, past=2)
+        views = (lambda p: p[:, ::-1], lambda p: p[..., ::-1], lambda p: p[::-1])
+        strided = [FrameBundle(view(f.pixels), f.depth, f.pose, f.frame_index)
+                   for view, f in zip(views, frames)]
+        copies = [FrameBundle(np.ascontiguousarray(f.pixels), f.depth, f.pose, f.frame_index)
+                  for f in strided]
+        assert not any(f.pixels.flags.c_contiguous for f in strided)
+        dst = traj.frame_indices[-1]
+        got = forward_splat(strided, traj.poses[-1], k, dst_frame_index=dst)
+        want = forward_splat(copies, traj.poses[-1], k, dst_frame_index=dst)
+        assert np.array_equal(got.image, want.image)
+        assert np.array_equal(got.source_index, want.source_index)
+
     def test_tie_key_budget_rejected(self):
         # sources squared times pixels must fit the int64 tie key; a 2**31 x
         # 2**31 frame of broadcast views needs no memory, and the check runs
