@@ -30,7 +30,7 @@ from .synth import (
     desk_intrinsics,
     extract_features,
     make_trajectory,
-    render_frame,
+    render_frames,
 )
 from .warp import (
     compose_pseudo_future,
@@ -180,11 +180,7 @@ def cmd_synth(args) -> int:
     )
     grid = build_scene(spec)
     k = desk_intrinsics()
-    seq = make_trajectory(traj)
-    bundles = [
-        render_frame(grid, pose, k, idx)
-        for pose, idx in zip(seq.poses, seq.frame_indices)
-    ]
+    bundles = render_frames(grid, make_trajectory(traj), k)
     dataio.write_grid(out_dir / "scene.vxg", grid)
     dataio.write_frame_sequence(out_dir, bundles)
     print(f"wrote scene and {len(bundles)} frames to {out_dir}")
@@ -379,10 +375,7 @@ def demo_pipeline(
         box_count=box_count,
     )
     grid = build_scene(spec)
-    bundles = [
-        render_frame(grid, pose, k, idx)
-        for pose, idx in zip(traj.poses, traj.frame_indices)
-    ]
+    bundles = render_frames(grid, traj, k)
     past_current = bundles[: past + 1]
     pseudo = compose_pseudo_future(
         past_current, predicted_pose, k, REFINERS[refiner_name], frame_interval=interval

@@ -201,26 +201,29 @@ def make_trajectory(spec: TrajectorySpec) -> PoseSequence:
     return PoseSequence(tuple(poses), indices, spec.frame_interval)
 
 
-# rays cast together; a chunk's per-ray state stays in cache
-_RAY_CHUNK = 16384
+# rays entered into the queue together; the live rays are topped up from the
+# next chunk whenever they fall to half of it, so the queue's per-ray state
+# stays near this size and in cache
+_RAY_CHUNK = 8192
 
 
 def _raycast(
-    grid: SceneGrid, pose: Se3Pose, k: CameraIntrinsics, d_max: float
+    grid: SceneGrid, poses, k: CameraIntrinsics, d_max: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """First-hit depth (camera z) and class per pixel; 0 where no hit.
+    """First-hit depth (camera z) and class per pixel of each pose, as
+    (len(poses), H, W) arrays; 0 where no hit.
 
-    The labels are copied into a box padded by one cell of -1 on every
+    The labels are copied once into a box padded by one cell of -1 on every
     side, so a ray that leaves the grid reads -1, plus one trailing sentinel
-    cell that reads 0, where `_cast` parks retired rays. Pixels are cast in
-    chunks of `_RAY_CHUNK`; every ray is independent of the others.
+    cell that reads 0, where `_cast` parks retired rays. Every pose's pixels
+    go through one queue, in chunks of `_RAY_CHUNK`; every ray is independent
+    of the others, so a frame's bits do not depend on the frames cast with it.
     """
     labels = grid.labels
     h, w = k.height, k.width
+    n = h * w
     xs = (np.arange(w, dtype=np.float64) - k.cx) / k.fx
     ys = (np.arange(h, dtype=np.float64) - k.cy) / k.fy
-    dirs = rigid_transform(pose.rotation, np.zeros(3), xs[None, :], ys[:, None], 1.0)
-    d = np.stack([c.ravel() for c in dirs], axis=1)
 
     pdims = np.asarray(labels.shape, dtype=np.int64) + 2
     size = int(pdims.prod())
@@ -229,30 +232,37 @@ def _raycast(
     box[...] = -1
     box[1:-1, 1:-1, 1:-1] = labels
 
-    depth = np.zeros(h * w)
-    cls = np.zeros(h * w, dtype=np.uint8)
-    for s in range(0, h * w, _RAY_CHUNK):
-        c = slice(s, s + _RAY_CHUNK)
-        _cast(grid.range, pose.translation, d[c], d_max, cells, pdims, depth[c], cls[c])
-    return depth.reshape(h, w), cls.reshape(h, w)
+    def chunks():
+        for f, pose in enumerate(poses):
+            dirs = rigid_transform(pose.rotation, np.zeros(3), xs[None, :], ys[:, None], 1.0)
+            d = np.stack([c.ravel() for c in dirs])
+            for s in range(0, n, _RAY_CHUNK):
+                yield f * n + s, pose.translation, d[:, s:s + _RAY_CHUNK]
+
+    depth = np.zeros(len(poses) * n)
+    cls = np.zeros(len(poses) * n, dtype=np.uint8)
+    _cast(grid.range, chunks(), d_max, cells, pdims, depth, cls)
+    # a retired ray wrote its t and its cell's class, 0 for the -1 border: a
+    # ray that left the grid or stopped past d_max has no hit
+    cls[depth > d_max] = 0
+    depth[cls == 0] = 0.0
+    return depth.reshape(-1, h, w), cls.reshape(-1, h, w)
 
 
-def _cast(rng: SceneRange, o, d, d_max, cells, pdims, depth, cls) -> None:
-    """Cast rays from `o` along the rows of `d`, writing each one's first-hit
-    depth and class into `depth` and `cls`.
+def _enter(rng: SceneRange, base, o, d, d_max, pdims):
+    """Set up the rays from `o` along the columns of the 3xN `d`, pixels
+    `base` onward.
 
-    Amanatides & Woo (1987) stepping: after the slab test that finds where a
-    ray enters the grid, all live rays step one cell per iteration. The
-    state is per axis and 1-D: the next boundary t, its increment, and the
-    signed stride of a step in `cells`. A hit, a ray that read the -1
-    border, or one past `d_max` is retired in place: it parks on the
-    sentinel cell (the last of `cells`) with its x stride and increment
-    zeroed and tx = -inf, so it keeps choosing x and stays put. The arrays
-    are compacted when the live rays fall to half of them.
+    The slab test finds where each ray enters the grid; a ray that misses it
+    or enters past `d_max` is dropped. Returns the rest's flat pixel, entry
+    t and entry cell in the padded box, then their per-axis state: x and y
+    strides less the z stride, the z stride, the next boundary t per axis
+    and its negated increment as int64 bits.
     """
-    dims = pdims - 2
-    gmin = rng.origin
-    gmax = gmin + rng.extents
+    dims = (pdims - 2)[:, None]
+    gmin = rng.origin[:, None]
+    gmax = gmin + rng.extents[:, None]
+    o = o[:, None]
     vs = rng.voxel_size
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (gmin - o) / d
@@ -261,86 +271,134 @@ def _cast(rng: SceneRange, o, d, d_max, cells, pdims, depth, cls) -> None:
     tmax_ax = np.maximum(t1, t2)
     zero = d == 0.0
     if zero.any():
-        inside = (o >= gmin) & (o <= gmax)
-        ins = np.broadcast_to(inside, d.shape)
+        ins = np.broadcast_to((o >= gmin) & (o <= gmax), d.shape)
         tmin_ax = np.where(zero, np.where(ins, -np.inf, np.inf), tmin_ax)
         tmax_ax = np.where(zero, np.where(ins, np.inf, -np.inf), tmax_ax)
-    tnear = np.maximum(np.maximum(tmin_ax[:, 0], tmin_ax[:, 1]), tmin_ax[:, 2])
-    tfar = np.minimum(np.minimum(tmax_ax[:, 0], tmax_ax[:, 1]), tmax_ax[:, 2])
+    tnear = np.maximum(np.maximum(tmin_ax[0], tmin_ax[1]), tmin_ax[2])
+    tfar = np.minimum(np.minimum(tmax_ax[0], tmax_ax[1]), tmax_ax[2])
     t0 = np.maximum(tnear, 1e-9)
-    idx = np.flatnonzero((tfar > t0) & (t0 <= d_max))
-    if idx.size == 0:
-        return
+    pix = np.flatnonzero((tfar > t0) & (t0 <= d_max))
+    d, t0 = d.take(pix, axis=1), t0.take(pix)
 
-    da = d[idx]
-    p0 = o + da * t0[idx][:, None]
-    ijk = np.floor((p0 - gmin) / vs).astype(np.int64)
+    ijk = np.floor((o + d * t0 - gmin) / vs).astype(np.int64)
     np.clip(ijk, 0, dims - 1, out=ijk)
-    step = np.sign(da).astype(np.int64)
+    step = np.sign(d).astype(np.int64)
     next_bound = gmin + (ijk + (step > 0)) * vs
     with np.errstate(divide="ignore", invalid="ignore"):
-        tmax = (next_bound - o) / da
-        tdelta = vs / np.abs(da)
-    dzero = da == 0.0
+        tmax = (next_bound - o) / d
+        tdelta = vs / np.abs(d)
+    dzero = d == 0.0
     tmax[dzero] = np.inf
     tdelta[dzero] = np.inf
-    tcur = t0[idx]
+    cur = ((ijk[0] + 1) * pdims[1] + ijk[1] + 1) * pdims[2] + ijk[2] + 1
+    sz = step[2]
+    ax = step[0] * (pdims[1] * pdims[2]) - sz
+    ay = step[1] * pdims[2] - sz
+    return (pix + base, t0, cur, ax, ay, sz, *tmax, *(-tdelta).view(np.int64))
 
-    sentinel = cells.size - 1
-    cur = ((ijk[:, 0] + 1) * pdims[1] + ijk[:, 1] + 1) * pdims[2] + ijk[:, 2] + 1
-    sx, sy, sz = (step * [pdims[1] * pdims[2], pdims[2], 1]).T.copy()
-    tx, ty, tz = tmax.T.copy()
-    # increments negated: `t - (+0.0)` keeps every t as it is, -0.0 included,
-    # and `t - (-tdelta)` is `t + tdelta` to the bit
-    ndx, ndy, ndz = -tdelta.T.copy()
-    live = idx.size
-    # no ray crosses more than sum(dims) cells, so a ray still live after
-    # this many iterations is a defect that shows as a missing hit, never a hang
-    for _ in range(int(dims.sum()) + 1):
-        lab = cells.take(cur)
-        stop = (lab != 0) | (tcur > d_max)
-        if stop.any():
-            r = np.flatnonzero(stop)
-            hit = r[(lab[r] > 0) & (tcur[r] <= d_max)]
-            depth[idx[hit]] = tcur[hit]
-            cls[idx[hit]] = lab[hit]
-            cur[r] = sentinel
-            sx[r] = 0
-            tx[r] = -np.inf
-            ndx[r] = 0.0
-            live -= r.size
-            if not live:
-                return
-            if 2 * live <= cur.size:
-                keep = cur != sentinel
-                idx, cur, sx, sy, sz = idx[keep], cur[keep], sx[keep], sy[keep], sz[keep]
-                tx, ty, tz = tx[keep], ty[keep], tz[keep]
-                ndx, ndy, ndz = ndx[keep], ndy[keep], ndz[keep]
-        # argmin's first-minimum rule: x if tx <= ty and tx <= tz, else y if
-        # ty <= tz (`a > b` on booleans is a and not b), else z; each choice
-        # as an all-ones or all-zeros int64 mask
-        mx = (tx <= ty) & (tx <= tz)
-        kx = np.negative(mx, dtype=np.int64)
-        ky = np.negative((ty <= tz) > mx, dtype=np.int64)
-        kz = ~(kx | ky)
-        # the chosen axis's t, selected bit for bit
-        tcur = (
-            (tx.view(np.int64) & kx) | (ty.view(np.int64) & ky) | (tz.view(np.int64) & kz)
-        ).view(np.float64)
-        tx -= (ndx.view(np.int64) & kx).view(np.float64)
-        ty -= (ndy.view(np.int64) & ky).view(np.float64)
-        tz -= (ndz.view(np.int64) & kz).view(np.float64)
-        cur += (sx & kx) | (sy & ky) | (sz & kz)
+
+def _cast(rng: SceneRange, chunks, d_max, cells, pdims, depth, cls) -> None:
+    """Cast the rays of `chunks` through one queue, writing each one's t and
+    the class of the cell it stops in into `depth` and `cls` at its pixel.
+
+    `chunks` yields (first pixel, origin, 3xN directions). Amanatides &
+    Woo (1987) stepping: all live rays step one cell per iteration, with
+    per-axis 1-D state (see `_enter`). A ray that reads a nonzero cell is
+    retired: it writes, and its cell index is parked far past the end of
+    `cells`, where a clipped `take` reads the trailing 0 sentinel, so it
+    keeps stepping and never stops again. When the live rays fall to half
+    of the arrays, the arrays are compacted and topped up from the next
+    chunks while the live rays are at most half of `_RAY_CHUNK`; the tail
+    of the last rays is paid once per queue. Compaction also drops a ray
+    whose next t is past `d_max`, since t only grows and a hit needs
+    t <= d_max, and one that has taken as many steps as the grid has cells
+    along its three axes, more than any ray crosses: a defect shows as a
+    missing hit, never a hang.
+    """
+    bound = int((pdims - 2).sum())
+    park = np.int64(1) << 62
+    expire = pix = cur = ax = ay = sz = ndx = ndy = ndz = np.zeros(0, dtype=np.int64)
+    tx = ty = tz = np.zeros(0)
+    pending = iter(chunks)
+    it = 0
+    while True:
+        keep = np.flatnonzero(
+            (cur < cells.size) & (np.minimum(np.minimum(tx, ty), tz) <= d_max) & (expire > it)
+        )
+        parts = [[a.take(keep)] for a in (expire, pix, cur, ax, ay, sz, tx, ty, tz, ndx, ndy, ndz)]
+        live = keep.size
+        while 2 * live <= _RAY_CHUNK:
+            chunk = next(pending, None)
+            if chunk is None:
+                break
+            first, t0, cell, *axes = _enter(rng, *chunk, d_max, pdims)
+            # a ray whose entry cell is occupied hits at its entry t
+            lab = cells.take(cell)
+            hit = np.flatnonzero(lab)
+            depth[first[hit]] = t0[hit]
+            cls[first[hit]] = lab[hit]
+            cell[hit] = park
+            for p, a in zip(parts, (np.full(cell.size, it + bound), first, cell, *axes)):
+                p.append(a)
+            live += cell.size - hit.size
+        if not live:
+            return
+        expire, pix, cur, ax, ay, sz, tx, ty, tz, ndx, ndy, ndz = map(np.concatenate, parts)
+        deadline = int(expire.min())
+        choice = np.empty((3, cur.size), dtype=bool)
+        mx, my, mz = choice
+        le = np.empty(cur.size, dtype=bool)
+        while 2 * live > cur.size and it < deadline:
+            it += 1
+            # argmin's first-minimum rule: x if tx <= ty and tx <= tz, else y if
+            # ty <= tz (`a > b` on booleans is a and not b), else z; the three
+            # choices, rows of one buffer, cast at once to all-ones or all-zeros
+            # int64 masks
+            np.less_equal(tx, ty, out=le)
+            np.less_equal(tx, tz, out=mx)
+            mx &= le
+            np.less_equal(ty, tz, out=le)
+            np.greater(le, mx, out=my)
+            np.logical_or(mx, le, out=mz)
+            np.logical_not(mz, out=mz)
+            kx, ky, kz = np.negative(choice.view(np.int8)).astype(np.int64)
+            cur += sz
+            cur += ax & kx
+            cur += ay & ky
+            lab = cells.take(cur, mode="clip")
+            r = np.flatnonzero(lab != 0)
+            if r.size:
+                # the t of the chosen axis, before its increment, bit for bit
+                tr = np.where(mx.take(r), tx.take(r), np.where(my.take(r), ty.take(r), tz.take(r)))
+                at = pix.take(r)
+                depth[at] = tr
+                cls[at] = np.maximum(lab.take(r), 0)
+                cur[r] = park
+                live -= r.size
+            # increments negated: `t - (+0.0)` keeps every t as it is, -0.0
+            # included, and `t - (-tdelta)` is `t + tdelta` to the bit
+            tx -= (ndx & kx).view(np.float64)
+            ty -= (ndy & ky).view(np.float64)
+            tz -= (ndz & kz).view(np.float64)
+
+
+def render_frames(grid: SceneGrid, seq: PoseSequence, k: CameraIntrinsics) -> list:
+    """Render every pose of `seq` with one traversal to `defaults.D_MAX`, all
+    frames' rays through one queue, and bundle each frame; the shades are
+    quantized to 8 bits by the `FrameBundle` constructor."""
+    depth, cls = _raycast(grid, seq.poses, k, defaults.D_MAX)
+    frames = []
+    for d, c, pose, idx in zip(depth, cls, seq.poses, seq.frame_indices):
+        shade = np.where(c > 0, 1.0 / (1.0 + SHADE_FALLOFF * d), 0.0)
+        frames.append(FrameBundle(PALETTE[c] * shade[..., None], d, pose, idx))
+    return frames
 
 
 def render_frame(
     grid: SceneGrid, pose: Se3Pose, k: CameraIntrinsics, frame_index: int = 0
 ) -> FrameBundle:
-    """Render image and depth with one traversal to `defaults.D_MAX` and bundle
-    them; the shades are quantized to 8 bits by the `FrameBundle` constructor."""
-    depth, cls = _raycast(grid, pose, k, defaults.D_MAX)
-    shade = np.where(cls > 0, 1.0 / (1.0 + SHADE_FALLOFF * depth), 0.0)
-    return FrameBundle(PALETTE[cls] * shade[..., None], depth, pose, frame_index)
+    """`render_frames` of the one pose."""
+    return render_frames(grid, PoseSequence((pose,), (frame_index,), 1), k)[0]
 
 
 # image rows per band of extract_features, a multiple of the 4-row tile: a band's

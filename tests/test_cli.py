@@ -452,7 +452,7 @@ class TestNonFiniteInput:
         def unreachable(*args, **kwargs):
             raise AssertionError("rendered or loaded a frame")
 
-        monkeypatch.setattr(cli, "render_frame", unreachable)
+        monkeypatch.setattr(cli, "render_frames", unreachable)
         monkeypatch.setattr(dataio, "load_frame_sequence", unreachable)
         code, out, err = run(capsys, *argv, "--theta-d", "nan", "--out-dir", str(tmp_path / "o"))
         assert (code, out) == (1, "")
@@ -534,7 +534,7 @@ class TestOutOfRangeFlags:
         def unreachable(*args, **kwargs):
             raise AssertionError("rendered a frame")
 
-        monkeypatch.setattr(cli, "render_frame", unreachable)
+        monkeypatch.setattr(cli, "render_frames", unreachable)
         # the pose file is valid, so forecast's interval is the only fault
         dataio.write_poses(tmp_path / "poses.txt", [Se3Pose.identity()] * 12)
         dataio.write_frame_sequence(tmp_path / "seq", [
@@ -838,7 +838,7 @@ class TestDemo:
             raise AssertionError("built a scene or rendered a frame")
 
         monkeypatch.setattr(cli, "build_scene", unreachable)
-        monkeypatch.setattr(cli, "render_frame", unreachable)
+        monkeypatch.setattr(cli, "render_frames", unreachable)
         out = tmp_path / "demo"
         code, stdout, err = run(capsys, "demo", "--window", "5", "--out-dir", str(out))
         assert (code, stdout) == (1, "")

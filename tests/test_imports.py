@@ -20,12 +20,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # library entry points no src/ code calls: readers of the formats the CLI
-# writes, and the paper's loss totals
+# writes, the paper's loss totals, and the one-frame render
 ENTRY_POINTS = {
     "dataio.read_fused",
     "dataio.read_blockvis",
     "losses.total_ssc_loss",
     "losses.total_synth_loss",
+    "synth.render_frame",
 }
 
 # defaulted parameters no src/ call passes, with the reason each stays
@@ -36,6 +37,8 @@ UNPASSED_DEFAULTS = {
     "losses.total_ssc_loss.class_weights": "entry point: None weighs by the inverse class "
     "frequency of the ground truth",
     "losses.total_synth_loss.w": "entry point: None gives the paper's term weights",
+    "synth.render_frame.frame_index": "entry point: one frame rendered on its own, as the "
+    "benchmark's self-test renders it, is frame 0 unless named",
 }
 
 # numpy functions that may hand a product to BLAS

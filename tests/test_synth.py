@@ -4,6 +4,7 @@ from scipy import ndimage
 
 from oracles import classify_palette, extract_features_bruteforce, raycast_bruteforce
 from scenecast import defaults, synth
+from scenecast.forecast import PoseSequence
 from scenecast.fusion import SceneGrid, SceneRange
 from scenecast.geom import (
     CameraIntrinsics, compose, inverse, quantize, se3_exp, se3_log, tile_reduce,
@@ -19,6 +20,7 @@ from scenecast.synth import (
     extract_features,
     make_trajectory,
     render_frame,
+    render_frames,
 )
 
 
@@ -129,7 +131,7 @@ class TestRenderDepth:
             pose = canonical_camera_pose((rng.uniform(-0.5, 0.5), 0.3, 0.1))
             frame = render_frame(grid, pose, k)
             ref_depth, ref_cls = raycast_bruteforce(grid, pose, k, 80.0)
-            assert np.abs(synth._raycast(grid, pose, k, 80.0)[0] - ref_depth).max() < 1e-9
+            assert np.abs(synth._raycast(grid, [pose], k, 80.0)[0][0] - ref_depth).max() < 1e-9
             assert np.array_equal(classify_palette(frame.image), ref_cls)
 
     def test_frame_holds_the_raycast_depth_as_float32(self):
@@ -137,7 +139,7 @@ class TestRenderDepth:
         pose = canonical_camera_pose((0.37, 1.9, 0.23))
         k = desk_intrinsics(32, 24)
         depth = render_frame(grid, pose, k).depth
-        raw = synth._raycast(grid, pose, k, defaults.D_MAX)[0]
+        raw = synth._raycast(grid, [pose], k, defaults.D_MAX)[0][0]
         assert (raw > 0).mean() > 0.3 and raw.dtype == np.float64
         assert depth.dtype == np.float32
         assert depth.tobytes() == raw.astype(np.float32).tobytes()
@@ -159,7 +161,7 @@ def _matches_oracle(grid, pose, k):
     frame = render_frame(grid, pose, k)
     ref_depth, ref_cls = raycast_bruteforce(grid, pose, k, defaults.D_MAX)
     assert np.array_equal(classify_palette(frame.image), ref_cls)
-    assert np.abs(synth._raycast(grid, pose, k, defaults.D_MAX)[0] - ref_depth).max() < 1e-9
+    assert np.abs(synth._raycast(grid, [pose], k, defaults.D_MAX)[0][0] - ref_depth).max() < 1e-9
     return ref_cls
 
 
@@ -289,6 +291,33 @@ class TestRaycastTraversal:
         assert (whole.depth > 0).mean() > 0.3
         assert whole.depth.tobytes() == chunked.depth.tobytes()
         assert whole.image.tobytes() == chunked.image.tobytes()
+
+    def test_one_queue_leaves_every_bit(self, monkeypatch):
+        # small chunks make the frames share the active set and refill it
+        # mid-frame; the third pose looks away from the grid, so no ray of it
+        # enters the queue, and the last one enters the grid from outside
+        grid = build_scene(SceneSpec(seed=67, layout="random_boxes", dims=(32, 48, 8)))
+        k = desk_intrinsics(32, 24)
+        poses = (
+            _looking((0.37, 1.9, 0.23), (0.05, 0.3, 0.0)),
+            _looking((-0.41, 0.6, -0.3), (-0.1, -0.2, 0.02)),
+            _looking((0.0, -5.0, 0.0), (0.0, np.pi, 0.0)),
+            _looking((1.5, 6.0, -0.5), (0.0, -0.4, 0.0)),
+            canonical_camera_pose((0.4, -3.0, 0.5)),
+        )
+        seq = PoseSequence(poses, (3, 8, 13, 18, 23), 5)
+        alone = [render_frame(grid, p, k, i) for p, i in zip(poses, seq.frame_indices)]
+        alone_cls = [synth._raycast(grid, [p], k, defaults.D_MAX)[1][0] for p in poses]
+        monkeypatch.setattr(synth, "_RAY_CHUNK", 100)
+        queued = render_frames(grid, seq, k)
+        _, queued_cls = synth._raycast(grid, poses, k, defaults.D_MAX)
+        assert [(f.depth > 0).mean() > 0.3 for f in alone] == [True, True, False, True, True]
+        assert not alone[2].depth.any()
+        for a, q, ac, qc in zip(alone, queued, alone_cls, queued_cls):
+            assert a.frame_index == q.frame_index
+            assert a.depth.tobytes() == q.depth.tobytes()
+            assert ac.tobytes() == qc.tobytes()
+            assert a.pixels.tobytes() == q.pixels.tobytes()
 
 
 class TestRenderImage:

@@ -379,7 +379,7 @@ class TestForwardSplat:
         from scipy import ndimage
 
         grid, k, traj, frames = corridor_setup(3, past=1)
-        dst = synth._raycast(grid, traj.poses[-1], k, defaults.D_MAX)[0]
+        dst = synth._raycast(grid, traj.poses[-1:], k, defaults.D_MAX)[0][0]
         warped = forward_splat(frames[:2], traj.poses[-1], k, dst_frame_index=99)
         both = warped.hit_mask & (dst > 0)
         padded = np.where(dst > 0, dst, np.inf)
