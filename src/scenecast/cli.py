@@ -77,9 +77,9 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
     """Option defaults by dest from a key=value file, checked against the parser.
 
     The keys are the parser's valued long options; switches such as
-    `forecast --gt` are flags only. Unknown keys and bad values raise with
-    the file, line and key named, and a byte that is not UTF-8 with the
-    file, line and byte offset.
+    `forecast --gt` are flags only. Unknown, bad and repeated keys raise with
+    the file, line and key named (a repeat also with its first line), and a
+    byte that is not UTF-8 with the file, line and byte offset.
     """
     # argparse has no public accessor for a parser's options
     options = {
@@ -93,7 +93,7 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: invalid UTF-8 byte at offset {exc.start}") from None
-    values = {}
+    values, first = {}, {}
     for lineno, line in enumerate(text.split("\n"), start=1):  # as the UTF-8 branch counts
         s = line.strip()
         if not s or s.startswith("#"):
@@ -105,6 +105,8 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
             raise ValueError(
                 f"{path}:{lineno}: unknown key {key!r} (valid keys: {', '.join(sorted(options))})"
             )
+        if first.setdefault(key, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice, first on line {first[key]}")
         values[options[key].dest] = _config_value(options[key], text, f"{path}:{lineno}: {key}")
     return values
 
@@ -308,13 +310,11 @@ def cmd_eval(args) -> int:
     gt = dataio.read_grid(args.gt)
     counts = confusion(pred, gt, args.num_classes)
     sem = miou_semantic(counts)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(("metric", "value"))
-    writer.writerow(("iou", repr(iou_geometry(counts))))
-    writer.writerow(("miou", repr(sem.value)))
-    for ci in range(1, len(counts)):
-        v = sem.per_class[ci]
-        writer.writerow((f"iou_class_{ci}", "" if np.isnan(v) else repr(float(v))))
+    # every row is built before the first is written, so a failure prints none
+    rows = [("metric", "value"), ("iou", repr(iou_geometry(counts))), ("miou", repr(sem.value))]
+    rows += [(f"iou_class_{ci}", "" if np.isnan(v) else repr(float(v)))
+             for ci, v in enumerate(sem.per_class[1:], start=1)]
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return 0
 
 

@@ -11,7 +11,8 @@ Binary layouts (all little-endian):
 `_write_record` writes each as magic, packed header and payload arrays;
 `_Cursor` reads them back, checking each part's length and trailing bytes.
 Images are binary PPM (P6, maxval 255), read and written as the uint8 pixels
-a `FrameBundle` holds (a float image is written as floor(255*v + 0.5)); masks
+a `FrameBundle` holds (any other image goes through `geom.quantize`, the rule
+`FrameBundle` takes too); bool masks and uint8 maps
 go out as PGM (P5). Pose files are UTF-8 KITTI odometry text: one 3x4 row-major
 [R|t] world-from-camera per line, made a pose by the `Se3Pose` constructor,
 the one rule for rotations.
@@ -209,9 +210,9 @@ def write_image(path, image: np.ndarray) -> None:
     """Write an HxWx3 image as binary PPM (P6): uint8 values as they are,
     any other values as floats in [0, 1] quantised by `geom.quantize`.
 
-    A float image is quantised _IMAGE_BAND rows at a time into the file's
-    one uint8 buffer; a non-finite value in any band raises before any file
-    is written.
+    A non-byte image is quantised _IMAGE_BAND rows at a time into the
+    file's one uint8 buffer; a value in any band that `quantize` refuses,
+    one not finite or outside [0, 1], raises before any file is written.
     """
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3 or img.size == 0:
@@ -226,19 +227,16 @@ def write_image(path, image: np.ndarray) -> None:
 
 
 def write_pgm(path, values: np.ndarray) -> None:
-    """Write an HxW map of values in 0..255 as 8-bit PGM (P5); a bool mask
-    is written as 0/255. Non-finite or out-of-range values raise ValueError
-    before any file is written."""
+    """Write an HxW map as 8-bit PGM (P5): a bool mask as 0/255, uint8
+    bytes as they are. Any other dtype raises ValueError naming it before
+    any file is written."""
     v = np.asarray(values)
     if v.ndim != 2 or v.size == 0:
         raise ValueError(f"expected HxW map with H, W >= 1, got shape {v.shape}")
-    if v.dtype != bool:
-        if not np.all(np.isfinite(v)):
-            raise ValueError("map values must be finite")
-        if v.min() < 0 or v.max() > 255:
-            raise ValueError(f"map values must lie in 0..255, got {v.min()}..{v.max()}")
+    if v.dtype not in (bool, np.uint8):
+        raise ValueError(f"map values must be bool or uint8, got {v.dtype}")
     buf, pixels = _pnm_buffer("P5", v.shape)
-    pixels[...] = v  # a float value truncates toward zero
+    pixels[...] = v
     if v.dtype == bool:
         pixels *= 255
     atomic_write_bytes(path, buf)

@@ -207,14 +207,19 @@ class CameraIntrinsics:
 
 def quantize(image: np.ndarray) -> np.ndarray:
     """`image` as the 8-bit values a PPM holds, a new uint8 array: each value
-    v becomes floor(255 v + 0.5) clipped to 0..255, so [0, 1] spans the
-    range. A non-finite value raises ValueError before any is converted."""
-    if not np.isfinite(image).all():
-        raise ValueError("image values must be finite")
+    v in [0, 1] becomes floor(255 v + 0.5), the one rule by which a non-byte
+    image becomes bytes. A value that is not finite, then one outside [0, 1],
+    raises ValueError before any is converted."""
+    # NaN propagates through min and max, so the two cover the finite check;
+    # the isfinite pass only picks the message
+    if image.size and not (image.min() >= 0.0 and image.max() <= 1.0):
+        if not np.isfinite(image).all():
+            raise ValueError("image entries must be finite")
+        raise ValueError("image entries must lie in [0, 1]")
     q = np.multiply(image, 255.0, dtype=np.float64)
     q += 0.5
-    np.floor(q, out=q)
-    return q.clip(0, 255, out=q).astype(np.uint8)
+    # q lies in [0.5, 255.5], where the cast's truncation is the floor
+    return q.astype(np.uint8)
 
 
 @dataclass
@@ -243,16 +248,7 @@ class FrameBundle:
             raise ValueError(
                 f"depth shape {depth.shape} does not match image {pixels.shape[:2]}"
             )
-        if pixels.dtype != np.uint8:
-            pixels = np.asarray(pixels, dtype=np.float64)
-            # NaN propagates through min and max, so the two cover the finite
-            # check; the isfinite pass only picks the message
-            if not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
-                if not np.all(np.isfinite(pixels)):
-                    raise ValueError("image entries must be finite")
-                raise ValueError("image entries must lie in [0, 1]")
-            pixels = quantize(pixels)
-        self.pixels = pixels
+        self.pixels = pixels if pixels.dtype == np.uint8 else quantize(pixels)
         # checked before the cast, which makes -1e-300 -0.0 and 1e39 inf
         if not (depth.min() >= 0.0 and depth.max() <= np.finfo(np.float32).max):
             raise ValueError("depth entries must be finite and >= 0")

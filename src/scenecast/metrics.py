@@ -22,27 +22,26 @@ def confusion(pred: SceneGrid, gt: SceneGrid, num_classes: int | None = None) ->
     histogram of label pairs: base 256, not C, so a prediction id >= C
     cannot alias into the next row. Row 255, invalid ground truth, is
     zeroed; C, when not given, is the largest class id left plus 1, or 1
-    when no voxel is valid.
+    when no voxel is valid. A given C below 1 raises before any voxel is
+    counted.
     """
     if pred.labels.shape != gt.labels.shape:
         raise ValueError(
             f"grid dims differ: {pred.labels.shape} vs {gt.labels.shape}"
         )
+    if num_classes is not None and num_classes < 1:
+        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     pairs = gt.labels.astype(np.uint16) * 256 + pred.labels
     hist = np.bincount(pairs.reshape(-1), minlength=256 * 256).reshape(256, 256)
     hist[defaults.INVALID_LABEL] = 0
     if num_classes is None:
         used = np.flatnonzero(hist.any(axis=0) | hist.any(axis=1))
         num_classes = int(used[-1]) + 1 if used.size else 1
-    # a negative C leaves no id in range, so any valid voxel fails first
-    first = max(num_classes, 0)
-    if hist[:, first:].any():
+    if hist[:, num_classes:].any():
         raise ValueError(f"prediction contains class id >= C={num_classes}")
-    if hist[first:].any():
+    if hist[num_classes:].any():
         raise ValueError(f"ground truth contains class id >= C={num_classes}")
-    # flat, then reshaped: a negative C with no valid voxel fails in the reshape
-    counts = np.zeros(num_classes * num_classes, dtype=np.int64)
-    counts = counts.reshape(num_classes, num_classes)
+    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     counts[:256, :256] = hist[:num_classes, :num_classes]
     return counts
 

@@ -394,11 +394,9 @@ def render_frames(grid: SceneGrid, seq: PoseSequence, k: CameraIntrinsics) -> li
     return frames
 
 
-def render_frame(
-    grid: SceneGrid, pose: Se3Pose, k: CameraIntrinsics, frame_index: int = 0
-) -> FrameBundle:
-    """`render_frames` of the one pose."""
-    return render_frames(grid, PoseSequence((pose,), (frame_index,), 1), k)[0]
+def render_frame(grid: SceneGrid, pose: Se3Pose, k: CameraIntrinsics) -> FrameBundle:
+    """`render_frames` of the one pose, as frame 0."""
+    return render_frames(grid, PoseSequence((pose,), (0,), 1), k)[0]
 
 
 # image rows per band of extract_features, a multiple of the 4-row tile: a band's

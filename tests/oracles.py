@@ -164,11 +164,14 @@ def confusion_bruteforce(pred, gt, num_classes=None):
     Rows index ground truth and columns prediction; a voxel whose ground
     truth is 255 is skipped. C, when not given, is the largest class id of
     a counted voxel plus 1, or 1 when none counts. Raises the messages of
-    `metrics.confusion`, in its order: dims, prediction id, ground-truth id.
+    `metrics.confusion`, in its order: dims, a given C below 1, prediction
+    id, ground-truth id.
     """
     pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"grid dims differ: {pred.shape} vs {gt.shape}")
+    if num_classes is not None and num_classes < 1:
+        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     pairs = [
         (g, p) for g, p in zip(gt.reshape(-1).tolist(), pred.reshape(-1).tolist())
         if g != 255

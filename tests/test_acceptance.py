@@ -28,7 +28,7 @@ from scenecast.synth import (
     build_scene,
     desk_intrinsics,
     make_trajectory,
-    render_frame,
+    render_frames,
 )
 from scenecast.warp import forward_splat
 from oracles import scal_bruteforce
@@ -109,6 +109,7 @@ def test_criterion_3_warp_round_trip():
     with criterion(3, "warp round-trip vs direct render"):
         k = desk_intrinsics()
         down = np.diag([1.0, -1.0, -1.0])
+        interval = defaults.FRAME_INTERVAL
         rng = np.random.default_rng(300)
         start = time.time()
         for seed in range(20):
@@ -129,9 +130,8 @@ def test_criterion_3_warp_round_trip():
                     10.4,
                 ],
             )
-            fa = render_frame(grid, pa, k, 0)
-            fb = render_frame(grid, pb, k, defaults.FRAME_INTERVAL)
-            warped = forward_splat([fa], pb, k, dst_frame_index=defaults.FRAME_INTERVAL)
+            fa, fb = render_frames(grid, PoseSequence((pa, pb), (0, interval), interval), k)
+            warped = forward_splat([fa], pb, k, dst_frame_index=interval)
             both = warped.hit_mask & (fb.depth > 0)
             assert both.sum() > 1000
             depth_ok = np.abs(warped.depth - fb.depth)[both] <= 0.05

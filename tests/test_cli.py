@@ -8,7 +8,7 @@ import pytest
 from scenecast import cli, dataio, defaults, warp
 from scenecast.cli import demo_pipeline, main
 from scenecast.forecast import PoseSequence, forecast_next
-from scenecast.fusion import SceneRange, fuse_pipeline, resample_to_range
+from scenecast.fusion import SceneGrid, SceneRange, fuse_pipeline, resample_to_range
 from scenecast.geom import CameraIntrinsics, FrameBundle, Se3Pose
 from scenecast.metrics import confusion, coverage, iou_geometry, majority_complete
 from scenecast.synth import (
@@ -19,7 +19,7 @@ from scenecast.synth import (
     desk_intrinsics,
     extract_features,
     make_trajectory,
-    render_frame,
+    render_frames,
 )
 from scenecast.warp import compose_pseudo_future, fill_refiner, forward_splat
 
@@ -246,8 +246,7 @@ def small_size_tree(root: Path, width: int, height: int) -> Path:
     grid = build_scene(SceneSpec(seed=2, dims=(64, 96, 16)))
     k = CameraIntrinsics(64.0, 64.0, (width - 1) / 2.0, (height - 1) / 2.0, width, height)
     traj = make_trajectory(TrajectorySpec(frames=4, start=canonical_camera_pose((0.0, 2.0, 0.0))))
-    bundles = [render_frame(grid, p, k, i) for p, i in zip(traj.poses, traj.frame_indices)]
-    dataio.write_frame_sequence(root, bundles)
+    dataio.write_frame_sequence(root, render_frames(grid, traj, k))
     return root
 
 
@@ -327,6 +326,20 @@ class TestEval:
         assert code == 1
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("num_classes", [0, -1])
+    @pytest.mark.parametrize("gt_label", [255, 1], ids=["all_invalid", "valid"])
+    def test_class_count_below_one_prints_no_row(self, tmp_path, capsys, num_classes, gt_label):
+        # refused before any voxel is counted or any row built, with or
+        # without a valid voxel, so stdout stays empty
+        rng = SceneRange((0.0, 0.0, 0.0), (2.0, 2.0, 1.0), 0.5)
+        pred, gt = tmp_path / "pred.vxg", tmp_path / "gt.vxg"
+        dataio.write_grid(pred, SceneGrid(rng, np.zeros(rng.dims, np.uint8)))
+        dataio.write_grid(gt, SceneGrid(rng, np.full(rng.dims, gt_label, np.uint8)))
+        code, out, err = run(capsys, "eval", "--pred", str(pred), "--gt", str(gt),
+                             f"--num-classes={num_classes}")
+        assert (code, out) == (1, "")
+        assert err == f"error: num_classes must be >= 1, got {num_classes}\n"
 
 
 IDENTITY_LINE = b"1 0 0 0 0 1 0 0 0 0 1 0\n"
@@ -641,6 +654,15 @@ class TestConfigFile:
         assert repr(key) in err or f": {key}: " in err
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_key_is_one_line_error(self, tmp_path, capsys):
+        # refused, not resolved by letting the last value win
+        cfg = tmp_path / "conf"
+        cfg.write_text("seed=3\n# again\nseed=4\n")
+        code, out, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}:3: key 'seed' given twice, first on line 1\n"
+        assert not (tmp_path / "o").exists()
+
     def test_non_utf8_byte_names_file_line_and_offset(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"seed=1\n\xff=2\n")
@@ -728,9 +750,7 @@ def _hand_wired_corridor_run(seed: int):
             start=canonical_camera_pose((0.0, 2.0, 0.0)),
         )
     )
-    bundles = [
-        render_frame(grid, p, k, i) for p, i in zip(traj.poses, traj.frame_indices)
-    ]
+    bundles = render_frames(grid, traj, k)
     past_current = bundles[: past + 1]
     current = past_current[-1]
     history = PoseSequence(traj.poses[: past + 1], traj.frame_indices[: past + 1], interval)

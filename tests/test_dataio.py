@@ -257,24 +257,41 @@ class TestImageFile:
                 dataio.write_image(tmp_path / "i.ppm", img)
             assert not any(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, 1.0 + 1e-15, 1.5, 2.0, 1e300, 7])
+    def test_out_of_range_image_not_written(self, tmp_path, bad):
+        # refused in any band, not clipped; an integer image is read by its
+        # values, so one holding 7 is refused, not saturated to 255
+        band = dataio._IMAGE_BAND
+        dtype = np.int64 if isinstance(bad, int) else np.float64
+        for shape, at in [((2, 3, 3), (1, 2, 0)), ((2 * band + 2, 3, 3), (band - 1, 2, 1)),
+                          ((2 * band + 2, 3, 3), (2 * band, 0, 2))]:
+            img = np.zeros(shape, dtype)
+            img[at] = bad
+            with pytest.raises(ValueError, match=r"^image entries must lie in \[0, 1\]$"):
+                dataio.write_image(tmp_path / "i.ppm", img)
+            assert not any(tmp_path.iterdir())
+
     def test_quantised_band_by_band(self, tmp_path):
         # three bands and a partial fourth; exact levels k/255 and half levels
-        # (k + 0.5)/255, each also 1 ulp either side, fill the image, and the
-        # rows either side of each band boundary hold out-of-range values
+        # (k + 0.5)/255, each also 1 ulp either side and clipped to [0, 1], fill
+        # the image, and the rows either side of each band boundary hold the
+        # edges of that range
         band = dataio._IMAGE_BAND
         gen = np.random.default_rng(9)
         shape = (3 * band + 5, 6, 3)
         levels = (gen.integers(0, 256, size=shape) + gen.choice([0.0, 0.5], size=shape)) / 255.0
         img = np.nextafter(levels, levels + gen.choice([-1.0, 0.0, 1.0], size=shape))
-        edges = [-1.0, -1e-300, -0.0, 1.0 + 1e-15, 2.0, 1e300]
+        np.clip(img, 0.0, 1.0, out=img)
+        edges = [-0.0, 5e-324, 0.5 / 255.0, np.nextafter(0.5 / 255.0, 0.0), 1.0 - 1e-16, 1.0]
         for r in range(band, shape[0], band):
             img[r - 1, :, 0] = img[r, :, 1] = edges
         path = tmp_path / "i.ppm"
         dataio.write_image(path, img)
-        want = np.floor(img * 255.0 + 0.5).clip(0, 255).astype(np.uint8)
+        want = np.floor(img * 255.0 + 0.5).astype(np.uint8)
         data = path.read_bytes()
         assert data == f"P6\n6 {shape[0]}\n255\n".encode() + want.tobytes()
-        assert list(want[band, :, 1]) == [0, 0, 0, 255, 255, 255]
+        assert list(want[band, :, 1]) == [0, 0, 1, 0, 255, 255]
 
     @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
     def test_zero_size_pgm_not_written(self, tmp_path, shape):
@@ -292,22 +309,25 @@ class TestImageFile:
 
     def test_pgm_values_at_both_ends(self, tmp_path):
         path = tmp_path / "m.pgm"
-        dataio.write_pgm(path, np.array([[0.0, 255.0, 7.0]]))
+        dataio.write_pgm(path, np.array([[0, 255, 7]], dtype=np.uint8))
         assert path.read_bytes() == b"P5\n3 1\n255\n\x00\xff\x07"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "values, message",
         [
-            ([[np.nan, 300.0]], "^map values must be finite$"),
-            ([[0.0, np.inf]], "^map values must be finite$"),
-            ([[0.0, 300.0]], r"^map values must lie in 0\.\.255, got 0\.0\.\.300\.0$"),
-            ([[-1, 5]], r"^map values must lie in 0\.\.255, got -1\.\.5$"),
-            ([[0, 256]], r"^map values must lie in 0\.\.255, got 0\.\.256$"),
+            ([[np.nan, 300.0]], "^map values must be bool or uint8, got float64$"),
+            ([[0.0, np.inf]], "^map values must be bool or uint8, got float64$"),
+            ([[0.0, 300.0]], "^map values must be bool or uint8, got float64$"),
+            ([[-1, 5]], "^map values must be bool or uint8, got int64$"),
+            ([[0, 256]], "^map values must be bool or uint8, got int64$"),
+            ([[0.0, 255.0, 7.0]], "^map values must be bool or uint8, got float64$"),
+            ([[0, 7]], "^map values must be bool or uint8, got int64$"),
         ],
     )
     def test_pgm_refuses_values_a_byte_cannot_hold(self, tmp_path, values, message):
-        # refused before any cast, so nothing wraps and no file is written
+        # any map but a bool mask or uint8 bytes is refused by its dtype,
+        # before any cast, so nothing truncates or wraps and no file is written
         path = tmp_path / "m.pgm"
         with pytest.raises(ValueError, match=message):
             dataio.write_pgm(path, np.array(values))

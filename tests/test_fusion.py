@@ -36,6 +36,7 @@ from scenecast.synth import (
     extract_features,
     make_trajectory,
     render_frame,
+    render_frames,
 )
 
 K = CameraIntrinsics(40.0, 40.0, 19.5, 14.5, 40, 30)
@@ -505,7 +506,7 @@ class TestFusePipeline:
             TrajectorySpec(frames=frames, speed=1.0, frame_interval=5,
                            start=canonical_camera_pose((0.0, 1.0, 0.0)))
         )
-        frames = [render_frame(grid, p, k, i) for p, i in zip(traj.poses, traj.frame_indices)]
+        frames = render_frames(grid, traj, k)
         rng = SceneRange((-12.8, 0.0, -2.0), (25.6, 25.6, 6.4), 0.4)
         return grid, k, frames, rng
 
@@ -615,7 +616,7 @@ class TestFusePipeline:
         grid = SceneGrid(SceneRange((-3.2, 0.0, -1.6), (6.4, 6.4, 3.2), 0.4), labels)
         k = desk_intrinsics()
         pose = canonical_camera_pose((0.0, 0.0, 0.0))
-        frame = render_frame(grid, pose, k, 0)
+        frame = render_frame(grid, pose, k)
         idx, _ = visibility(grid.range, frame, pose, k, 0.4)
         vis = np.zeros(grid.range.dims, dtype=bool)
         vis.reshape(-1)[idx] = True

@@ -37,8 +37,6 @@ UNPASSED_DEFAULTS = {
     "losses.total_ssc_loss.class_weights": "entry point: None weighs by the inverse class "
     "frequency of the ground truth",
     "losses.total_synth_loss.w": "entry point: None gives the paper's term weights",
-    "synth.render_frame.frame_index": "entry point: one frame rendered on its own, as the "
-    "benchmark's self-test renders it, is frame 0 unless named",
 }
 
 # numpy functions that may hand a product to BLAS

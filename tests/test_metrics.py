@@ -98,7 +98,7 @@ class TestConfusionOracle:
                 gt[at], pred[at] = 1, int(rng.integers(c, 255))
             elif kind == "gt_out_of_range":
                 gt[at] = int(rng.integers(c, 255))
-            for num_classes in (c, None):
+            for num_classes in (c, None, 0, -1):
                 want = _outcome(confusion_bruteforce, pred, gt, num_classes)
                 got = _outcome(confusion, grid_from(pred), grid_from(gt), num_classes)
                 if isinstance(want, str):
@@ -111,6 +111,17 @@ class TestConfusionOracle:
         g = np.full((2, 3, 1), 255, dtype=np.uint8)
         counts = confusion(grid_from(np.zeros_like(g)), grid_from(g))
         assert counts.dtype == np.int64 and np.array_equal(counts, [[0]])
+
+    @pytest.mark.parametrize("num_classes", [0, -1])
+    @pytest.mark.parametrize("gt_label", [255, 1])
+    def test_class_count_below_one_is_refused(self, num_classes, gt_label):
+        # refused before any voxel is counted, so a ground truth with no
+        # valid voxel, which no class id check can fail, is refused too
+        gt = np.full((2, 3, 1), gt_label, dtype=np.uint8)
+        pred = np.zeros_like(gt)
+        message = f"num_classes must be >= 1, got {num_classes}"
+        assert _outcome(confusion_bruteforce, pred, gt, num_classes) == message
+        assert _outcome(confusion, grid_from(pred), grid_from(gt), num_classes) == message
 
 
 class TestIouGeometry:

@@ -306,15 +306,15 @@ class TestRaycastTraversal:
             canonical_camera_pose((0.4, -3.0, 0.5)),
         )
         seq = PoseSequence(poses, (3, 8, 13, 18, 23), 5)
-        alone = [render_frame(grid, p, k, i) for p, i in zip(poses, seq.frame_indices)]
+        alone = [render_frame(grid, p, k) for p in poses]
         alone_cls = [synth._raycast(grid, [p], k, defaults.D_MAX)[1][0] for p in poses]
         monkeypatch.setattr(synth, "_RAY_CHUNK", 100)
         queued = render_frames(grid, seq, k)
         _, queued_cls = synth._raycast(grid, poses, k, defaults.D_MAX)
         assert [(f.depth > 0).mean() > 0.3 for f in alone] == [True, True, False, True, True]
         assert not alone[2].depth.any()
+        assert [q.frame_index for q in queued] == list(seq.frame_indices)
         for a, q, ac, qc in zip(alone, queued, alone_cls, queued_cls):
-            assert a.frame_index == q.frame_index
             assert a.depth.tobytes() == q.depth.tobytes()
             assert ac.tobytes() == qc.tobytes()
             assert a.pixels.tobytes() == q.pixels.tobytes()
@@ -355,7 +355,7 @@ class TestRenderImage:
 
         pa = Se3Pose(down, [0.5, 25.0, 9.0])
         pb = Se3Pose(down, [-0.7, 26.0, 9.0])
-        fa, fb = render_frame(grid, pa, k, 0), render_frame(grid, pb, k, 1)
+        fa, fb = render_frames(grid, PoseSequence((pa, pb), (0, 1), 1), k)
         warped = forward_splat([fa], pb, k, dst_frame_index=1)
         both = warped.hit_mask & (fb.depth > 0)
         dd = np.abs(warped.depth - fb.depth)[both]

@@ -19,7 +19,7 @@ from scenecast.synth import (
     canonical_camera_pose,
     desk_intrinsics,
     make_trajectory,
-    render_frame,
+    render_frames,
 )
 from scenecast.warp import (
     FrameBundle,
@@ -53,7 +53,7 @@ def corridor_setup(seed, speed=2.0, past=4, interval=5):
         TrajectorySpec(frames=past + 2, speed=speed, frame_interval=interval,
                        start=canonical_camera_pose((0.0, 2.0, 0.0)))
     )
-    frames = [render_frame(grid, p, k, i) for p, i in zip(traj.poses, traj.frame_indices)]
+    frames = render_frames(grid, traj, k)
     return grid, k, traj, frames
 
 
@@ -362,8 +362,7 @@ class TestForwardSplat:
         k = desk_intrinsics()
         pa = Se3Pose(R_DOWN, [0.0, 30.0, 10.4])
         pb = Se3Pose(R_DOWN, [1.2, 31.2, 10.4])
-        fa = render_frame(grid, pa, k, 0)
-        fb = render_frame(grid, pb, k, 5)
+        fa, fb = render_frames(grid, PoseSequence((pa, pb), (0, 5), 5), k)
         warped = forward_splat([fa], pb, k, dst_frame_index=5)
         both = warped.hit_mask & (fb.depth > 0)
         dd = np.abs(warped.depth - fb.depth)[both]
