@@ -211,8 +211,9 @@ def write_image(path, image: np.ndarray) -> None:
     any other values as floats in [0, 1] quantised by `geom.quantize`.
 
     A non-byte image is quantised _IMAGE_BAND rows at a time into the
-    file's one uint8 buffer; a value in any band that `quantize` refuses,
-    one not finite or outside [0, 1], raises before any file is written.
+    file's one uint8 buffer; what `quantize` refuses in any band, an image
+    that is not floats or a value not finite or outside [0, 1], raises
+    before any file is written.
     """
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3 or img.size == 0:

@@ -7,11 +7,12 @@ trajectories are extrapolated exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Se3Pose, compose, inverse, se3_exp, se3_log
+from .geom import Se3Pose, compose, inverse, rotation_angle, se3_exp, se3_log
 
 DEFAULT_WINDOW_CAP = 3
 
@@ -51,8 +52,9 @@ def forecast_next(seq: PoseSequence, window: int | None = None) -> Se3Pose:
     The step twists log(P_i^-1 P_{i+1}) of the last `window` consecutive
     pose pairs (default min(history, 3)) are averaged in the Lie algebra, so
     the replayed motion is always a valid pose, and a fixed world
-    re-anchoring of all poses cancels out. A step whose rotation is too
-    close to pi for a stable log raises ValueError naming its two frames.
+    re-anchoring of all poses cancels out. A step whose rotation lies within
+    1e-6 of a half turn, where the sign of its log's axis is not determined,
+    raises ValueError naming its two frames.
     """
     if window is None:
         window = max(1, min(len(seq) - 1, DEFAULT_WINDOW_CAP))
@@ -66,10 +68,17 @@ def forecast_next(seq: PoseSequence, window: int | None = None) -> Se3Pose:
     indices = seq.frame_indices[-(window + 1):]
     twists = []
     for a, b, ia, ib in zip(poses, poses[1:], indices, indices[1:]):
-        try:
-            twists.append(se3_log(compose(inverse(a), b)))
-        except ValueError as exc:
-            raise ValueError(f"step from frame {ia} to frame {ib}: {exc}") from exc
+        step = compose(inverse(a), b)
+        # a step this close to a half turn has two logs of opposite axes, and
+        # the least change of its rotation swaps them, so a mean over it is
+        # not determined by the poses
+        theta = rotation_angle(step.rotation)
+        if theta >= math.pi - 1e-6:
+            raise ValueError(
+                f"step from frame {ia} to frame {ib}: rotation angle {theta:.9f} "
+                "too close to pi for a mean step"
+            )
+        twists.append(se3_log(step))
     return compose(poses[-1], se3_exp(np.mean(twists, axis=0)))
 
 

@@ -16,23 +16,26 @@ bit.
 
 Voxels are grouped into 4x4x4 blocks (visible if any member voxel is, with
 projection coordinates averaged over the visible members); per-frame 2D
-features are then sampled at the averaged coordinates and concatenated
-frame-major, zero-padded wherever a frame contributed nothing.
+features are then sampled bilinearly at the averaged coordinates and
+concatenated frame-major, zero-padded wherever a frame contributed nothing.
 
 Fusion is one pass per frame: visibility returns only the visible voxels
 (flat indices and projections), they are reduced to the frame's block slice,
-and the frame's feature map is extracted. Visibility culls and projects in
-batches of at most _POINTS points, so a pass's temporaries stay small
-whatever the frame. A standard thread pool (`concurrent.futures`, imported
-on the first call) maps the passes two at a time; each writes its frame's
-block slices in place, and the calling thread samples each returned feature
-map at its frame's blocks in frame order, so peak memory is two passes'
-temporaries plus the block-level arrays. The feature extractor maps a
-frame's uint8 pixels to an HxWxC array with the same C for every frame.
-A frame's blocks and feature channels depend only on that frame and the
-anchoring current pose, so the result for a subset of frames is a
-frame-axis slice of the result for the whole set (`BlockVisibility.frames`,
-`FusedVolume.frames`), and it does not depend on which thread ran a pass.
+and the four feature-map cells each visible block's sample reads
+(`geom.bilinear_corners`, the sampler's own rule) are marked in an
+(H/4, W/4) tile mask; the feature extractor, given the frame's uint8 pixels
+and that mask, computes those cells only and returns an (H/4, W/4, C) map
+with the same C for every frame. Visibility culls and projects in batches
+of at most _POINTS points, so a pass's temporaries stay small whatever the
+frame. A standard thread pool (`concurrent.futures`, imported on the first
+call) maps the passes two at a time; each writes its frame's block slices
+in place, and the calling thread samples each returned feature map at its
+frame's blocks in frame order, so peak memory is two passes' temporaries
+plus the block-level arrays. A frame's blocks and feature channels depend
+only on that frame and the anchoring current pose, so the result for a
+subset of frames is a frame-axis slice of the result for the whole set
+(`BlockVisibility.frames`, `FusedVolume.frames`), and it does not depend on
+which thread ran a pass.
 """
 from __future__ import annotations
 
@@ -48,6 +51,7 @@ from .geom import (
     CameraIntrinsics,
     FrameBundle,
     Se3Pose,
+    bilinear_corners,
     bilinear_sample_many,
     box_footprint,
     compose,
@@ -395,26 +399,24 @@ def downsample_blocks(dims, idx: np.ndarray, uvd: np.ndarray) -> Tuple[np.ndarra
     return block_vis.reshape(bx, by, bz), mean.reshape(bx, by, bz, 3)
 
 
-def _frame_features(
-    fmap: np.ndarray, block_vis: np.ndarray, block_mean: np.ndarray, k: CameraIntrinsics
-) -> np.ndarray:
-    """One frame's (BX, BY, BZ, C) block features from its HxWxC feature map.
+def _feature_corners(
+    block_vis: np.ndarray, block_mean: np.ndarray, k: CameraIntrinsics, fh: int, fw: int
+):
+    """Where one frame's visible blocks sample its fh x fw feature map:
+    `geom.bilinear_corners` of their averaged (u, v), in the blocks' C order.
 
-    The averaged (u, v) of each visible block are image-pixel coordinates;
-    they are rescaled into the map's resolution with the pixel-center-aligned
-    mapping u_f = (u + 0.5) * (fw / W) - 0.5. Invisible blocks and
-    out-of-bounds samples are exact zeros.
+    The averaged (u, v) are image-pixel coordinates; they are rescaled into
+    the map's resolution with the pixel-center-aligned mapping
+    u_f = (u + 0.5) * (fw / W) - 0.5. A sample outside the map's hull reads
+    no cell and is an exact zero.
     """
-    fh, fw, channels = fmap.shape
-    out = np.zeros(block_vis.shape + (channels,))
     uv = block_mean[block_vis][:, :2]
     uf = (uv[:, 0] + 0.5) * (fw / k.width) - 0.5
     vf = (uv[:, 1] + 0.5) * (fh / k.height) - 0.5
-    out[block_vis] = bilinear_sample_many(fmap, np.stack([uf, vf], axis=1))
-    return out
+    return bilinear_corners(np.stack([uf, vf], axis=1), fh, fw)
 
 
-FeatureExtractor = Callable[[np.ndarray], np.ndarray]
+FeatureExtractor = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # threads that run fuse_pipeline's frame passes, two at a time
 _WORKERS = 2
@@ -434,20 +436,25 @@ def fuse_pipeline(
     `current_index` designates the frame whose camera anchors the range.
     Each frame is one pass, mapped over the frames by a two-worker
     `ThreadPoolExecutor`: its visible voxels are reduced in place into its
-    frame's slices of the block arrays, and its feature map is extracted
-    and returned. The calling thread takes the maps in frame order and
-    samples each at its frame's blocks into the frame's channels of the
-    fused array (allocated once the first map gives C), so peak memory is
-    two passes plus the block arrays. A pass writes only its own frame's
-    slices, so the result does not depend on which thread runs it or when.
+    frame's slices of the block arrays, the map cells its visible blocks'
+    bilinear samples read are marked in an (H/4, W/4) tile mask, and the
+    extractor computes the features of those cells only. The pass returns
+    the map and its sample corners. The calling thread takes them in frame
+    order and samples each map at its frame's blocks into the frame's
+    channels of the fused array (allocated once the first map gives C), so
+    peak memory is two passes plus the block arrays. A pass writes only its
+    own frame's slices, so the result does not depend on which thread runs
+    it or when.
 
-    `feature_extractor` is called from the worker threads, in no set order,
-    so it must be a pure function of the frame's uint8 `pixels`, which it is
-    given. It must return an HxWxC map with the same C for every frame;
-    anything else raises ValueError naming the shape. An error in a pass is
-    raised in frame order: the first bad frame's error is the one raised,
-    the passes not yet started are cancelled, and every worker has stopped
-    by then.
+    `feature_extractor(pixels, tiles)` is called from the worker threads,
+    in no set order, so it must be a pure function of the frame's uint8
+    `pixels` and the bool tile mask, which it is given. It must return a
+    map of the mask's shape with C channels, the same C for every frame,
+    whose True cells are the tiles' features; anything else raises
+    ValueError naming the shape. Cells the mask leaves False are never read.
+    An error in a pass is raised in frame order: the first bad frame's
+    error is the one raised, the passes not yet started are cancelled, and
+    every worker has stopped by then.
     """
     frames = list(frames)
     if not frames:
@@ -460,13 +467,20 @@ def fuse_pipeline(
     current_pose = frames[current_index].pose
     visible = np.zeros((len(frames),) + rng.block_dims, dtype=bool)
     means = np.zeros(visible.shape + (3,))
+    # the extractor's map has one cell per 4x4-pixel tile
+    map_shape = (k.height // 4, k.width // 4)
 
-    def run_pass(fi: int) -> np.ndarray:
-        """Frame fi's pass: writes its block slices, returns its feature map."""
+    def run_pass(fi: int):
+        """Frame fi's pass: writes its block slices, returns its feature map
+        and the corners its blocks sample."""
         frame = frames[fi]
         idx, uvd = visibility(rng, frame, current_pose, k, theta_d)
         visible[fi], means[fi] = downsample_blocks(rng.dims, idx, uvd)
-        return np.asarray(feature_extractor(frame.pixels))
+        corners = _feature_corners(visible[fi], means[fi], k, *map_shape)
+        _, y0, x0, y1, x1, _, _ = corners
+        tiles = np.zeros(map_shape, dtype=bool)
+        tiles[y0, x0] = tiles[y0, x1] = tiles[y1, x0] = tiles[y1, x1] = True
+        return np.asarray(feature_extractor(frame.pixels, tiles)), corners
 
     # imported here, so importing the module does not load concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
@@ -475,16 +489,18 @@ def fuse_pipeline(
     # leaving the pool joins its workers
     with ThreadPoolExecutor(_WORKERS) as pool:
         features = None
-        for fi, fmap in enumerate(pool.map(run_pass, range(len(frames)))):
-            if fmap.ndim != 3 or (features is not None and fmap.shape[2] != c):
+        for fi, (fmap, corners) in enumerate(pool.map(run_pass, range(len(frames)))):
+            if fmap.ndim != 3 or fmap.shape[:2] != map_shape or (
+                features is not None and fmap.shape[2] != c
+            ):
                 raise ValueError(
                     f"feature map of frame {frames[fi].frame_index} has shape {fmap.shape}; "
-                    "the extractor must return HxWxC with one C for every frame"
+                    f"the extractor must return {map_shape} x C, one C for every frame"
                 )
             if features is None:
                 c = fmap.shape[2]
                 features = np.zeros(rng.block_dims + (len(frames) * c,))
-            features[..., fi * c:(fi + 1) * c] = _frame_features(fmap, visible[fi], means[fi], k)
+            features[..., fi * c:(fi + 1) * c][visible[fi]] = bilinear_sample_many(fmap, corners)
     bv = BlockVisibility(
         visible, means, tuple(f.frame_index for f in frames), k.width, k.height
     )

@@ -163,20 +163,51 @@ def se3_exp(xi) -> Se3Pose:
     return Se3Pose(r, _times(v, rho))
 
 
+def _cos_angle(r: np.ndarray) -> float:
+    """cos of a rotation's angle, (trace - 1) / 2 clamped to [-1, 1]."""
+    return min(1.0, max(-1.0, (float(r[0, 0] + r[1, 1] + r[2, 2]) - 1.0) * 0.5))
+
+
+def rotation_angle(r: np.ndarray) -> float:
+    """The angle in [0, pi] of a rotation matrix, acos((trace - 1) / 2): the
+    angle `se3_log` picks its branch by."""
+    return math.acos(_cos_angle(r))
+
+
 def se3_log(p: Se3Pose) -> np.ndarray:
-    """Twist whose exponential reproduces the pose; angle must be below pi."""
+    """Twist whose exponential reproduces the pose, with angle in [0, pi].
+
+    Within 1e-6 of a half turn, sin(theta) and the skew part of R with it
+    vanish, so the axis a comes from the symmetric part instead:
+    (R + R^T) / 2 - cos(theta) I = (1 - cos(theta)) a a^T, which is
+    (R + I) / 2 at pi. Its row with the largest diagonal entry is a
+    multiple of a that rounding hurts least; a takes the sign that agrees
+    with the skew part, and theta is atan2 of the skew part along a and
+    cos(theta). At pi itself both signs give a log of the pose.
+    """
     r = p.rotation
-    cos_theta = min(1.0, max(-1.0, (float(r[0, 0] + r[1, 1] + r[2, 2]) - 1.0) * 0.5))
+    cos_theta = _cos_angle(r)
     theta = math.acos(cos_theta)
-    if theta >= math.pi - 1e-6:
-        raise ValueError(f"rotation angle {theta:.9f} too close to pi for a stable log")
     vee = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     if theta < _SMALL_ANGLE:
         w = vee
         k = _skew(w)
         v_inv = np.eye(3) - 0.5 * k + _times(k, k) / 12.0
     else:
-        w = (theta / math.sin(theta)) * vee
+        if theta >= math.pi - 1e-6:
+            sym = 0.5 * (r + r.T)
+            i = int(np.argmax(np.diag(sym)))
+            row = sym[i].tolist()
+            row[i] -= cos_theta
+            norm = math.hypot(*row)
+            axis = [x / norm for x in row]
+            sin_theta = sum(a * b for a, b in zip(axis, vee.tolist()))
+            if sin_theta < 0.0:
+                axis, sin_theta = [-a for a in axis], -sin_theta
+            theta = math.atan2(sin_theta, cos_theta)
+            w = theta * np.array(axis)
+        else:
+            w = (theta / math.sin(theta)) * vee
         k = _skew(w)
         coeff = (1.0 - (theta * math.cos(theta * 0.5)) / (2.0 * math.sin(theta * 0.5))) / (
             theta * theta
@@ -208,8 +239,13 @@ class CameraIntrinsics:
 def quantize(image: np.ndarray) -> np.ndarray:
     """`image` as the 8-bit values a PPM holds, a new uint8 array: each value
     v in [0, 1] becomes floor(255 v + 0.5), the one rule by which a non-byte
-    image becomes bytes. A value that is not finite, then one outside [0, 1],
-    raises ValueError before any is converted."""
+    image becomes bytes. An image that is not floats (bytes are taken as
+    they are by every caller), then a value that is not finite, then one
+    outside [0, 1], raises ValueError before any is converted."""
+    # an integer or bool image read by its values would give 1 the byte 255
+    # here and the byte 1 as uint8: its byte would hang on its dtype
+    if image.dtype.kind != "f":
+        raise ValueError(f"image must be uint8 bytes or floats in [0, 1], got {image.dtype}")
     # NaN propagates through min and max, so the two cover the finite check;
     # the isfinite pass only picks the message
     if image.size and not (image.min() >= 0.0 and image.max() <= 1.0):
@@ -228,8 +264,9 @@ class FrameBundle:
     depth in meters (0 = invalid) as its .dpt holds it, pose, index.
 
     `pixels` is uint8 and `depth` float32, each taken as it is; any other
-    image is read as floats in [0, 1] and quantized once by `quantize`, the
-    rule `write_image` writes by, and any other depth is checked, then cast.
+    image goes to `quantize`, the rule `write_image` writes by, which reads
+    floats in [0, 1] and refuses any other dtype, and any other depth is
+    checked, then cast.
     """
 
     pixels: np.ndarray
@@ -362,35 +399,47 @@ def box_footprint(r: np.ndarray, t: np.ndarray, x, y, z, k: CameraIntrinsics, ep
     return kept, f[on], u0[on], u1[on], v0[on], v1[on], zmin[f[on]], zmax[f[on]]
 
 
-def bilinear_sample_many(field: np.ndarray, uv: np.ndarray):
-    """Vectorized bilinear sampling of an HxWxC field at (N, 2) pixel locations.
+def bilinear_corners(uv: np.ndarray, h: int, w: int):
+    """Where bilinear sampling reads an h x w field at (N, 2) pixel locations:
+    the one corner rule of `bilinear_sample_many` and of any caller that
+    needs to know which cells it reads.
 
-    Returns (N, C) values; out-of-bounds samples are zeroed. Integer
-    coordinates reproduce pixel values exactly, including the last row/column
-    (the upper neighbor then carries full weight).
+    A location outside the hull of pixel centers, 0 <= u <= w - 1 and
+    0 <= v <= h - 1, reads nothing. Returns (ok, y0, x0, y1, x1, fx, fy):
+    the (N,) mask of the locations inside, then for each of them the rows
+    and columns of its four corner cells and its offsets from the first.
+    Integer coordinates take their own cell with full weight, including the
+    last row and column (the upper neighbor then carries it).
+    """
+    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+    u, v = uv[:, 0], uv[:, 1]
+    ok = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    u, v = u[ok], v[ok]
+    x0 = np.minimum(np.floor(u), max(w - 2, 0)).astype(np.int64)
+    y0 = np.minimum(np.floor(v), max(h - 2, 0)).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    return ok, y0, x0, y1, x1, u - x0, v - y0
+
+
+def bilinear_sample_many(field: np.ndarray, corners):
+    """Bilinear samples of an HxWxC field at the locations whose
+    `bilinear_corners(uv, H, W)` are `corners`, as (N, C) values; a location
+    outside the hull of pixel centers reads no cell and gives zeros.
     """
     f = np.asarray(field, dtype=np.float64)
     if f.ndim != 3 or f.size == 0:
         raise ValueError(f"field must be a nonempty HxWxC array, got shape {f.shape}")
-    h, w = f.shape[:2]
-    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    u, v = uv[:, 0], uv[:, 1]
-    ok = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    uc = np.clip(u, 0.0, w - 1.0)
-    vc = np.clip(v, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(uc), max(w - 2, 0)).astype(np.int64)
-    y0 = np.minimum(np.floor(vc), max(h - 2, 0)).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (uc - x0)[:, None]
-    fy = (vc - y0)[:, None]
-    vals = (
+    ok, y0, x0, y1, x1, fx, fy = corners
+    fx = fx[:, None]
+    fy = fy[:, None]
+    vals = np.zeros((ok.size, f.shape[2]))
+    vals[ok] = (
         f[y0, x0] * (1.0 - fx) * (1.0 - fy)
         + f[y0, x1] * fx * (1.0 - fy)
         + f[y1, x0] * (1.0 - fx) * fy
         + f[y1, x1] * fx * fy
     )
-    vals[~ok] = 0.0
     return vals
 
 

@@ -399,22 +399,26 @@ def render_frame(grid: SceneGrid, pose: Se3Pose, k: CameraIntrinsics) -> FrameBu
     return render_frames(grid, PoseSequence((pose,), (0,), 1), k)[0]
 
 
-# image rows per band of extract_features, a multiple of the 4-row tile: a band's
-# temporaries, not the whole image's, bound the call's memory
-_FEATURE_BAND = 64
+# tiles per batch of extract_features: a batch's 6x6-pixel patches, not the
+# image's, bound the call's memory
+_FEATURE_TILES = 1024
 
 
-def extract_features(pixels: np.ndarray) -> np.ndarray:
-    """Deterministic stride-4 feature stand-in for a learned 2D encoder.
+def extract_features(pixels: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+    """Deterministic stride-4 feature stand-in for a learned 2D encoder, at
+    the 4x4 tiles a caller samples.
 
     Takes an HxWx3 uint8 image, a frame's `pixels`, and reads each value v
-    as v / 255.0. Channels: 4x4 block means of R, G, B, gray; block means
-    of horizontal and vertical Sobel magnitudes of gray; block min and max
-    of gray. The Sobel values are those of scipy's `ndimage.sobel` on
-    pixels / 255.0, bit for bit. The image is processed in bands of
-    _FEATURE_BAND rows, each read with one halo row above and below for the
-    Sobel and divided by 255.0 on its own; tile rows reduce independently
-    and the Sobel is elementwise, so the bits do not depend on the band size.
+    as v / 255.0. `tiles` is a bool (H/4, W/4) mask. Returns the
+    (H/4, W/4, 8) map whose True cells hold their tile's features and whose
+    other cells hold 0. Channels: 4x4 block means of R, G, B, gray; block
+    means of horizontal and vertical Sobel magnitudes of gray; block min and
+    max of gray. The Sobel values are those of scipy's `ndimage.sobel` on
+    pixels / 255.0, bit for bit. Each tile is read as its 6x6-pixel patch,
+    with the halo indices clipped to the image, which is the one-pixel
+    symmetric pad, and folded in `tile_reduce`'s order; tiles go in batches
+    of _FEATURE_TILES, and a tile's cell does not depend on which others are
+    asked for, so the bits equal the whole image's map at every True cell.
     """
     img = np.asarray(pixels)
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
@@ -422,28 +426,43 @@ def extract_features(pixels: np.ndarray) -> np.ndarray:
     h, w = img.shape[:2]
     if h % 4 or w % 4:
         raise ValueError(f"image dims {w}x{h} must be divisible by 4")
-    out = np.empty((h // 4, w // 4, 8))
-    for y0 in range(0, h, _FEATURE_BAND):
-        y1 = min(y0 + _FEATURE_BAND, h)
-        # the band's rows and the halo rows next to it that lie inside the image
-        top, bottom = max(y0 - 1, 0), min(y1 + 1, h)
-        x = img[top:bottom] / 255.0
-        r, g, b = x[:, :, 0], x[:, :, 1], x[:, :, 2]
+    tiles = np.asarray(tiles)
+    if tiles.dtype != bool or tiles.shape != (h // 4, w // 4):
+        raise ValueError(
+            f"tiles must be a bool {(h // 4, w // 4)} mask, got {tiles.dtype} of shape {tiles.shape}"
+        )
+    out = np.zeros((h // 4, w // 4, 8))
+    cells = out.reshape(-1, 8)
+    # one 3-byte item per pixel, so a gather moves whole pixels
+    flat = np.ascontiguousarray(img).reshape(-1).view("V3")
+    at = np.flatnonzero(tiles)
+    halo = np.arange(-1, 5)
+    for s in range(0, at.size, _FEATURE_TILES):
+        batch = at[s:s + _FEATURE_TILES]
+        ty, tx = np.divmod(batch, w // 4)
+        # each tile's patch rows and columns, the halo clipped to the image; the
+        # patches lie side by side, (6, n, 6), so a channel's 4x4 tiles fold as
+        # one (4, 4n) array
+        rows = np.clip(4 * ty + halo[:, None], 0, h - 1)
+        cols = np.clip(4 * tx[:, None] + halo, 0, w - 1)
+        patch = flat.take(rows[:, :, None] * w + cols)
+        x = patch.view(np.uint8).reshape(patch.shape + (3,)) / 255.0
+        r, g, b = x[..., 0], x[..., 1], x[..., 2]
         # the sum a mean over the 3-long channel axis takes, in its order
         gray = (r + g + b) / 3.0
-        rows = slice(y0 - top, y1 - top)
-        band = out[y0 // 4:y1 // 4]
+        n = batch.size
         for ch, v in enumerate((r, g, b, gray)):
-            band[..., ch] = tile_reduce(np.add, v[rows], 4) / 16.0
-        # Sobel over gray padded by its edge row and column (scipy's "reflect") at
-        # the image's own edges only, summed in ndimage.sobel's order: the central
-        # difference, then 2 * middle + (before + after) across it; each magnitude
-        # is reduced to its tile means before the next one is formed
-        p = np.pad(gray, ((int(top == y0), int(bottom == y1)), (1, 1)), mode="symmetric")
-        d = p[:, 2:] - p[:, :-2]
-        band[..., 4] = tile_reduce(np.add, np.abs(d[1:-1] * 2.0 + (d[:-2] + d[2:])), 4) / 16.0
-        d = p[2:] - p[:-2]
-        band[..., 5] = tile_reduce(np.add, np.abs(d[:, 1:-1] * 2.0 + (d[:, :-2] + d[:, 2:])), 4) / 16.0
-        band[..., 6] = tile_reduce(np.minimum, gray[rows], 4)
-        band[..., 7] = tile_reduce(np.maximum, gray[rows], 4)
+            cells[batch, ch] = tile_reduce(np.add, v[1:5, :, 1:5].reshape(4, 4 * n), 4)[0] / 16.0
+        # Sobel summed in ndimage.sobel's order: the central difference, then
+        # 2 * middle + (before + after) across it; each magnitude is reduced to
+        # its tile means before the next one is formed
+        d = gray[:, :, 2:] - gray[:, :, :-2]
+        sobel = np.abs(d[1:5] * 2.0 + (d[:4] + d[2:]))
+        cells[batch, 4] = tile_reduce(np.add, sobel.reshape(4, 4 * n), 4)[0] / 16.0
+        d = gray[2:] - gray[:-2]
+        sobel = np.abs(d[:, :, 1:5] * 2.0 + (d[:, :, :4] + d[:, :, 2:]))
+        cells[batch, 5] = tile_reduce(np.add, sobel.reshape(4, 4 * n), 4)[0] / 16.0
+        inner = gray[1:5, :, 1:5].reshape(4, 4 * n)
+        cells[batch, 6] = tile_reduce(np.minimum, inner, 4)[0]
+        cells[batch, 7] = tile_reduce(np.maximum, inner, 4)[0]
     return out

@@ -365,6 +365,81 @@ def mat3_bruteforce(a, b):
     ]
 
 
+def skew_bruteforce(w):
+    return [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
+
+
+def each(f, m):
+    return [[f(x) for x in row] for row in m]
+
+
+def combine(sign, p, k, k2):
+    """(I + sign * (p * k)) + k2 entry by entry, as numpy evaluates
+    `eye + p * k + k2` (sign 1) or `eye - p * k + k2` (sign -1)."""
+    return [[((i == j) + sign * (p * k[i][j])) + k2[i][j] for j in range(3)] for i in range(3)]
+
+
+def se3_exp_bruteforce(xi):
+    """(R, t) of `se3_exp` in Python floats, every product from mat3_bruteforce."""
+    w0, w1, w2, *rho = (float(v) for v in xi)
+    theta = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    k = skew_bruteforce([w0, w1, w2])
+    k2 = mat3_bruteforce(k, k)
+    if theta < 1e-8:
+        r = combine(1, 1.0, k, each(lambda x: 0.5 * x, k2))
+        v = combine(1, 0.5, k, each(lambda x: x / 6.0, k2))
+    else:
+        t2 = theta * theta
+        a = math.sin(theta) / theta
+        b = (1.0 - math.cos(theta)) / t2
+        c = (theta - math.sin(theta)) / (t2 * theta)
+        r = combine(1, a, k, each(lambda x: b * x, k2))
+        v = combine(1, b, k, each(lambda x: c * x, k2))
+    return r, mat3_bruteforce(v, rho)
+
+
+def _cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def se3_log_bruteforce(pose):
+    """The twist of `se3_log` in Python floats, every product from mat3_bruteforce.
+
+    Below pi - 1e-6 it transcribes `se3_log`'s formulas. Nearer a half turn
+    it finds the axis its own way: R a = a, so each row of R - I is
+    orthogonal to a, and the longest cross product of two of those rows
+    lies along a. The axis takes the sign the skew part points along, and
+    the angle is atan2(|skew part|, cos(theta)).
+    """
+    r = pose.rotation.tolist()
+    cos_theta = min(1.0, max(-1.0, ((r[0][0] + r[1][1] + r[2][2]) - 1.0) * 0.5))
+    theta = math.acos(cos_theta)
+    vee = [0.5 * (r[2][1] - r[1][2]), 0.5 * (r[0][2] - r[2][0]), 0.5 * (r[1][0] - r[0][1])]
+    if theta < 1e-8:
+        w = vee
+        k = skew_bruteforce(w)
+        v_inv = combine(-1, 0.5, k, each(lambda x: x / 12.0, mat3_bruteforce(k, k)))
+    else:
+        if theta >= math.pi - 1e-6:
+            m = [[r[i][j] - (i == j) for j in range(3)] for i in range(3)]
+            along = max((_cross(m[i], m[j]) for i, j in ((0, 1), (0, 2), (1, 2))),
+                        key=lambda c: sum(x * x for x in c))
+            norm = math.sqrt(sum(x * x for x in along))
+            axis = [x / norm for x in along]
+            if sum(a * v for a, v in zip(axis, vee)) < 0.0:
+                axis = [-a for a in axis]
+            theta = math.atan2(math.sqrt(sum(v * v for v in vee)), cos_theta)
+            w = [theta * a for a in axis]
+        else:
+            w = [(theta / math.sin(theta)) * x for x in vee]
+        k = skew_bruteforce(w)
+        coeff = (1.0 - (theta * math.cos(theta * 0.5)) / (2.0 * math.sin(theta * 0.5))) / (
+            theta * theta
+        )
+        v_inv = combine(-1, 0.5, k, each(lambda x: coeff * x, mat3_bruteforce(k, k)))
+    return w + mat3_bruteforce(v_inv, pose.translation)
+
+
 def box_footprint_bruteforce(r, t, x, y, z, k: CameraIntrinsics, eps):
     """Scalar `box_footprint`: (kept, f, u0, u1, v0, v1, zmin, zmax) as lists.
 

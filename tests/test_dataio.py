@@ -260,17 +260,32 @@ class TestImageFile:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, 1.0 + 1e-15, 1.5, 2.0, 1e300, 7])
     def test_out_of_range_image_not_written(self, tmp_path, bad):
-        # refused in any band, not clipped; an integer image is read by its
-        # values, so one holding 7 is refused, not saturated to 255
+        # refused in any band, not clipped; an integer image is refused by its
+        # dtype, so one holding 7 is neither saturated to 255 nor read as 7/255
         band = dataio._IMAGE_BAND
-        dtype = np.int64 if isinstance(bad, int) else np.float64
+        if isinstance(bad, int):
+            dtype, message = np.int64, r"^image must be uint8 bytes or floats in \[0, 1\], got int64$"
+        else:
+            dtype, message = np.float64, r"^image entries must lie in \[0, 1\]$"
         for shape, at in [((2, 3, 3), (1, 2, 0)), ((2 * band + 2, 3, 3), (band - 1, 2, 1)),
                           ((2 * band + 2, 3, 3), (2 * band, 0, 2))]:
             img = np.zeros(shape, dtype)
             img[at] = bad
-            with pytest.raises(ValueError, match=r"^image entries must lie in \[0, 1\]$"):
+            with pytest.raises(ValueError, match=message):
                 dataio.write_image(tmp_path / "i.ppm", img)
             assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.int32, np.int64, np.uint64])
+    def test_non_byte_integer_image_not_written(self, tmp_path, dtype):
+        # 0s and 1s in any integer or bool dtype but uint8 would once have been
+        # written 0 and 255, where uint8 0s and 1s are written 0 and 1: the
+        # byte hung on the dtype, which is now refused by name
+        img = np.zeros((3, 2, 3), dtype)
+        img[1, 1] = 1
+        name = np.dtype(dtype).name
+        with pytest.raises(ValueError, match=rf"^image must be uint8 bytes or floats in \[0, 1\], got {name}$"):
+            dataio.write_image(tmp_path / "i.ppm", img)
+        assert not any(tmp_path.iterdir())
 
     def test_quantised_band_by_band(self, tmp_path):
         # three bands and a partial fourth; exact levels k/255 and half levels

@@ -11,7 +11,7 @@ from scenecast import defaults, fusion
 from scenecast.fusion import (
     SceneGrid,
     SceneRange,
-    _frame_features,
+    _feature_corners,
     downsample_blocks,
     fuse_pipeline,
     resample_to_range,
@@ -23,6 +23,7 @@ from scenecast.geom import (
     CameraIntrinsics,
     FrameBundle,
     Se3Pose,
+    bilinear_sample_many,
     compose,
     relative_pose,
     se3_exp,
@@ -368,8 +369,18 @@ class TestDownsampleBlocks:
             downsample_blocks((5, 4, 4), np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
 
 
+def sample_blocks(fmap, block_vis, block_mean, k):
+    """One frame's (BX, BY, BZ, C) block features, sampled from its feature
+    map at `_feature_corners`, zero where a block is invisible."""
+    out = np.zeros(block_vis.shape + (fmap.shape[2],))
+    out[block_vis] = bilinear_sample_many(
+        fmap, _feature_corners(block_vis, block_mean, k, *fmap.shape[:2])
+    )
+    return out
+
+
 class TestSampleFuse:
-    """Feature sampling: `_frame_features` on one 1x1x1-block frame of an 8x8
+    """Feature sampling: `_feature_corners` on one 1x1x1-block frame of an 8x8
     image, and `fuse_pipeline`'s extractor contract."""
 
     K8 = CameraIntrinsics(8.0, 8.0, 3.5, 3.5, 8, 8)
@@ -378,7 +389,7 @@ class TestSampleFuse:
         vis = np.array([[[visible]]])
         mean = np.zeros((1, 1, 1, 3))
         mean[0, 0, 0, :2] = uv
-        return _frame_features(fmap, vis, mean, self.K8)
+        return sample_blocks(fmap, vis, mean, self.K8)
 
     def test_invisible_block_zero_padded(self):
         feats = self._features(np.full((8, 8, 2), 7.0), False, (0.0, 0.0))
@@ -411,18 +422,26 @@ class TestSampleFuse:
         # function of the image it is given: 1 for the first frame, 2 after
         frames = self._frames()
 
-        def extractor(image):
-            return np.zeros((8, 8, 1 if image is frames[0].pixels else 2))
+        def extractor(image, tiles):
+            return np.zeros(tiles.shape + (1 if image is frames[0].pixels else 2,))
 
-        with pytest.raises(ValueError, match=r"shape \(8, 8, 2\)"):
+        with pytest.raises(ValueError, match=r"shape \(7, 10, 2\)"):
             self._fuse(extractor, frames)
 
     def test_extractor_without_channel_axis_rejected(self):
-        def gray(image):
+        def gray(image, tiles):
             return image.mean(axis=-1)
 
         with pytest.raises(ValueError, match=r"shape \(30, 40\)"):
             self._fuse(gray)
+
+    def test_map_not_of_the_tiles_shape_rejected(self):
+        # a full-resolution map, or one a cell short, is not the (H/4, W/4) map
+        # the tile mask describes
+        for shape in ((30, 40, 2), (7, 9, 2)):
+            with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}, 2\); "
+                                                 r"the extractor must return \(7, 10\) x C"):
+                self._fuse(lambda image, tiles: np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [0, 1, 4])
     def test_first_bad_frame_error_is_raised(self, bad):
@@ -430,13 +449,13 @@ class TestSampleFuse:
         # once; the error raised is still frame `bad`'s
         frames = self._frames(6)
 
-        def extractor(image):
+        def extractor(image, tiles):
             fi = next(i for i, f in enumerate(frames) if f.pixels is image)
             if fi == bad:
                 time.sleep(0.05)
             if fi in (bad, bad + 1):
                 raise ValueError(f"bad frame {fi}")
-            return np.zeros((8, 8, 2))
+            return np.zeros(tiles.shape + (2,))
 
         with pytest.raises(ValueError, match=f"^bad frame {bad}$"):
             self._fuse(extractor, frames)
@@ -445,20 +464,20 @@ class TestSampleFuse:
         frames = self._frames(4)
         frames[1] = frame_with_depth(np.full((20, 40), 10.0), index=1)
 
-        def extractor(image):
+        def extractor(image, tiles):
             if image is frames[3].pixels:
                 raise ValueError("bad frame 3")
-            return np.zeros((8, 8, 2))
+            return np.zeros(tiles.shape + (2,))
 
         with pytest.raises(ValueError, match=r"^frame is 40x20 but intrinsics expect 40x30$"):
             self._fuse(extractor, frames)
 
     def test_no_worker_outlives_the_call(self):
         before = threading.active_count()
-        self._fuse(lambda image: np.zeros((8, 8, 2)), self._frames(5))
+        self._fuse(lambda image, tiles: np.zeros(tiles.shape + (2,)), self._frames(5))
         assert threading.active_count() == before
 
-        def extractor(image):
+        def extractor(image, tiles):
             raise ValueError("no features")
 
         with pytest.raises(ValueError, match="no features"):
@@ -472,10 +491,10 @@ class TestSampleFuse:
         frames[0] = frame_with_depth(np.full((20, 40), 10.0), index=0)
         calls = []
 
-        def extractor(image):
+        def extractor(image, tiles):
             calls.append(image)
             time.sleep(0.2)
-            return np.zeros((8, 8, 2))
+            return np.zeros(tiles.shape + (2,))
 
         before = threading.active_count()
         with pytest.raises(ValueError, match=r"^frame is 40x20 but intrinsics expect 40x30$"):
@@ -534,13 +553,16 @@ class TestFusePipeline:
 
     @staticmethod
     def _serial_features(frames, rng, k, current):
-        """Each frame's channels, one frame after another on this thread."""
+        """Each frame's channels, one frame after another on this thread,
+        sampled from the frame's whole feature map."""
         out = []
         for frame in frames:
             block_vis, block_mean = downsample_blocks(
                 rng.dims, *visibility(rng, frame, current.pose, k, 0.5)
             )
-            out.append(_frame_features(extract_features(frame.pixels), block_vis, block_mean, k))
+            every_tile = np.ones((k.height // 4, k.width // 4), dtype=bool)
+            fmap = extract_features(frame.pixels, every_tile)
+            out.append(sample_blocks(fmap, block_vis, block_mean, k))
         return out
 
     def test_pool_matches_serial_passes_and_oracle(self):
@@ -557,6 +579,34 @@ class TestFusePipeline:
         assert bv.visible.any(axis=(1, 2, 3)).all()
         assert np.array_equal(bv.visible, vis_blocks)
         assert np.array_equal(bv.proj_uv_d, proj_blocks)
+
+    def test_extractor_asked_for_exactly_the_cells_the_sampler_reads(self):
+        # each frame's mask is recorded; the sampler, at the corners of the
+        # returned blocks, reads a map holding NaN at one cell per channel:
+        # channel j gives NaN where a sample reads masked cell j, whatever its
+        # weight, and the last channel, NaN at every unmasked cell, gives NaN
+        # where a sample reads a cell the extractor was not asked for
+        _, k, frames, rng = self._scene(7, frames=5)
+        masks = {}
+
+        def recording(pixels, tiles):
+            masks[next(i for i, f in enumerate(frames) if f.pixels is pixels)] = tiles.copy()
+            return extract_features(pixels, tiles)
+
+        _, bv = fuse_pipeline(frames, rng, k, 0.5, recording, 3)
+        assert sorted(masks) == list(range(len(frames)))
+        for fi, tiles in masks.items():
+            assert tiles.shape == (k.height // 4, k.width // 4) and tiles.dtype == bool
+            assert 0 < tiles.sum() < tiles.size
+            cells = np.flatnonzero(tiles)
+            probe = np.zeros(tiles.shape + (cells.size + 1,))
+            probe.reshape(-1, cells.size + 1)[cells, np.arange(cells.size)] = np.nan
+            probe[~tiles, -1] = np.nan
+            vals = bilinear_sample_many(
+                probe, _feature_corners(bv.visible[fi], bv.proj_uv_d[fi], k, *tiles.shape)
+            )
+            read = np.isnan(vals).any(axis=0)
+            assert read[:-1].all() and not read[-1]
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # three workers and a 1 us switch interval interleave the passes as

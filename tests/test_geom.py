@@ -7,6 +7,8 @@ from oracles import (
     bilinear_bruteforce,
     box_footprint_bruteforce,
     mat3_bruteforce,
+    se3_exp_bruteforce,
+    se3_log_bruteforce,
     tile_fold_bruteforce,
 )
 from scenecast.geom import (
@@ -14,6 +16,7 @@ from scenecast.geom import (
     CameraIntrinsics,
     FrameBundle,
     Se3Pose,
+    bilinear_corners,
     bilinear_sample_many,
     box_footprint,
     compose,
@@ -184,62 +187,35 @@ class TestSe3LogExp:
             p = se3_exp(xi)
             assert np.abs(se3_exp(se3_log(p)).matrix34() - p.matrix34()).max() < 1e-9
 
-    def test_log_rejects_angle_at_pi(self):
-        p = Se3Pose(rot_z(180.0), np.zeros(3))
-        with pytest.raises(ValueError):
-            se3_log(p)
+    def test_log_at_pi_round_trips(self):
+        # an exact half turn about z: the skew part is 0, so the axis is the
+        # symmetric part's alone, and either sign would be a log
+        for r in (np.diag([-1.0, -1.0, 1.0]), rot_z(180.0)):
+            p = Se3Pose(r, [1.0, -2.0, 0.5])
+            xi = se3_log(p)
+            assert np.allclose(np.abs(xi[:3]), [0.0, 0.0, math.pi], rtol=0.0, atol=1e-15)
+            assert np.abs(se3_exp(xi).matrix34() - p.matrix34()).max() < 1e-12
 
-
-def skew_bruteforce(w):
-    return [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
-
-
-def each(f, m):
-    return [[f(x) for x in row] for row in m]
-
-
-def combine(sign, p, k, k2):
-    """(I + sign * (p * k)) + k2 entry by entry, as numpy evaluates
-    `eye + p * k + k2` (sign 1) or `eye - p * k + k2` (sign -1)."""
-    return [[((i == j) + sign * (p * k[i][j])) + k2[i][j] for j in range(3)] for i in range(3)]
-
-
-def se3_exp_bruteforce(xi):
-    """(R, t) of `se3_exp` in Python floats, every product from mat3_bruteforce."""
-    w0, w1, w2, *rho = (float(v) for v in xi)
-    theta = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    k = skew_bruteforce([w0, w1, w2])
-    k2 = mat3_bruteforce(k, k)
-    if theta < 1e-8:
-        r = combine(1, 1.0, k, each(lambda x: 0.5 * x, k2))
-        v = combine(1, 0.5, k, each(lambda x: x / 6.0, k2))
-    else:
-        t2 = theta * theta
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / t2
-        c = (theta - math.sin(theta)) / (t2 * theta)
-        r = combine(1, a, k, each(lambda x: b * x, k2))
-        v = combine(1, b, k, each(lambda x: c * x, k2))
-    return r, mat3_bruteforce(v, rho)
-
-
-def se3_log_bruteforce(pose):
-    """The twist of `se3_log` in Python floats, every product from mat3_bruteforce."""
-    r = pose.rotation.tolist()
-    theta = math.acos(min(1.0, max(-1.0, ((r[0][0] + r[1][1] + r[2][2]) - 1.0) * 0.5)))
-    vee = [0.5 * (r[2][1] - r[1][2]), 0.5 * (r[0][2] - r[2][0]), 0.5 * (r[1][0] - r[0][1])]
-    if theta < 1e-8:
-        w = vee
-        k = skew_bruteforce(w)
-        v_inv = combine(-1, 0.5, k, each(lambda x: x / 12.0, mat3_bruteforce(k, k)))
-    else:
-        w = [(theta / math.sin(theta)) * x for x in vee]
-        k = skew_bruteforce(w)
-        coeff = (1.0 - (theta * math.cos(theta * 0.5)) / (2.0 * math.sin(theta * 0.5))) / (
-            theta * theta
-        )
-        v_inv = combine(-1, 0.5, k, each(lambda x: coeff * x, mat3_bruteforce(k, k)))
-    return w + mat3_bruteforce(v_inv, pose.translation)
+    @pytest.mark.parametrize("gap", [1e-7, 1e-9, 0.0])
+    def test_log_near_pi_matches_oracle_and_round_trips(self, gap):
+        # the half-turn branch, about the three axes and random ones; short of
+        # pi the log is the twist itself, with the axis the skew part points
+        # along, and at pi the sign of the axis is either
+        rng = np.random.default_rng(14)
+        axes = list(np.eye(3)) + [a / np.linalg.norm(a) for a in rng.normal(size=(6, 3))]
+        for axis in axes:
+            xi = np.concatenate([axis * (math.pi - gap), rng.normal(scale=3.0, size=3)])
+            p = se3_exp(xi)
+            got = se3_log(p)
+            assert np.abs(se3_exp(got).matrix34() - p.matrix34()).max() < 1e-12
+            ref = np.array(se3_log_bruteforce(p))
+            if gap:
+                assert np.abs(got - xi).max() < 1e-12
+                assert np.abs(got - ref).max() < 1e-12
+            elif got[:3] @ ref[:3] > 0:
+                assert np.abs(got - ref).max() < 1e-12
+            else:
+                assert np.abs(got[:3] + ref[:3]).max() < 1e-12
 
 
 def random_twist(rng, angle: float) -> np.ndarray:
@@ -361,9 +337,14 @@ class TestProjection:
             CameraIntrinsics(1.0, 1.0, 20.0, 0.0, 10, 10)
 
 
+def sample_many(field, uv):
+    """bilinear_sample_many of `field` at (N, 2) locations, through their corners."""
+    return bilinear_sample_many(field, bilinear_corners(uv, *field.shape[:2]))
+
+
 def sample(field, u, v):
     """bilinear_sample_many at one location, as a list of channel values."""
-    return bilinear_sample_many(field, np.array([[u, v]]))[0].tolist()
+    return sample_many(field, np.array([[u, v]]))[0].tolist()
 
 
 class TestBilinearSample:
@@ -389,7 +370,7 @@ class TestBilinearSample:
 
     def test_field_without_channel_axis_rejected(self):
         with pytest.raises(ValueError, match=r"\(4, 4\)"):
-            bilinear_sample_many(np.ones((4, 4)), np.zeros((1, 2)))
+            bilinear_sample_many(np.ones((4, 4)), bilinear_corners(np.zeros((1, 2)), 4, 4))
 
     def test_multichannel(self):
         field = np.stack([np.full((2, 2), 3.0), np.full((2, 2), 7.0)], axis=-1)
@@ -400,13 +381,32 @@ class TestBilinearSample:
         for field in (rng.random((5, 7, 1)), rng.random((5, 7, 3))):
             uv = rng.uniform(-1.0, 7.0, size=(200, 2))
             uv[:20] = np.round(uv[:20])  # pixel centers, including the last row/column
-            vals = bilinear_sample_many(field, uv)
+            vals = sample_many(field, uv)
             for i, (u, v) in enumerate(uv):
                 ref = bilinear_bruteforce(field, u, v)
                 if ref is None:
                     assert np.all(vals[i] == 0.0)
                 else:
                     assert np.allclose(vals[i], ref, rtol=0.0, atol=1e-12)
+
+
+    def test_corners_hold_every_weighted_pixel(self):
+        # the corner rule names, per location inside the hull, a 2x2 square of
+        # pixels (one row or column for a 1-wide field) that holds every pixel
+        # the tent filter weighs; a location outside reads none
+        rng = np.random.default_rng(7)
+        for h, w in ((5, 7), (1, 4), (3, 1), (2, 2)):
+            uv = rng.uniform(-1.0, max(h, w), size=(300, 2))
+            uv[:30] = np.round(uv[:30])
+            ok, y0, x0, y1, x1, fx, fy = bilinear_corners(uv, h, w)
+            inside = (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1) & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1)
+            assert np.array_equal(ok, inside)
+            assert np.all((0 <= y0) & (y0 <= y1) & (y1 <= y0 + 1) & (y1 < h))
+            assert np.all((0 <= x0) & (x0 <= x1) & (x1 <= x0 + 1) & (x1 < w))
+            for (u, v), a0, a1, b0, b1 in zip(uv[ok], y0, y1, x0, x1):
+                rows = [i for i in range(h) if abs(v - i) < 1.0]
+                cols = [j for j in range(w) if abs(u - j) < 1.0]
+                assert set(rows) <= {a0, a1} and set(cols) <= {b0, b1}
 
 
 def tile_values(rng, shape, name):

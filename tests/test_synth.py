@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -363,10 +365,15 @@ class TestRenderImage:
         assert ((dd <= 0.05) & same_class).mean() >= 0.95
 
 
+def every_tile(img):
+    """The all-True tile mask of an image: the whole feature map."""
+    return np.ones((img.shape[0] // 4, img.shape[1] // 4), dtype=bool)
+
+
 class TestExtractFeatures:
     def test_constant_image(self):
         img = np.full((16, 16, 3), 64, dtype=np.uint8)
-        feats = extract_features(img)
+        feats = extract_features(img, every_tile(img))
         assert feats.shape == (4, 4, 8)
         assert np.allclose(feats[..., 0:4], 64 / 255)  # means carry the constant
         assert np.allclose(feats[..., 4:6], 0.0)   # gradients vanish
@@ -377,29 +384,49 @@ class TestExtractFeatures:
 
         rng = np.random.default_rng(51)
         img = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
-        assert l1_field(extract_features(img), extract_features(img)) == 0.0
+        tiles = every_tile(img)
+        assert l1_field(extract_features(img, tiles), extract_features(img, tiles)) == 0.0
 
     def test_shape_requirements(self):
+        tiles = np.ones((4, 4), dtype=bool)
         with pytest.raises(ValueError):
-            extract_features(np.zeros((15, 16, 3), dtype=np.uint8))
+            extract_features(np.zeros((15, 16, 3), dtype=np.uint8), tiles)
         with pytest.raises(ValueError):
-            extract_features(np.zeros((16, 16), dtype=np.uint8))
+            extract_features(np.zeros((16, 16), dtype=np.uint8), tiles)
         # a frame's pixels are bytes; floats are not read as an image
         with pytest.raises(ValueError, match=r"uint8 image, got float64 of shape \(16, 16, 3\)"):
-            extract_features(np.zeros((16, 16, 3)))
+            extract_features(np.zeros((16, 16, 3)), tiles)
+        # the mask is one bool per 4x4 tile
+        img = np.zeros((16, 20, 3), dtype=np.uint8)
+        for bad in (np.ones((4, 4), dtype=bool), np.ones((16, 20), dtype=bool), np.ones((4, 5))):
+            message = rf"^tiles must be a bool \(4, 5\) mask, got {bad.dtype} of shape \({bad.shape[0]}, {bad.shape[1]}\)$"
+            with pytest.raises(ValueError, match=message):
+                extract_features(img, bad)
+
+    @staticmethod
+    def random_tiles(rng, shape, frac):
+        """A random tile mask that holds the first and last tile rows and columns."""
+        tiles = rng.random(shape) < frac
+        tiles[[0, -1], :: 3] = True
+        tiles[1::2, [0, -1]] = True
+        return tiles
 
     @pytest.mark.parametrize("size", ["desk", "kitti"])
     def test_matches_bruteforce_oracle(self, size):
+        rng = np.random.default_rng(56)
         if size == "desk":
             grid = build_scene(SceneSpec(seed=4, layout="corridor"))
             img = render_frame(grid, canonical_camera_pose((0.0, 2.0, 0.0)), desk_intrinsics()).pixels
         else:
             img = np.random.default_rng(54).integers(0, 256, size=(368, 1216, 3), dtype=np.uint8)
-        got = extract_features(img)
         ref = extract_features_bruteforce(img)
-        assert got.shape == ref.shape
-        assert np.array_equal(got[..., 6:], ref[..., 6:])  # min and max are exact
-        assert np.abs(got[..., :6] - ref[..., :6]).max() <= 1e-12
+        for frac in (0.1, 0.5):
+            tiles = self.random_tiles(rng, ref.shape[:2], frac)
+            got = extract_features(img, tiles)
+            assert got.shape == ref.shape
+            assert not got[~tiles].any()
+            assert np.array_equal(got[tiles][:, 6:], ref[tiles][:, 6:])  # min and max are exact
+            assert np.abs(got[tiles][:, :6] - ref[tiles][:, :6]).max() <= 1e-12
 
     @staticmethod
     def scipy_reference(pixels):
@@ -414,14 +441,15 @@ class TestExtractFeatures:
         extremes = [tile_reduce(op, gray, 4) for op in (np.minimum, np.maximum)]
         return np.stack(means + extremes, axis=-1)
 
-    # the image is read in bands of synth._FEATURE_BAND rows: a last band of one
-    # tile row, a height of exactly two bands, and images shorter than one band
-    BAND = synth._FEATURE_BAND
+    # tiles go in batches of synth._FEATURE_TILES: images of one tile fewer than
+    # a batch, of exactly one batch (two tile rows) and of one tile more
+    BUDGET = synth._FEATURE_TILES
 
     @pytest.mark.parametrize("kind", ["random", "quantized", "flat"])
     @pytest.mark.parametrize(
         "shape",
-        [(96, 128), (368, 1216), (4, 4), (8, 12), (BAND + 4, 20), (2 * BAND, 8), (BAND - 4, 16)],
+        [(96, 128), (368, 1216), (4, 4), (8, 12), (4, 4 * (BUDGET - 1)), (8, 2 * BUDGET),
+         (4, 4 * (BUDGET + 1))],
     )
     def test_equals_scipy_sobel_bit_for_bit(self, shape, kind):
         rng = np.random.default_rng(55)
@@ -436,17 +464,44 @@ class TestExtractFeatures:
                 rng.integers(0, 3, size=(shape[0] // 3 + 1, shape[1] // 3 + 1, 3))
             ]
             img = levels.repeat(3, axis=0).repeat(3, axis=1)[: shape[0], : shape[1]]
-        got = extract_features(img)
+        got = extract_features(img, every_tile(img))
         ref = self.scipy_reference(img)
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_a_cell_does_not_depend_on_the_other_tiles(self):
+        # a random subset, spread over several batches, equals the whole map
+        # at its cells bit for bit, and holds 0 elsewhere
+        rng = np.random.default_rng(57)
+        img = rng.integers(0, 256, size=(368, 1216, 3), dtype=np.uint8)
+        whole = extract_features(img, every_tile(img))
+        tiles = self.random_tiles(rng, whole.shape[:2], 0.3)
+        got = extract_features(img, tiles)
+        assert np.array_equal(got[tiles].view(np.int64), whole[tiles].view(np.int64))
+        assert not got[~tiles].any()
+
+    def test_whole_kitti_map_peak_memory(self):
+        # a batch's patches, not the image's, bound the call: 4.6 MiB traced
+        # with numpy 2.4, the map included, against 7.3 for the
+        # banded dense map it replaced
+        img = np.random.default_rng(58).integers(0, 256, size=(368, 1216, 3), dtype=np.uint8)
+        tiles = every_tile(img)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            extract_features(img, tiles)
+            peak_mib = (tracemalloc.get_traced_memory()[1] - before) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mib <= 7.3
 
     def test_stride_shift_covariance(self):
         rng = np.random.default_rng(52)
         img = rng.integers(0, 256, size=(24, 24, 3), dtype=np.uint8)
         shifted = np.roll(img, 4, axis=1)
-        a = extract_features(img)
-        b = extract_features(shifted)
+        a = extract_features(img, every_tile(img))
+        b = extract_features(shifted, every_tile(shifted))
         # interior blocks move one cell; boundary effects only near the wrap
         assert np.allclose(a[1:-1, 1:-2], b[1:-1, 2:-1])
 

@@ -526,6 +526,19 @@ class TestFrameBundleValidation:
         assert np.array_equal(frame.pixels, np.floor(half * 255.0 + 0.5))
         assert np.array_equal(frame.image, frame.pixels / 255.0)
 
+    def test_integer_image_refused_by_dtype(self):
+        # only uint8 is taken as bytes and only floats are quantized: an int64
+        # image of 0s and 1s would otherwise become bytes 0 and 255
+        pose = Se3Pose.identity()
+        for dtype in (bool, np.int8, np.uint16, np.int64):
+            image = np.ones((2, 2, 3), dtype)
+            name = np.dtype(dtype).name
+            with pytest.raises(ValueError, match=rf"^image must be uint8 bytes or floats in \[0, 1\], got {name}$"):
+                FrameBundle(image, np.ones((2, 2)), pose, 0)
+        for dtype in (np.float16, np.float32):
+            frame = FrameBundle(np.ones((2, 2, 3), dtype), np.ones((2, 2)), pose, 0)
+            assert np.all(frame.pixels == 255)
+
     @staticmethod
     def frame_with(image_value=0.5, depth_value=1.0):
         """A 4x4 frame whose pixel (2, 1) holds the given image and depth value."""
